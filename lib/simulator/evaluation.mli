@@ -6,23 +6,21 @@
     omniscient LowerBound is excluded from the minimum but reported,
     normalized, as its own row); average the per-trace degradations.
 
-    Replicates are evaluated in parallel over OCaml 5 domains
+    Replicate stripes are evaluated in parallel over OCaml 5 domains
     ([CKPT_DOMAINS] controls the fan-out; nested inside a study that
-    already parallelizes, the replicates run inline).  Each replicate
+    already parallelizes, the stripes run inline).  Each replicate
     accumulates into its own state and the per-replicate accumulators
     are merged serially in replicate order ({!Ckpt_numerics.Summary.merge}),
     so the table is bit-for-bit identical for every domain count.
     Set [CKPT_VERBOSE=1] for per-policy wall-clock and replicate
     progress reporting (see {!Instrument}).
 
-    Under the default [CKPT_ENGINE=batch] (see {!Engine.selected_kind})
-    each stripe of replicates runs through {!Engine.run_stripe} — one
-    lockstep pass per policy over the whole stripe, the unit of
-    parallel work becoming the stripe — and the per-slot outcomes are
-    bit-identical to the scalar engine's, so every table below is
-    unchanged by the engine choice.  Tracing runs ([CKPT_TRACE]) pin
-    the scalar path: the batch engine has no event-stream
-    counterpart. *)
+    Each stripe of replicates (see {!stripe_size}) runs through
+    {!Engine.run_stripe} — one lockstep pass per policy over the whole
+    stripe, the stripe being the unit of parallel work — and each
+    slot's outcome is exactly that replicate's execution alone.  Under
+    tracing ([CKPT_TRACE]) every run records into its own
+    [rep<r>/<policy>] (and [rep<r>/LowerBound]) buffer. *)
 
 (** Distributional view of a policy's completed runs, derived from the
     exact {!Ckpt_numerics.Summary.Vector} accumulator: makespan
@@ -99,7 +97,9 @@ type partial
 
 val stripe_size : unit -> int
 (** Current stripe width: [CKPT_SWEEP_STRIPE] when set to a positive
-    integer, 16 otherwise. *)
+    integer, 16 otherwise.  Re-read per call; a malformed value ([0],
+    [-3], [abc]) warns once per value on stderr before falling back,
+    since the width is part of every sweep-store key. *)
 
 val stripe_count : replicates:int -> int
 (** Number of stripes covering [replicates] at the current width.

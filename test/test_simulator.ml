@@ -45,7 +45,7 @@ let period600 = Policy.periodic "periodic-600" ~period:600.
 let run_metrics ?(processors = 1) ~failures policy =
   let scenario = tiny_scenario ~processors () in
   let traces = traces_of_failures ~units:processors failures in
-  match Engine.run ~scenario ~traces ~policy with
+  match Engine.run ~scenario ~traces ~policy () with
   | Engine.Completed m -> m
   | Engine.Policy_failed _ -> Alcotest.fail "unexpected policy failure"
 
@@ -103,7 +103,12 @@ let test_engine_own_downtime_absorbs () =
      [300, 350): absorbed, identical to a single failure at 300. *)
   let m = run_metrics ~failures:[ (0, [ 300.; 320. ]) ] period600 in
   check Alcotest.int "one effective failure" 1 m.Engine.failures;
-  close "makespan" 1650. m.Engine.makespan
+  close "makespan" 1650. m.Engine.makespan;
+  (* A failure exactly when the downtime ends [350] is a new one: it
+     aborts the recovery starting at that instant. *)
+  let m = run_metrics ~failures:[ (0, [ 300.; 350. ]) ] period600 in
+  check Alcotest.int "boundary failure is effective" 2 m.Engine.failures;
+  close "makespan with the second downtime" 1700. m.Engine.makespan
 
 let test_engine_cascading_downtime () =
   (* Two units; unit 1 fails at 330 while unit 0 is down [300, 350):
@@ -122,15 +127,15 @@ let test_engine_grouped_units_equivalent () =
   let scenario_grouped = Scenario.create ~horizon:1e6 ~start_time:0. grouped in
   let scenario_single = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, [ 300.; 1900. ]) ] in
-  let a = Engine.run ~scenario:scenario_grouped ~traces ~policy:period600 in
-  let b = Engine.run ~scenario:scenario_single ~traces ~policy:period600 in
+  let a = Engine.run ~scenario:scenario_grouped ~traces ~policy:period600 () in
+  let b = Engine.run ~scenario:scenario_single ~traces ~policy:period600 () in
   check Alcotest.bool "identical executions" true (a = b)
 
 let test_engine_policy_failed () =
   let declining = Policy.stateless "no" (fun _ -> None) in
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, []) ] in
-  match Engine.run ~scenario ~traces ~policy:declining with
+  match Engine.run ~scenario ~traces ~policy:declining () with
   | Engine.Policy_failed { at_time; remaining } ->
       close "at start" 0. at_time;
       close "nothing done" 1000. remaining
@@ -152,8 +157,8 @@ let test_engine_oversized_chunk_clamped () =
 let test_engine_deterministic () =
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, [ 123.; 2345. ]) ] in
-  let m1 = Engine.run ~scenario ~traces ~policy:period600 in
-  let m2 = Engine.run ~scenario ~traces ~policy:period600 in
+  let m1 = Engine.run ~scenario ~traces ~policy:period600 () in
+  let m2 = Engine.run ~scenario ~traces ~policy:period600 () in
   check Alcotest.bool "identical outcomes" true (m1 = m2)
 
 (* -- lower bound -------------------------------------------------------------- *)
@@ -161,7 +166,7 @@ let test_engine_deterministic () =
 let test_lower_bound_no_failures () =
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, []) ] in
-  let m = Engine.lower_bound ~scenario ~traces in
+  let m = Engine.lower_bound ~scenario ~traces () in
   close "one chunk + C" 1100. m.Engine.makespan;
   check Alcotest.int "single chunk" 1 m.Engine.chunks
 
@@ -170,7 +175,7 @@ let test_lower_bound_just_in_time () =
      exactly at the failure, then downtime + recovery + the rest. *)
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, [ 300. ]) ] in
-  let m = Engine.lower_bound ~scenario ~traces in
+  let m = Engine.lower_bound ~scenario ~traces () in
   close "no execution wasted" 0. m.Engine.wasted_time;
   close "makespan" (300. +. 50. +. 100. +. 800. +. 100.) m.Engine.makespan
 
@@ -178,7 +183,7 @@ let test_lower_bound_idle_when_too_close () =
   (* Failure at 60 < C: nothing can be saved; idle until it strikes. *)
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, [ 60. ]) ] in
-  let m = Engine.lower_bound ~scenario ~traces in
+  let m = Engine.lower_bound ~scenario ~traces () in
   close "idle time wasted" 60. m.Engine.wasted_time;
   close "makespan" (60. +. 50. +. 100. +. 1000. +. 100.) m.Engine.makespan
 
@@ -194,10 +199,10 @@ let test_lower_bound_beats_policies () =
   let scenario = Scenario.create ~horizon:1e7 ~start_time:0. job in
   for replicate = 0 to 9 do
     let traces = Scenario.traces scenario ~replicate in
-    let lb = Engine.lower_bound ~scenario ~traces in
+    let lb = Engine.lower_bound ~scenario ~traces () in
     List.iter
       (fun period ->
-        match Engine.run ~scenario ~traces ~policy:(Policy.periodic "p" ~period) with
+        match Engine.run ~scenario ~traces ~policy:(Policy.periodic "p" ~period) () with
         | Engine.Completed m ->
             check Alcotest.bool
               (Printf.sprintf "lb %.0f <= %.0f (T=%g, r=%d)" lb.Engine.makespan
@@ -227,7 +232,7 @@ let partition_prop ~name ~dist =
       in
       let traces = Scenario.traces scenario ~replicate in
       let buf = Tracer.create_buffer ~capacity:65_536 ~name:"prop" () in
-      match Engine.run_traced ~trace:buf ~scenario ~traces ~policy:(Policy.periodic "p" ~period) with
+      match Engine.run ~trace:buf ~scenario ~traces ~policy:(Policy.periodic "p" ~period) () with
       | Engine.Completed m ->
           let parts =
             m.Engine.useful_work +. m.Engine.checkpoint_time +. m.Engine.wasted_time
@@ -399,7 +404,7 @@ let test_engine_fast_paths_bit_identical () =
     let policy = Ckpt_policies.Dp_policies.dp_next_failure ~max_states:60 job in
     List.map
       (fun replicate ->
-        Engine.run ~scenario ~traces:(Scenario.traces scenario ~replicate) ~policy)
+        Engine.run ~scenario ~traces:(Scenario.traces scenario ~replicate) ~policy ())
       [ 0; 1; 2 ]
   in
   let fast = run () in
@@ -621,7 +626,7 @@ let test_simulated_optexp_matches_theorem1 () =
   let acc = ref 0. in
   for replicate = 0 to n - 1 do
     let traces = Scenario.traces scenario ~replicate in
-    match Engine.run ~scenario ~traces ~policy with
+    match Engine.run ~scenario ~traces ~policy () with
     | Engine.Completed m -> acc := !acc +. m.Engine.makespan
     | Engine.Policy_failed _ -> Alcotest.fail "periodic cannot fail"
   done;
@@ -642,11 +647,11 @@ let test_cost_profile_constant_matches_run () =
      reproduce Engine.run exactly. *)
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, [ 300.; 1900. ]) ] in
-  let a = Engine.run ~scenario ~traces ~policy:period600 in
+  let a = Engine.run ~scenario ~traces ~policy:period600 () in
   let b =
-    Engine.run_with_cost_profile
+    Engine.run
       ~cost_profile:(fun ~progress:_ -> (100., 100.))
-      ~scenario ~traces ~policy:period600
+      ~scenario ~traces ~policy:period600 ()
   in
   check Alcotest.bool "identical" true (a = b)
 
@@ -656,7 +661,7 @@ let test_cost_profile_growing_cost () =
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, []) ] in
   let profile ~progress = ((if progress >= 1. then 200. else 100.), 100.) in
-  match Engine.run_with_cost_profile ~cost_profile:profile ~scenario ~traces ~policy:period600 with
+  match Engine.run ~cost_profile:profile ~scenario ~traces ~policy:period600 () with
   | Engine.Completed m ->
       close "checkpoint time reflects the profile" 300. m.Engine.checkpoint_time;
       close "makespan" 1300. m.Engine.makespan
@@ -668,7 +673,7 @@ let test_cost_profile_recovery_cost () =
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, [ 300. ]) ] in
   let profile ~progress = (100., if progress <= 0. then 500. else 100.) in
-  match Engine.run_with_cost_profile ~cost_profile:profile ~scenario ~traces ~policy:period600 with
+  match Engine.run ~cost_profile:profile ~scenario ~traces ~policy:period600 () with
   | Engine.Completed m ->
       close "expensive early recovery" 500. m.Engine.recovery_time;
       close "makespan" (300. +. 50. +. 500. +. 700. +. 500.) m.Engine.makespan
@@ -681,7 +686,7 @@ let test_cost_profile_recovery_at_committed_progress () =
   let scenario = tiny_scenario () in
   let traces = traces_of_failures ~units:1 [ (0, [ 900. ]) ] in
   let profile ~progress = (100., if progress >= 0.5 then 300. else 100.) in
-  match Engine.run_with_cost_profile ~cost_profile:profile ~scenario ~traces ~policy:period600 with
+  match Engine.run ~cost_profile:profile ~scenario ~traces ~policy:period600 () with
   | Engine.Completed m ->
       close "recovery priced at committed progress" 300. m.Engine.recovery_time;
       close "wasted" 200. m.Engine.wasted_time;
@@ -694,6 +699,36 @@ let contains_sub ~needle haystack =
   let nl = String.length needle and hl = String.length haystack in
   let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
   go 0
+
+(* Traced runs of [policy] on replicates 0-4 one at a time, then on
+   replicates 0-2 as a 3-wide stripe with one buffer per slot: tracing
+   lives in the stripe state, so every slot must reconcile, and each
+   slot's event stream must equal its width-1 run's.  Returns
+   [(replicate, buffer, outcome)] for every run. *)
+let traced_inputs ?cost_profile ~scenario ~policy ~name () =
+  let buffer r =
+    Tracer.create_buffer ~capacity:65_536 ~name:(Printf.sprintf "rep%d/%s" r name) ()
+  in
+  let traces r = Scenario.traces scenario ~replicate:r in
+  let single =
+    List.init 5 (fun r ->
+        let b = buffer r in
+        (r, b, Engine.run ~trace:b ?cost_profile ~scenario ~traces:(traces r) ~policy ()))
+  in
+  let bufs = Array.init 3 buffer in
+  let outcomes =
+    Engine.run_stripe ~trace:bufs ?cost_profile ~scenario ~traces:(Array.init 3 traces) ~policy ()
+  in
+  let striped = List.init 3 (fun k -> (k, bufs.(k), outcomes.(k))) in
+  List.iter2
+    (fun (k, b, o) (_, b1, o1) ->
+      check Alcotest.bool
+        (Printf.sprintf "%s: stripe slot %d == width-1 run, events included" name k)
+        true
+        (o = o1 && Tracer.to_list b = Tracer.to_list b1))
+    striped
+    (List.filteri (fun i _ -> i < 3) single);
+  single @ striped
 
 (* The acceptance check for the tracing layer: a Weibull degradation
    run's traced spans must reconcile with [Engine.metrics] replicate
@@ -710,44 +745,39 @@ let test_traced_weibull_reconciles () =
   in
   let scenario = Scenario.create ~horizon:1e8 ~start_time:0. job in
   let saw_failures = ref false in
-  for replicate = 0 to 4 do
-    let traces = Scenario.traces scenario ~replicate in
-    let buf =
-      Tracer.create_buffer ~capacity:65_536
-        ~name:(Printf.sprintf "rep%d/periodic-1000" replicate)
-        ()
-    in
-    match Engine.run_traced ~trace:buf ~scenario ~traces ~policy:(Policy.periodic "p" ~period:1000.) with
-    | Engine.Completed m ->
-        check Alcotest.int "no dropped events" 0 (Tracer.dropped buf);
-        let t = Tracer.totals buf in
-        close "work spans = useful_work" m.Engine.useful_work t.Tracer.work;
-        close "checkpoint spans = checkpoint_time" m.Engine.checkpoint_time t.Tracer.checkpoint;
-        close "waste spans = wasted_time" m.Engine.wasted_time t.Tracer.waste;
-        close "recovery spans = recovery_time" m.Engine.recovery_time t.Tracer.recovery;
-        close "downtime spans = stall_time" m.Engine.stall_time t.Tracer.downtime;
-        check Alcotest.int "failure count" m.Engine.failures t.Tracer.failures;
-        check Alcotest.int "chunk count" m.Engine.chunks t.Tracer.chunks;
-        if m.Engine.failures > 0 then saw_failures := true;
-        if replicate = 0 then begin
-          let path = Filename.temp_file "ckpt_weibull_trace" ".json" in
-          Fun.protect
-            ~finally:(fun () -> Sys.remove path)
-            (fun () ->
-              Ckpt_telemetry.Trace_export.write ~path [ buf ];
-              let ic = open_in_bin path in
-              let body =
-                Fun.protect
-                  ~finally:(fun () -> close_in_noerr ic)
-                  (fun () -> really_input_string ic (in_channel_length ic))
-              in
-              check Alcotest.bool "chrome trace envelope" true
-                (contains_sub ~needle:"\"traceEvents\"" body);
-              check Alcotest.bool "named execution thread" true
-                (contains_sub ~needle:"rep0/periodic-1000" body))
-        end
-    | Engine.Policy_failed _ -> Alcotest.fail "periodic cannot fail"
-  done;
+  List.iteri
+    (fun i (_, buf, outcome) ->
+      match outcome with
+      | Engine.Completed m ->
+          check Alcotest.int "no dropped events" 0 (Tracer.dropped buf);
+          let t = Tracer.totals buf in
+          close "work spans = useful_work" m.Engine.useful_work t.Tracer.work;
+          close "checkpoint spans = checkpoint_time" m.Engine.checkpoint_time t.Tracer.checkpoint;
+          close "waste spans = wasted_time" m.Engine.wasted_time t.Tracer.waste;
+          close "recovery spans = recovery_time" m.Engine.recovery_time t.Tracer.recovery;
+          close "downtime spans = stall_time" m.Engine.stall_time t.Tracer.downtime;
+          check Alcotest.int "failure count" m.Engine.failures t.Tracer.failures;
+          check Alcotest.int "chunk count" m.Engine.chunks t.Tracer.chunks;
+          if m.Engine.failures > 0 then saw_failures := true;
+          if i = 0 then begin
+            let path = Filename.temp_file "ckpt_weibull_trace" ".json" in
+            Fun.protect
+              ~finally:(fun () -> Sys.remove path)
+              (fun () ->
+                Ckpt_telemetry.Trace_export.write ~path [ buf ];
+                let ic = open_in_bin path in
+                let body =
+                  Fun.protect
+                    ~finally:(fun () -> close_in_noerr ic)
+                    (fun () -> really_input_string ic (in_channel_length ic))
+                in
+                check Alcotest.bool "chrome trace envelope" true
+                  (contains_sub ~needle:"\"traceEvents\"" body);
+                check Alcotest.bool "named execution thread" true
+                  (contains_sub ~needle:"rep0/periodic-1000" body))
+          end
+      | Engine.Policy_failed _ -> Alcotest.fail "periodic cannot fail")
+    (traced_inputs ~scenario ~policy:(Policy.periodic "p" ~period:1000.) ~name:"periodic-1000" ());
   check Alcotest.bool "at least one replicate saw failures" true !saw_failures
 
 let weibull_scenario () =
@@ -760,7 +790,7 @@ let weibull_scenario () =
        ~work_time:20_000.)
 
 (* Satellite of the waste-accounting layer: the progress-dependent-cost
-   entry point reconciles with the event stream too — and now that
+   runs reconcile with the event stream too — and since
    Checkpoint/Recovery_complete events carry the engine's exact cost
    operand, the comparison is bitwise, not tolerance-based. *)
 let test_traced_cost_profile_reconciles () =
@@ -769,33 +799,27 @@ let test_traced_cost_profile_reconciles () =
      on values the constant-cost path never produces. *)
   let cost_profile ~progress = (120. +. (30. *. progress), 120. -. (20. *. progress)) in
   let saw_failures = ref false in
-  for replicate = 0 to 4 do
-    let traces = Scenario.traces scenario ~replicate in
-    let buf =
-      Tracer.create_buffer ~capacity:65_536
-        ~name:(Printf.sprintf "cost-rep%d" replicate)
-        ()
-    in
-    match
-      Engine.run_with_cost_profile_traced ~trace:buf ~cost_profile ~scenario ~traces
-        ~policy:(Policy.periodic "p" ~period:1000.)
-    with
-    | Engine.Completed m ->
-        check Alcotest.int "no dropped events" 0 (Tracer.dropped buf);
-        let t = Tracer.totals buf in
-        let exact name a b =
-          check Alcotest.bool (name ^ " bitwise") true (Int64.bits_of_float a = Int64.bits_of_float b)
-        in
-        exact "work" m.Engine.useful_work t.Tracer.work;
-        exact "checkpoint" m.Engine.checkpoint_time t.Tracer.checkpoint;
-        exact "waste" m.Engine.wasted_time t.Tracer.waste;
-        exact "recovery" m.Engine.recovery_time t.Tracer.recovery;
-        exact "downtime" m.Engine.stall_time t.Tracer.downtime;
-        check Alcotest.int "failures" m.Engine.failures t.Tracer.failures;
-        check Alcotest.int "chunks" m.Engine.chunks t.Tracer.chunks;
-        if m.Engine.failures > 0 then saw_failures := true
-    | Engine.Policy_failed _ -> Alcotest.fail "periodic cannot fail"
-  done;
+  List.iter
+    (fun (_, buf, outcome) ->
+      match outcome with
+      | Engine.Completed m ->
+          check Alcotest.int "no dropped events" 0 (Tracer.dropped buf);
+          let t = Tracer.totals buf in
+          let exact name a b =
+            check Alcotest.bool (name ^ " bitwise") true
+              (Int64.bits_of_float a = Int64.bits_of_float b)
+          in
+          exact "work" m.Engine.useful_work t.Tracer.work;
+          exact "checkpoint" m.Engine.checkpoint_time t.Tracer.checkpoint;
+          exact "waste" m.Engine.wasted_time t.Tracer.waste;
+          exact "recovery" m.Engine.recovery_time t.Tracer.recovery;
+          exact "downtime" m.Engine.stall_time t.Tracer.downtime;
+          check Alcotest.int "failures" m.Engine.failures t.Tracer.failures;
+          check Alcotest.int "chunks" m.Engine.chunks t.Tracer.chunks;
+          if m.Engine.failures > 0 then saw_failures := true
+      | Engine.Policy_failed _ -> Alcotest.fail "periodic cannot fail")
+    (traced_inputs ~cost_profile ~scenario ~policy:(Policy.periodic "p" ~period:1000.)
+       ~name:"cost" ());
   check Alcotest.bool "at least one replicate saw failures" true !saw_failures
 
 (* -- explain ---------------------------------------------------------------- *)
@@ -831,7 +855,7 @@ let check_explained scenario =
     e.Explain.decisions;
   (* The instrumented replay must not perturb the execution. *)
   let plain =
-    Engine.run ~scenario ~traces:(Scenario.traces scenario ~replicate:1) ~policy
+    Engine.run ~scenario ~traces:(Scenario.traces scenario ~replicate:1) ~policy ()
   in
   check Alcotest.bool "replay bit-identical to plain run" true (plain = e.Explain.outcome);
   let rendered = Format.asprintf "%a" (Explain.print ~limit:5) e in
@@ -862,6 +886,209 @@ let test_explain_policy_failed () =
   | Some (_, remaining) -> close "declined with all work left" 1000. remaining
   | None -> Alcotest.fail "expected a declined decision");
   check Alcotest.bool "never reconciles" false (Explain.reconciles e)
+
+(* -- pinned engine digests ---------------------------------------------------
+
+   Digests of exact ([%h]) outcomes recorded from the original
+   one-execution-at-a-time engine loop, before the stripe became the
+   only stepping loop.  They pin the failure model (downtime, cascades,
+   recovery restarts), cost profiles, the lower bound, the event
+   stream and the evaluation reduce to those bits, whatever the stripe
+   width. *)
+
+let hex_of_outcome = function
+  | Engine.Completed m ->
+      Printf.sprintf "C %h %h %h %h %h %h %d %d %h %h" m.Engine.makespan m.Engine.useful_work
+        m.Engine.checkpoint_time m.Engine.wasted_time m.Engine.recovery_time
+        m.Engine.stall_time m.Engine.failures m.Engine.chunks m.Engine.min_chunk
+        m.Engine.max_chunk
+  | Engine.Policy_failed { at_time; remaining } -> Printf.sprintf "F %h %h" at_time remaining
+
+let hex_of_event = function
+  | Tracer.Decision { at; chunk; remaining } -> Printf.sprintf "D %h %h %h" at chunk remaining
+  | Tracer.Chunk_start { at; work } -> Printf.sprintf "S %h %h" at work
+  | Tracer.Chunk_commit { t0; t1; work } -> Printf.sprintf "W %h %h %h" t0 t1 work
+  | Tracer.Checkpoint { t0; t1; cost } -> Printf.sprintf "C %h %h %h" t0 t1 cost
+  | Tracer.Failure { at; proc } -> Printf.sprintf "F %h %d" at proc
+  | Tracer.Waste { t0; t1 } -> Printf.sprintf "X %h %h" t0 t1
+  | Tracer.Downtime { t0; t1 } -> Printf.sprintf "T %h %h" t0 t1
+  | Tracer.Recovery_start { at } -> Printf.sprintf "R %h" at
+  | Tracer.Recovery_abort { t0; t1 } -> Printf.sprintf "A %h %h" t0 t1
+  | Tracer.Recovery_complete { t0; t1; cost } -> Printf.sprintf "K %h %h %h" t0 t1 cost
+
+let digest_lines lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+(* Every cell of a degradation table, Welford columns included. *)
+let hex_of_table (t : Evaluation.table) =
+  let f = Printf.sprintf "%h" in
+  let row (r : Evaluation.policy_result) =
+    let profile =
+      match r.Evaluation.profile with
+      | None -> [ "none" ]
+      | Some p ->
+          List.map f
+            [
+              p.Evaluation.mk_p50; p.mk_p95; p.mk_p99; p.mk_mean; p.mk_ci95; p.deg_ci95;
+              p.useful_s; p.checkpoint_s; p.wasted_s; p.recovery_s; p.stall_s; p.useful_frac;
+              p.checkpoint_frac; p.wasted_frac; p.recovery_frac; p.stall_frac;
+            ]
+    in
+    String.concat " "
+      ((r.Evaluation.policy_name
+       :: List.map f
+            [ r.average_degradation; r.std_degradation; r.average_makespan; r.average_failures ])
+      @ [ string_of_int r.successes; string_of_int r.max_failures ]
+      @ List.map f [ r.average_chunks; r.min_chunk; r.max_chunk ]
+      @ profile)
+  in
+  digest_lines
+    (List.map row (t.Evaluation.lower_bound :: t.Evaluation.results)
+    @ [ Printf.sprintf "%d %d" t.replicates t.usable_replicates ])
+
+let pin_scenario ~dist ~start_time =
+  Scenario.create ~horizon:1e7 ~start_time
+    (Job.create ~dist ~processors:2
+       ~machine:
+         (Machine.create ~total_processors:2 ~downtime:40. ~overhead:(Overhead.constant 120.))
+       ~work_time:15_000.)
+
+let pin_cost_profile ~progress = (120. +. (30. *. progress), 120. -. (20. *. progress))
+
+let pin_dists =
+  [ ("exp", Exponential.of_mtbf ~mtbf:2500.); ("weibull", Weibull.of_mtbf ~mtbf:2500. ~shape:0.7) ]
+
+(* [(label, policy, cost_profile?)]: periodic; a pure-scalar policy
+   that declines after a recent failure in the second half of the work
+   (some slots end as [Policy_failed] stragglers); a min-age policy; a
+   stateful DP plan; periodic under a progress-dependent cost. *)
+let pin_policies job =
+  [
+    ("periodic", Policy.periodic "p" ~period:1200., false);
+    ( "quits",
+      Policy.pure_scalar "quits" (fun obs ->
+          if obs.Policy.remaining < 6000. && obs.Policy.min_age < 600. then None else Some 1500.),
+      false );
+    ( "agey",
+      Policy.stateless "agey" (fun obs ->
+          Some (Float.max 400. (1000. +. (0.1 *. obs.Policy.min_age)))),
+      false );
+    ("dpnf", Ckpt_policies.Dp_policies.dp_next_failure ~max_states:60 job, false);
+    ("periodic+cost", Policy.periodic "p" ~period:1200., true);
+  ]
+
+let pin_replicates = 16
+
+(* [dist/start_time/policy] -> digest of the outcomes on replicates
+   0-15, in order ([LowerBound]: of the lower bound's metrics). *)
+let pinned_outcomes =
+  [
+    ("exp/0/periodic", "f0c5ba89685256e7f90692ab7b08a92a");
+    ("exp/0/quits", "59a6a0d71db3b0ca10b72ffb441871ae");
+    ("exp/0/agey", "0c012f73d99a17cc7fa66af6b22b8264");
+    ("exp/0/dpnf", "6c6e2efd176566f52a5e1b727edc7bdf");
+    ("exp/0/periodic+cost", "382ad84a8046d1d471d647081c7a181e");
+    ("exp/0/LowerBound", "d4aad01ca53849fca7debfacb8f1bd33");
+    ("exp/2000/periodic", "235eb1a3ed51b146d748a7c29005c99e");
+    ("exp/2000/quits", "359642cd2c18b516da252c205e3a6f23");
+    ("exp/2000/agey", "5611af4d11cf49e84633914b3ef041c9");
+    ("exp/2000/dpnf", "163865756d1cd34aa557fbc7b76894c9");
+    ("exp/2000/periodic+cost", "92e3aeb4361578d32abba49740066f5d");
+    ("exp/2000/LowerBound", "4a03593329a88519bdc49ccfa5c0aa63");
+    ("weibull/0/periodic", "0927b0ecadc5fc5b1cbc3cac3db54165");
+    ("weibull/0/quits", "1fbc22f8c9e69fd940b28489dd0d3b0a");
+    ("weibull/0/agey", "5a33531029f96df1579166aa5b84c8ff");
+    ("weibull/0/dpnf", "679792393719d02065d1ca4bc2873f42");
+    ("weibull/0/periodic+cost", "cdab951e79975c9f6c7ff699ee318e54");
+    ("weibull/0/LowerBound", "0e5dac340ca886b55e8e2bbcdde3ab61");
+    ("weibull/2000/periodic", "df79aad15b1adc8d0400fc41a2a7973a");
+    ("weibull/2000/quits", "6a9a1f7013dc2a61ba1bc6398ff37409");
+    ("weibull/2000/agey", "2f876ba573f36d58f7eacaae955e4208");
+    ("weibull/2000/dpnf", "f96629ad8d5c4e9a6eefec2e34e7aeb9");
+    ("weibull/2000/periodic+cost", "86752f8c0cfa881e1b9506bb14d2494c");
+    ("weibull/2000/LowerBound", "bcb508d2aa7edb726a08aec35831ae8f");
+  ]
+
+(* Weibull, start_time 2000, replicate 3: periodic-1200 under
+   [pin_cost_profile], and the lower bound. *)
+let pinned_traced_run = "679700001d495ba77e7e5072936bf445"
+let pinned_traced_lower_bound = "c594f23f169a3a1f9955cf4b34937458"
+
+(* [eval_scenario], roster a / b / DPMakespan, 9 replicates, by stripe
+   width: the full table with every cell, at CKPT_SCHED=seq. *)
+let pinned_tables =
+  [
+    (1, "e5be4287c488975a1d2f58dbca95e2fc");
+    (4, "e9e48c8fb216f3ef12a5a6b6c13b5a8c");
+    (16, "e5be4287c488975a1d2f58dbca95e2fc");
+  ]
+
+(* Slot outcomes of [traces] in stripes of [width], in slot order. *)
+let striped ~width ~scenario ~policy ?cost_profile traces =
+  let n = Array.length traces in
+  List.init ((n + width - 1) / width) (fun s ->
+      let first = s * width in
+      Engine.run_stripe ?cost_profile ~scenario
+        ~traces:(Array.sub traces first (min width (n - first)))
+        ~policy ())
+  |> Array.concat
+
+let test_pinned_outcomes () =
+  let expect label digest =
+    check Alcotest.string label (List.assoc label pinned_outcomes) digest
+  in
+  let digest outcomes = digest_lines (Array.to_list (Array.map hex_of_outcome outcomes)) in
+  List.iter
+    (fun (dname, dist) ->
+      List.iter
+        (fun start_time ->
+          let scenario = pin_scenario ~dist ~start_time in
+          let traces =
+            Array.init pin_replicates (fun replicate -> Scenario.traces scenario ~replicate)
+          in
+          let cell = Printf.sprintf "%s/%g/%s" dname start_time in
+          List.iter
+            (fun (pname, policy, cost) ->
+              let cost_profile = if cost then Some pin_cost_profile else None in
+              let label = cell pname in
+              expect label
+                (digest
+                   (Array.map
+                      (fun tr -> Engine.run ?cost_profile ~scenario ~traces:tr ~policy ())
+                      traces));
+              List.iter
+                (fun width ->
+                  expect label (digest (striped ~width ~scenario ~policy ?cost_profile traces)))
+                [ 3; 16 ])
+            (pin_policies scenario.Scenario.job);
+          expect (cell "LowerBound")
+            (digest
+               (Array.map
+                  (fun tr -> Engine.Completed (Engine.lower_bound ~scenario ~traces:tr ()))
+                  traces)))
+        [ 0.; 2000. ])
+    pin_dists
+
+let test_pinned_event_streams () =
+  let scenario = pin_scenario ~dist:(List.assoc "weibull" pin_dists) ~start_time:2000. in
+  let traces r = Scenario.traces scenario ~replicate:r in
+  let policy = Policy.periodic "p" ~period:1200. in
+  let events b = digest_lines (List.map hex_of_event (Tracer.to_list b)) in
+  let buf = Tracer.create_buffer ~capacity:65_536 ~name:"pin" () in
+  ignore
+    (Engine.run ~trace:buf ~cost_profile:pin_cost_profile ~scenario ~traces:(traces 3) ~policy ());
+  check Alcotest.string "traced run" pinned_traced_run (events buf);
+  (* The same trace set as the middle slot of a 3-wide traced stripe. *)
+  let bufs =
+    Array.init 3 (fun k -> Tracer.create_buffer ~capacity:65_536 ~name:(string_of_int k) ())
+  in
+  ignore
+    (Engine.run_stripe ~trace:bufs ~cost_profile:pin_cost_profile ~scenario
+       ~traces:(Array.init 3 (fun k -> traces (2 + k)))
+       ~policy ());
+  check Alcotest.string "traced stripe slot" pinned_traced_run (events bufs.(1));
+  let buf = Tracer.create_buffer ~capacity:65_536 ~name:"pin-lb" () in
+  ignore (Engine.lower_bound ~trace:buf ~scenario ~traces:(traces 3) ());
+  check Alcotest.string "traced lower bound" pinned_traced_lower_bound (events buf)
 
 (* -- waste profile golden table --------------------------------------------- *)
 
@@ -912,46 +1139,76 @@ let test_profile_stripe_sched_bit_identity () =
      columns are only stripe-invariant within one width — the Chan
      merge tree shape matters to their last bits, which is exactly why
      CKPT_SWEEP_STRIPE participates in the sweep-store key; the
-     Vector-derived profiles are the stronger, width-free promise.) *)
+     Vector-derived profiles are the stronger, width-free promise;
+     the full table is pinned per width by the golden matrix.) *)
   let policies () =
-    [ Policy.periodic "a" ~period:900.; Policy.periodic "b" ~period:2000. ]
+    [ Policy.periodic "a" ~period:900.; Policy.periodic "b" ~period:2000.;
+      Ckpt_policies.Dp_policies.dp_makespan ~cap_states:40 (eval_scenario ()).Scenario.job ]
   in
-  let profiles_with ~stripe ~sched =
+  let table_with ~stripe ~sched =
     with_env "CKPT_SWEEP_STRIPE" (string_of_int stripe) (fun () ->
         with_env "CKPT_SCHED" sched (fun () ->
-            let t =
-              Evaluation.degradation_table ~scenario:(eval_scenario ())
-                ~policies:(policies ()) ~replicates:9
-            in
-            List.map
-              (fun (r : Evaluation.policy_result) -> r.Evaluation.profile)
-              (t.Evaluation.lower_bound :: t.Evaluation.results)))
+            Evaluation.degradation_table ~scenario:(eval_scenario ()) ~policies:(policies ())
+              ~replicates:9))
   in
-  let reference = profiles_with ~stripe:16 ~sched:"seq" in
-  check Alcotest.int "profiles present" 3 (List.length (List.filter_map Fun.id reference));
+  let profiles (t : Evaluation.table) =
+    List.map
+      (fun (r : Evaluation.policy_result) -> r.Evaluation.profile)
+      (t.Evaluation.lower_bound :: t.Evaluation.results)
+  in
+  let reference = profiles (table_with ~stripe:16 ~sched:"seq") in
+  check Alcotest.int "profiles present" 4 (List.length (List.filter_map Fun.id reference));
   List.iter
     (fun stripe ->
       List.iter
         (fun sched ->
-          let p = profiles_with ~stripe ~sched in
+          let t = table_with ~stripe ~sched in
           check Alcotest.bool
             (Printf.sprintf "stripe=%d sched=%s profiles == reference, bit for bit" stripe
                sched)
             true
-            (compare reference p = 0))
+            (compare reference (profiles t) = 0))
         [ "seq"; "steal" ])
     [ 1; 4; 16 ]
 
-(* -- batch (striped lockstep) engine ---------------------------------------- *)
+let test_engine_matrix_bit_identity () =
+  (* Golden matrix: the full degradation table (Welford columns
+     included) at every CKPT_SCHED x stripe width combination equals
+     the digest pinned from the scalar/sequential reference of the
+     same stripe width — the retired per-execution engine survives as
+     [pinned_tables], so the one stripe loop is held to its bits. *)
+  let policies () =
+    [ Policy.periodic "a" ~period:900.; Policy.periodic "b" ~period:2000.;
+      Ckpt_policies.Dp_policies.dp_makespan ~cap_states:40 (eval_scenario ()).Scenario.job ]
+  in
+  let table_with ~sched ~stripe =
+    with_env "CKPT_SCHED" sched (fun () ->
+        with_env "CKPT_SWEEP_STRIPE" (string_of_int stripe) (fun () ->
+            Evaluation.degradation_table ~scenario:(eval_scenario ()) ~policies:(policies ())
+              ~replicates:9))
+  in
+  List.iter
+    (fun stripe ->
+      List.iter
+        (fun sched ->
+          check Alcotest.string
+            (Printf.sprintf "sched=%s stripe=%d == scalar/seq reference" sched stripe)
+            (List.assoc stripe pinned_tables)
+            (hex_of_table (table_with ~sched ~stripe)))
+        [ "seq"; "steal" ])
+    [ 1; 4; 16 ]
 
-(* The tentpole guarantee: every slot of [Engine.run_stripe] is
-   bit-identical to a scalar [Engine.run] on the same trace set —
-   across distributions, policy kinds (memoizable pure-scalar,
-   non-pure, declining mid-run), stripe widths, and a nonzero
-   start_time (exercising the initial-lifetime template).  The
-   declining policy makes some slots finish as [Policy_failed] while
-   others keep stepping: the straggler compaction path. *)
-let prop_batch_equals_scalar =
+(* -- stripe engine ---------------------------------------------------------- *)
+
+(* Every slot of [Engine.run_stripe] is exactly [Engine.run] on its
+   own trace set — slots share no decisions or state, and the
+   live-slot compaction disturbs none of them — across distributions,
+   policy kinds (pure-scalar declining mid-run, min-age), stripe
+   widths, and a nonzero start_time (exercising the initial-lifetime
+   template).  The declining policy makes some slots finish as
+   [Policy_failed] while others keep stepping: the straggler
+   compaction path. *)
+let prop_stripe_slot_equals_run =
   QCheck2.Test.make ~name:"run_stripe slot k == run on traces k (dist x policy x width)"
     ~count:40
     QCheck2.Gen.(quad (int_range 0 1) (int_range 0 2) (int_range 0 10_000) (int_range 0 2))
@@ -973,15 +1230,11 @@ let prop_batch_equals_scalar =
         match policy_i with
         | 0 -> Policy.periodic "p" ~period:1200.
         | 1 ->
-            (* Pure-scalar (memoized) but declining below a remaining
-               threshold: Policy_failed slots become stragglers the
-               live-slot compaction must not disturb. *)
             Policy.pure_scalar "quits" (fun obs ->
                 if obs.Policy.remaining < 6000. then None else Some 1500.)
         | _ ->
-            (* Not declared pure: per-slot instances, no memo; the
-               decision depends on min_age so observations genuinely
-               vary across slots. *)
+            (* The decision depends on min_age, so observations
+               genuinely vary across slots. *)
             Policy.stateless "agey" (fun obs ->
                 Some (Float.max 400. (1000. +. (0.1 *. obs.Policy.min_age))))
       in
@@ -989,14 +1242,14 @@ let prop_batch_equals_scalar =
       let traces =
         Array.init width (fun k -> Scenario.traces scenario ~replicate:(replicate + k))
       in
-      let scalar = Array.map (fun tr -> Engine.run ~scenario ~traces:tr ~policy) traces in
-      let batch = Engine.run_stripe ~scenario ~traces ~policy () in
-      compare scalar batch = 0)
+      let single = Array.map (fun tr -> Engine.run ~scenario ~traces:tr ~policy ()) traces in
+      let stripe = Engine.run_stripe ~scenario ~traces ~policy () in
+      compare single stripe = 0)
 
-let test_batch_dp_policy_bit_identical () =
-  (* DPNextFailure is the policy the batch engine's lazy age ledger
-     and batched hazard lookups exist for — and, being stateful, the
-     one that must never hit the decision memo. *)
+let test_stripe_dp_policy_bit_identical () =
+  (* DPNextFailure is the policy the lazy age ledger and batched hazard
+     lookups exist for — and, being stateful, the one whose per-slot
+     instances must never leak plan state across slots. *)
   let job =
     Job.create
       ~dist:(Weibull.of_mtbf ~mtbf:1e6 ~shape:0.7)
@@ -1008,80 +1261,25 @@ let test_batch_dp_policy_bit_identical () =
   let scenario = Scenario.create ~horizon:1e7 ~start_time:0. job in
   let policy = Ckpt_policies.Dp_policies.dp_next_failure ~max_states:60 job in
   let traces = Array.init 3 (fun replicate -> Scenario.traces scenario ~replicate) in
-  let scalar = Array.map (fun tr -> Engine.run ~scenario ~traces:tr ~policy) traces in
-  let batch = Engine.run_stripe ~scenario ~traces ~policy () in
-  check Alcotest.bool "DP policy batch == scalar" true (compare scalar batch = 0)
+  let single = Array.map (fun tr -> Engine.run ~scenario ~traces:tr ~policy ()) traces in
+  let stripe = Engine.run_stripe ~scenario ~traces ~policy () in
+  check Alcotest.bool "DP policy stripe slot k == run on traces k" true (compare single stripe = 0)
 
-let test_engine_matrix_bit_identity () =
-  (* Golden matrix: the full degradation table (Welford columns
-     included) at every CKPT_ENGINE x CKPT_SCHED combination equals
-     the scalar/sequential reference of the same stripe width. *)
-  let policies () =
-    [ Policy.periodic "a" ~period:900.; Policy.periodic "b" ~period:2000.;
-      Ckpt_policies.Dp_policies.dp_makespan ~cap_states:40 (eval_scenario ()).Scenario.job ]
-  in
-  let table_with ~engine ~sched ~stripe =
-    with_env "CKPT_ENGINE" engine (fun () ->
-        with_env "CKPT_SCHED" sched (fun () ->
-            with_env "CKPT_SWEEP_STRIPE" (string_of_int stripe) (fun () ->
-                Evaluation.degradation_table ~scenario:(eval_scenario ())
-                  ~policies:(policies ()) ~replicates:9)))
-  in
+let test_stripe_size_malformed () =
+  (* Malformed widths warn on stderr (once per value) and fall back to
+     the default instead of being silently eaten: the width is part of
+     every sweep-store key. *)
   List.iter
-    (fun stripe ->
-      let reference = table_with ~engine:"scalar" ~sched:"seq" ~stripe in
-      List.iter
-        (fun (engine, sched) ->
-          let t = table_with ~engine ~sched ~stripe in
-          check Alcotest.bool
-            (Printf.sprintf "engine=%s sched=%s stripe=%d == scalar/seq reference" engine
-               sched stripe)
-            true
-            (compare reference t = 0))
-        [ ("batch", "seq"); ("scalar", "steal"); ("batch", "steal") ])
-    [ 1; 4; 16 ]
-
-let test_batch_memo_hits () =
-  (* Eight identical failure-free slots under a pure-scalar policy:
-     every slot's decisions are the same observation tuple, so the
-     stripe pays one policy evaluation per distinct decision and the
-     memo serves the other seven slots. *)
-  Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Metrics.reset ~prefix:"engine/" ())
-    (fun () ->
-      Metrics.reset ~prefix:"engine/" ();
-      let scenario = tiny_scenario () in
-      let width = 8 in
-      let traces = Array.init width (fun _ -> traces_of_failures ~units:1 [ (0, []) ]) in
-      let outcomes = Engine.run_stripe ~scenario ~traces ~policy:period600 () in
-      Array.iter
-        (function
-          | Engine.Completed _ -> ()
-          | Engine.Policy_failed _ -> Alcotest.fail "periodic cannot fail")
-        outcomes;
-      let counter name =
-        match Metrics.find name with Some (Metrics.Counter n) -> n | _ -> 0
-      in
-      (* Periodic-600 over W = 1000 makes exactly two decisions per
-         slot (chunks 600 and 400). *)
-      check Alcotest.int "distinct decisions solved once" 2
-        (counter "engine/decision_memo_misses");
-      check Alcotest.int "remaining slots served by the memo"
-        (2 * (width - 1))
-        (counter "engine/decision_memo_hits"))
-
-let test_selected_kind_env () =
-  check Alcotest.bool "default is batch" true
-    (with_env "CKPT_ENGINE" "" (fun () -> Engine.selected_kind () = Engine.Batch));
-  check Alcotest.bool "scalar opt-out" true
-    (with_env "CKPT_ENGINE" "scalar" (fun () -> Engine.selected_kind () = Engine.Scalar));
-  check Alcotest.bool "explicit batch" true
-    (with_env "CKPT_ENGINE" "batch" (fun () -> Engine.selected_kind () = Engine.Batch));
-  check Alcotest.bool "malformed falls back to batch" true
-    (with_env "CKPT_ENGINE" "turbo" (fun () -> Engine.selected_kind () = Engine.Batch))
+    (fun bad ->
+      with_env "CKPT_SWEEP_STRIPE" bad (fun () ->
+          check Alcotest.int
+            (Printf.sprintf "malformed %S falls back" bad)
+            16 (Evaluation.stripe_size ())))
+    [ "0"; "-3"; "abc" ];
+  with_env "CKPT_SWEEP_STRIPE" "" (fun () ->
+      check Alcotest.int "empty means unset" 16 (Evaluation.stripe_size ()));
+  with_env "CKPT_SWEEP_STRIPE" " 4 " (fun () ->
+      check Alcotest.int "well-formed width" 4 (Evaluation.stripe_size ()))
 
 let test_instrument_scoped_resets () =
   Metrics.set_enabled true;
@@ -1110,7 +1308,7 @@ let test_instrument_scoped_resets () =
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_metrics_partition; prop_metrics_partition_weibull; prop_batch_equals_scalar ]
+    [ prop_metrics_partition; prop_metrics_partition_weibull; prop_stripe_slot_equals_run ]
 
 let () =
   Alcotest.run "simulator"
@@ -1165,11 +1363,13 @@ let () =
         ] );
       ( "batch engine",
         [
-          Alcotest.test_case "DP policy bit-identical" `Quick test_batch_dp_policy_bit_identical;
+          Alcotest.test_case "DP policy bit-identical" `Quick test_stripe_dp_policy_bit_identical;
           Alcotest.test_case "engine x sched x stripe golden matrix" `Quick
             test_engine_matrix_bit_identity;
-          Alcotest.test_case "decision memo hits" `Quick test_batch_memo_hits;
-          Alcotest.test_case "CKPT_ENGINE selection" `Quick test_selected_kind_env;
+          Alcotest.test_case "pinned outcome digests" `Quick test_pinned_outcomes;
+          Alcotest.test_case "pinned event streams" `Quick test_pinned_event_streams;
+          Alcotest.test_case "malformed CKPT_SWEEP_STRIPE warns" `Quick
+            test_stripe_size_malformed;
         ] );
       ( "period search",
         [

@@ -614,20 +614,20 @@ let test_bench_diff_improvement () =
    higher-better convention, nested inside a curve; its workload-shape
    key [stripe] must gate comparability like replicates/processors
    do. *)
-let engine_bench_artifact ~batch_rps ~stripe =
+let engine_bench_artifact ~stripe_rps ~stripe =
   Printf.sprintf
-    {|{"bench": "engine-throughput", "replicates": 32, "stripe": %d, "engine": "scalar-vs-batch", "curve": [ { "processors": 16384, "scalar_replicates_per_sec": 120.0, "batch_replicates_per_sec": %g, "speedup": 2.5 } ], "deterministic": true}|}
-    stripe batch_rps
+    {|{"bench": "engine-throughput", "replicates": 32, "stripe": %d, "engine": "single-vs-stripe", "curve": [ { "processors": 16384, "single_replicates_per_sec": 120.0, "stripe_replicates_per_sec": %g, "speedup": 2.5 } ], "deterministic": true}|}
+    stripe stripe_rps
 
 let test_bench_diff_replicates_per_sec_higher_better () =
   with_temp_dir (fun dir ->
       let old_p = Filename.concat dir "BENCH_engine_old.json" in
       let new_p = Filename.concat dir "BENCH_engine_new.json" in
-      write_file old_p (engine_bench_artifact ~batch_rps:800. ~stripe:16);
+      write_file old_p (engine_bench_artifact ~stripe_rps:800. ~stripe:16);
       write_file (old_p ^ ".meta.json") (bench_sidecar ~domains:4);
       (* A 12.5% throughput drop: a lower-better misclassification
          would read it as an improvement and exit 0. *)
-      write_file new_p (engine_bench_artifact ~batch_rps:700. ~stripe:16);
+      write_file new_p (engine_bench_artifact ~stripe_rps:700. ~stripe:16);
       write_file (new_p ^ ".meta.json") (bench_sidecar ~domains:4);
       match Bench_compare.diff ~old_path:old_p ~new_path:new_p () with
       | Error e -> Alcotest.failf "diff failed: %s" e
@@ -636,7 +636,7 @@ let test_bench_diff_replicates_per_sec_higher_better () =
             (Bench_compare.exit_code v);
           let c =
             List.find
-              (fun c -> contains ~needle:"batch_replicates_per_sec" c.Bench_compare.c_metric)
+              (fun c -> contains ~needle:"stripe_replicates_per_sec" c.Bench_compare.c_metric)
               v.Bench_compare.v_comparisons
           in
           check Alcotest.bool "classified higher-better" true
@@ -648,11 +648,11 @@ let test_bench_diff_stripe_is_config () =
   with_temp_dir (fun dir ->
       let old_p = Filename.concat dir "BENCH_engine_old.json" in
       let new_p = Filename.concat dir "BENCH_engine_new.json" in
-      write_file old_p (engine_bench_artifact ~batch_rps:800. ~stripe:16);
+      write_file old_p (engine_bench_artifact ~stripe_rps:800. ~stripe:16);
       write_file (old_p ^ ".meta.json") (bench_sidecar ~domains:4);
       (* Same speeds measured at a different stripe width: a different
          experiment, not a regression. *)
-      write_file new_p (engine_bench_artifact ~batch_rps:800. ~stripe:8);
+      write_file new_p (engine_bench_artifact ~stripe_rps:800. ~stripe:8);
       write_file (new_p ^ ".meta.json") (bench_sidecar ~domains:4);
       match Bench_compare.diff ~old_path:old_p ~new_path:new_p () with
       | Error e -> Alcotest.failf "diff failed: %s" e
