@@ -1,74 +1,61 @@
 (* Benchmark harness.
 
-   Three stages:
+   Usage: bench/main.exe [STAGE...] runs the named stages in the order
+   below; with no argument it runs all of them, and an unknown name
+   exits 2 with the list.
 
-   1. Regenerate every paper table and figure (scaled-down replicate
-      counts; control with CKPT_TRACES / CKPT_FULL), printing the same
-      rows/series the paper reports.  Skip with CKPT_SKIP_EXPERIMENTS=1.
+   experiments  Regenerate every paper table and figure (scaled-down
+      replicate counts; control with CKPT_TRACES / CKPT_FULL),
+      printing the same rows/series the paper reports.
 
-   2. A Bechamel micro-benchmark suite: one Test.make per paper
+   micro  A Bechamel micro-benchmark suite: one Test.make per paper
       artifact, timing the computational kernel that artifact leans on
       (plus the core simulator/DP kernels), at miniature scale so the
-      whole suite completes in seconds.  Skip with CKPT_SKIP_MICRO=1.
+      whole suite completes in seconds.
 
-   3. An evaluation-throughput benchmark (replicates/second of
+   eval  An evaluation-throughput benchmark (replicates/second of
       [Evaluation.degradation_table] on a small Weibull table, serial
       vs parallel), written to BENCH_eval.json so successive PRs can
       track the trajectory.  The new throughput is compared against
       the committed BENCH_eval.json: a drop beyond 2% is reported, and
       fails the run under CKPT_BENCH_ASSERT=1 (tracing stays disabled
       here, so this doubles as the telemetry zero-overhead check).
-      Skip with CKPT_SKIP_EVAL_BENCH=1.
 
-   4. A telemetry benchmark: the same engine run with tracing off vs
-      on (per-run ring buffer), reporting events/second and the
-      relative overhead, written to BENCH_telemetry.json.  Skip with
-      CKPT_SKIP_TELEMETRY_BENCH=1.
+   telemetry  The same engine run with tracing off vs on (per-run ring
+      buffer), reporting events/second and the relative overhead,
+      written to BENCH_telemetry.json.
 
-   5. A solver hot-path benchmark: end-to-end DPNextFailure engine
-      throughput (runs/s, decisions/run from the metrics registry,
-      microseconds per planning decision), one representative solve
-      pruned vs unpruned, Age_summary.build vs Incremental.summarize,
-      and a DPMakespan solve, written to BENCH_solver.json.  The run
+   solver  End-to-end DPNextFailure engine throughput (runs/s,
+      decisions/run from the metrics registry, microseconds per
+      planning decision), one representative solve pruned vs
+      unpruned, Age_summary.build vs Incremental.summarize, and a
+      DPMakespan solve, written to BENCH_solver.json.  The run
       throughput is compared against the previous BENCH_solver.json
       (no-regression) or, on first run, against the committed
       BENCH_telemetry.json tracing-off figure (the pre-optimization
       engine, where the PR's >= 3x claim is enforced); failures only
-      abort under CKPT_BENCH_ASSERT=1.  Skip with
-      CKPT_SKIP_SOLVER_BENCH=1.
+      abort under CKPT_BENCH_ASSERT=1.
 
-   6. A scheduler benchmark: a nested study x replicate workload (a
-      skewed processor-count sweep whose points each evaluate a
-      replicate table) timed under the flat per-call pool vs the
-      persistent work-stealing scheduler over CKPT_DOMAINS in
-      {1,2,4,8}, written to BENCH_sched.json.  Every run's tables must
-      be bit-identical to the sequential reference; under
-      CKPT_BENCH_ASSERT=1 the nested workload must additionally beat
-      the flat pool by >= 1.5x at >= 4 domains (only meaningful on a
-      machine with >= 4 cores).  Skip with CKPT_SKIP_SCHED_BENCH=1.
-
-   7. An engine benchmark: the same replicate x policy workload driven
-      one replicate at a time ([Engine.run] per replicate, what every
-      caller outside the evaluation harness runs) vs 16-wide stripes
-      whose slots share their lifetime templates across policies
+   engine  The same replicate x policy workload driven one replicate
+      at a time ([Engine.run] per replicate, what every caller outside
+      the evaluation harness runs) vs 16-wide stripes whose slots
+      share their lifetime templates across policies
       ([Engine.run_stripe], what the evaluation harness runs), at p in
       {1024, 16384} on a single domain, each arm's time the median of
       5 interleaved repeats, written to BENCH_engine.json.  The two
       arms must produce bit-identical outcomes; under
       CKPT_BENCH_ASSERT=1 no point may fall below 1.0x (stripes
       slower than single runs).  CKPT_BENCH_SMOKE=1 shrinks the
-      replicate count for CI.  Skip with CKPT_SKIP_ENGINE_BENCH=1.
+      replicate count for CI.
 
-   8. A sweep-worker benchmark: `ckpt sweep --workers N` on the
-      sweep-smoke study at N in {1, 2, 4} over fresh stores, reporting
-      units/second and the speedup over one worker, written to
-      BENCH_sweep.json with the physical core count recorded.  Every
-      N's CSV output must be byte-identical to N = 1; points with more
-      workers than cores are flagged oversubscribed and never verify
-      the speedup target, and under CKPT_BENCH_ASSERT=1 an
-      unverifiable target (or a miss) fails the run, stage-6-style.
-      CKPT_BENCH_SMOKE=1 shrinks the workload.  Skip with
-      CKPT_SKIP_SWEEP_BENCH=1.
+   sweep  `ckpt sweep --workers N` on the sweep-smoke study at N in
+      {1, 2, 4} over fresh stores, reporting units/second and the
+      speedup over one worker, written to BENCH_sweep.json with the
+      physical core count recorded.  Every N's CSV output must be
+      byte-identical to N = 1; points with more workers than cores are
+      flagged oversubscribed and never verify the speedup target, and
+      under CKPT_BENCH_ASSERT=1 an unverifiable target (or a miss)
+      fails the run.  CKPT_BENCH_SMOKE=1 shrinks the workload.
 
    Every BENCH_*.json gains a provenance sidecar (<file>.meta.json). *)
 
@@ -83,7 +70,7 @@ module C = Ckpt_core
 module E = Ckpt_experiments
 module T = Ckpt_telemetry
 
-(* -- stage 1: regenerate the paper ---------------------------------------- *)
+(* -- experiments: regenerate the paper -------------------------------------- *)
 
 let experiments_config () =
   let c = E.Config.default () in
@@ -97,7 +84,7 @@ let run_experiments () =
   Printf.printf "(set CKPT_TRACES / CKPT_FULL=1 to rescale; the paper uses 600)\n%!";
   E.Registry.run_all config
 
-(* -- stage 2: micro-benchmarks ---------------------------------------------- *)
+(* -- micro: micro-benchmarks ------------------------------------------------ *)
 
 (* Shared miniature fixtures, built once outside the timed closures. *)
 
@@ -320,13 +307,15 @@ let run_micro () =
       img (window, results) |> eol |> output_image)
     [ artifact_tests; kernel_tests ]
 
-(* -- stage 3: evaluation throughput ----------------------------------------- *)
+(* -- eval: evaluation throughput -------------------------------------------- *)
 
-let with_domains n f =
-  let previous = Sys.getenv_opt "CKPT_DOMAINS" in
-  Unix.putenv "CKPT_DOMAINS" (string_of_int n);
+let with_env key value f =
+  let previous = Sys.getenv_opt key in
+  Unix.putenv key value;
   Fun.protect f ~finally:(fun () ->
-      Unix.putenv "CKPT_DOMAINS" (match previous with Some v -> v | None -> ""))
+      Unix.putenv key (match previous with Some v -> v | None -> ""))
+
+let with_domains n f = with_env "CKPT_DOMAINS" (string_of_int n) f
 
 let eval_bench_replicates = 64
 
@@ -425,7 +414,7 @@ let run_eval_bench () =
        eval_bench_replicates eval_bench_processors domains serial_s parallel_s
        (throughput serial_s) (throughput parallel_s) speedup)
 
-(* -- stage 4: telemetry overhead -------------------------------------------- *)
+(* -- telemetry: tracing overhead -------------------------------------------- *)
 
 let telemetry_bench_runs = 32
 
@@ -474,7 +463,7 @@ let run_telemetry_bench () =
        telemetry_bench_runs eval_bench_processors off_s on_s overhead_pct !events
        events_per_sec)
 
-(* -- stage 5: solver hot path ------------------------------------------------ *)
+(* -- solver: solver hot path ------------------------------------------------- *)
 
 let solver_bench_runs = 16
 
@@ -626,156 +615,7 @@ let run_solver_bench ~baselines:(previous, telemetry_baseline) () =
        build_us summarize_us eval_bench_processors dpm_ms baseline_source baseline_runs_per_sec
        vs_baseline)
 
-(* -- stage 6: nested scheduler --------------------------------------------- *)
-
-let with_env key value f =
-  let previous = Sys.getenv_opt key in
-  Unix.putenv key value;
-  Fun.protect f ~finally:(fun () ->
-      Unix.putenv key (match previous with Some v -> v | None -> ""))
-
-(* A deliberately skewed study x replicate nest: fewer configurations
-   than domains (so the flat pool strands workers: nested replicate
-   fan-outs run inline on the claiming domain), with per-point cost
-   growing ~8x across the sweep (so the flat pool also idles at the
-   join barrier while the widest point finishes alone). *)
-let sched_processor_counts = [ 512; 512; 1024; 1024; 2048; 4096 ]
-let sched_replicates = 16
-let sched_domain_counts = [ 1; 2; 4; 8 ]
-
-let sched_workload () =
-  Ckpt_parallel.Domain_pool.parallel_map_list
-    (fun processors ->
-      let job = mini_job ~dist:weibull ~processors in
-      let scenario = S.Scenario.create job in
-      let policies = [ Po.Young.policy job; Po.Daly.high job; Po.Optexp.policy job ] in
-      S.Evaluation.degradation_table ~scenario ~policies ~replicates:sched_replicates)
-    sched_processor_counts
-
-let timed_sched_workload ~sched ~domains =
-  with_env "CKPT_SCHED" sched (fun () ->
-      with_domains domains (fun () ->
-          let t0 = Unix.gettimeofday () in
-          let tables = sched_workload () in
-          (tables, Unix.gettimeofday () -. t0)))
-
-let run_sched_bench () =
-  Printf.printf
-    "\n=== Scheduler (nested %d-config x %d-replicate study, flat pool vs work stealing) ===\n%!"
-    (List.length sched_processor_counts)
-    sched_replicates;
-  (* Hardware parallelism, captured before any CKPT_DOMAINS
-     manipulation: a point timed with more domains than physical cores
-     measures timeslicing, not scheduling, and must not count toward
-     the speedup target. *)
-  let physical_cores = Domain.recommended_domain_count () in
-  let oversubscribed domains = domains > physical_cores in
-  let reference, _ = timed_sched_workload ~sched:"seq" ~domains:1 in
-  let deterministic = ref true in
-  let curve =
-    List.map
-      (fun domains ->
-        let flat_tables, flat_s = timed_sched_workload ~sched:"flat" ~domains in
-        let steal_tables, steal_s = timed_sched_workload ~sched:"steal" ~domains in
-        if flat_tables <> reference || steal_tables <> reference then deterministic := false;
-        let speedup = flat_s /. steal_s in
-        Printf.printf
-          "domains=%d: flat %7.3f s   steal %7.3f s   steal/flat speedup %.2fx%s\n%!" domains
-          flat_s steal_s speedup
-          (if oversubscribed domains then
-             Printf.sprintf "   [oversubscribed: %d physical cores]" physical_cores
-           else "");
-        (domains, flat_s, steal_s))
-      sched_domain_counts
-  in
-  Printf.printf "deterministic: %s\n%!"
-    (if !deterministic then "every mode and domain count matches the sequential tables"
-     else "MISMATCH against the sequential reference tables");
-  if not !deterministic then exit 1;
-  (* The 1.5x target only holds where the domains are real: an
-     oversubscribed point can meet (or miss) it through timeslicing
-     noise, so such points never verify the target. *)
-  let target_points =
-    List.filter (fun (domains, _, _) -> domains >= 4 && not (oversubscribed domains)) curve
-  in
-  let target_verifiable = target_points <> [] in
-  let best_nested_speedup =
-    List.fold_left
-      (fun acc (_, flat_s, steal_s) -> Float.max acc (flat_s /. steal_s))
-      0. target_points
-  in
-  if not target_verifiable then begin
-    Printf.printf
-      "OVERSUBSCRIBED: only %d physical core(s); every >= 4-domain point exceeds the \
-       machine, so the 1.5x steal-vs-flat target cannot be verified on this host\n%!"
-      physical_cores;
-    if Sys.getenv_opt "CKPT_BENCH_ASSERT" = Some "1" then begin
-      Printf.eprintf
-        "FAIL: CKPT_BENCH_ASSERT=1 but the nested-workload target is unverifiable (%d \
-         physical cores < 4)\n%!"
-        physical_cores;
-      exit 1
-    end
-  end
-  else begin
-    Printf.printf "best steal-vs-flat speedup at >= 4 domains: %.2fx (target 1.5x)\n%!"
-      best_nested_speedup;
-    if best_nested_speedup < 1.5 then begin
-      if Sys.getenv_opt "CKPT_BENCH_ASSERT" = Some "1" then begin
-        Printf.eprintf
-          "FAIL: work-stealing scheduler below the 1.5x nested-workload target at >= 4 \
-           domains\n%!";
-        exit 1
-      end
-      else
-        Printf.printf
-          "WARNING: below the 1.5x nested target (CKPT_BENCH_ASSERT=1 enforces)\n%!"
-    end
-  end;
-  let curve_json =
-    String.concat ",\n"
-      (List.map
-         (fun (domains, flat_s, steal_s) ->
-           Printf.sprintf
-             "    { \"domains\": %d, \"flat_seconds\": %.6f, \"steal_seconds\": %.6f, \
-              \"speedup\": %.3f, \"oversubscribed\": %b }"
-             domains flat_s steal_s (flat_s /. steal_s) (oversubscribed domains))
-         curve)
-  in
-  let oversubscribed_domains =
-    List.filter_map
-      (fun (domains, _, _) -> if oversubscribed domains then Some (string_of_int domains) else None)
-      curve
-  in
-  write_bench_json ~path:"BENCH_sched.json"
-    ~meta:
-      [
-        ("bench", "nested-scheduler");
-        ("physical_cores", string_of_int physical_cores);
-        ("oversubscribed_domain_counts", String.concat "," oversubscribed_domains);
-      ]
-    (Printf.sprintf
-       "{\n\
-       \  \"bench\": \"nested-scheduler\",\n\
-       \  \"configurations\": %d,\n\
-       \  \"replicates\": %d,\n\
-       \  \"policies\": 3,\n\
-       \  \"distribution\": \"weibull(k=0.7)\",\n\
-       \  \"processor_counts\": [%s],\n\
-       \  \"physical_cores\": %d,\n\
-       \  \"curve\": [\n\
-        %s\n\
-       \  ],\n\
-       \  \"best_nested_speedup_at_4plus\": %.3f,\n\
-       \  \"target_verifiable\": %b,\n\
-       \  \"deterministic\": true\n\
-        }\n"
-       (List.length sched_processor_counts)
-       sched_replicates
-       (String.concat ", " (List.map string_of_int sched_processor_counts))
-       physical_cores curve_json best_nested_speedup target_verifiable)
-
-(* -- stage 7: engine throughput (single runs vs stripes) -------------------- *)
+(* -- engine: engine throughput (single runs vs stripes) ---------------------- *)
 
 let engine_bench_processor_counts = [ 1024; 16384 ]
 let engine_bench_stripe = 16
@@ -918,7 +758,7 @@ let run_engine_bench () =
        replicates engine_bench_stripe engine_bench_repeats curve_json min_speedup
        speedup_at_16384)
 
-(* -- stage 8: multi-process sweep workers ----------------------------------- *)
+(* -- sweep: multi-process sweep workers ------------------------------------- *)
 
 let sweep_worker_counts = [ 1; 2; 4 ]
 let sweep_bench_stripe = 4
@@ -1048,8 +888,8 @@ let run_sweep_bench () =
         | Some (_, s, _, _) -> s
         | None -> assert false
       in
-      (* As in stage 6, the speedup target only means something where
-         the workers are real cores. *)
+      (* The speedup target only means something where the workers are
+         real cores. *)
       let target_points =
         List.filter (fun (w, _, _, _) -> w >= 2 && not (oversubscribed w)) runs
       in
@@ -1133,17 +973,31 @@ let run_sweep_bench () =
       rm_rf base
 
 let () =
+  let baselines = solver_baselines () in
+  let stages =
+    [
+      ("experiments", run_experiments);
+      ("micro", run_micro);
+      ("eval", run_eval_bench);
+      ("telemetry", run_telemetry_bench);
+      ("solver", run_solver_bench ~baselines);
+      ("engine", run_engine_bench);
+      ("sweep", run_sweep_bench);
+    ]
+  in
+  let selected = List.tl (Array.to_list Sys.argv) in
+  List.iter
+    (fun name ->
+      if not (List.mem_assoc name stages) then begin
+        Printf.eprintf "bench: unknown stage %S (stages: %s)\n%!" name
+          (String.concat " " (List.map fst stages));
+        exit 2
+      end)
+    selected;
   (* Long bench runs are natural sampler customers: with
      CKPT_METRICS_INTERVAL set the trajectory of every stage lands in
      the JSONL series; a no-op otherwise. *)
   T.Metrics_export.ensure_sampler ();
-  let skip name = Sys.getenv_opt name = Some "1" in
-  let baselines = solver_baselines () in
-  if not (skip "CKPT_SKIP_EXPERIMENTS") then run_experiments ();
-  if not (skip "CKPT_SKIP_MICRO") then run_micro ();
-  if not (skip "CKPT_SKIP_EVAL_BENCH") then run_eval_bench ();
-  if not (skip "CKPT_SKIP_TELEMETRY_BENCH") then run_telemetry_bench ();
-  if not (skip "CKPT_SKIP_SOLVER_BENCH") then run_solver_bench ~baselines ();
-  if not (skip "CKPT_SKIP_SCHED_BENCH") then run_sched_bench ();
-  if not (skip "CKPT_SKIP_ENGINE_BENCH") then run_engine_bench ();
-  if not (skip "CKPT_SKIP_SWEEP_BENCH") then run_sweep_bench ()
+  List.iter
+    (fun (name, run) -> if selected = [] || List.mem name selected then run ())
+    stages

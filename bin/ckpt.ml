@@ -14,7 +14,7 @@
      fit-log      MLE-fit lifetime models to an availability log
      experiment   regenerate a paper table/figure by id
      sweep        run experiments against a resumable checkpoint store
-     sched-report per-worker utilization breakdown of the steal scheduler
+     sched-report per-domain utilization breakdown of the domain pool
      bench        diff/check BENCH_*.json artifacts (regression tooling) *)
 
 open Cmdliner
@@ -486,16 +486,15 @@ let stats_cmd =
 
 (* -- sched-report ------------------------------------------------------------ *)
 
-(* Run a stage-6-shaped nested workload under the steal scheduler with
-   the flight recorder armed, then break each worker's wall time down
-   by state.  This is the triage tool for ROADMAP open item 5: the
-   dominant-overhead line names which of the three candidate causes
-   (failed steals, parking churn, injector contention) actually costs
-   time on this machine. *)
+(* Run a skewed nested workload through the domain pool with the
+   flight recorder armed, then break each domain's wall time down by
+   state.  The dominant-overhead line names which of the three
+   candidate causes (empty scans, parking churn, queue publication)
+   actually costs time on this machine. *)
 let sched_report_cmd =
   let configs_arg =
     let doc =
-      "Processor counts, one nested evaluation per entry (the skew mirrors bench stage 6)."
+      "Processor counts, one nested evaluation per entry (skewed, so nested regions overlap)."
     in
     Arg.(
       value
@@ -514,11 +513,9 @@ let sched_report_cmd =
       prerr_endline "ckpt sched-report: empty --configs";
       exit 2
     end;
-    (* The recorder instruments the steal backend only, and the steal
-       backend only engages with >= 2 domains — on a 1-core host the
+    (* The pool only engages with >= 2 domains — on a 1-core host the
        report still has to show scheduler behavior, not the inline
        fallback. *)
-    Unix.putenv "CKPT_SCHED" "steal";
     T.Flight_recorder.set_enabled true;
     let domains = max 2 (Ckpt_parallel.Domain_pool.recommended_domains ()) in
     Unix.putenv "CKPT_DOMAINS" (string_of_int domains);
@@ -551,21 +548,21 @@ let sched_report_cmd =
       exit 1
     end;
     let pct r s = 100. *. T.Flight_recorder.state_seconds r s /. r.T.Flight_recorder.wr_wall in
-    Printf.printf "%-11s %8s %6s %6s %6s %6s %6s %7s %12s\n" "worker" "wall s" "run%" "help%"
-      "steal%" "fail%" "park%" "inject%" "attributed%";
+    Printf.printf "%-11s %8s %6s %6s %6s %6s %6s %8s %12s\n" "domain" "wall s" "run%" "help%"
+      "hit%" "miss%" "park%" "publish%" "attributed%";
     let min_attr = ref infinity in
     List.iter
       (fun r ->
         let attr = 100. *. r.T.Flight_recorder.wr_attributed /. r.T.Flight_recorder.wr_wall in
         min_attr := Float.min !min_attr attr;
-        Printf.printf "%-11s %8.3f %6.1f %6.1f %6.1f %6.1f %6.1f %7.1f %12.1f%s\n"
+        Printf.printf "%-11s %8.3f %6.1f %6.1f %6.1f %6.1f %6.1f %8.1f %12.1f%s\n"
           r.T.Flight_recorder.wr_name r.T.Flight_recorder.wr_wall
           (pct r T.Flight_recorder.Run_task)
           (pct r T.Flight_recorder.Join_help)
-          (pct r T.Flight_recorder.Steal_success)
-          (pct r T.Flight_recorder.Steal_attempt)
+          (pct r T.Flight_recorder.Scan_hit)
+          (pct r T.Flight_recorder.Scan_miss)
           (pct r T.Flight_recorder.Park)
-          (pct r T.Flight_recorder.Inject)
+          (pct r T.Flight_recorder.Publish)
           attr
           (if r.T.Flight_recorder.wr_dropped > 0 then
              Printf.sprintf "  (%d spans dropped)" r.T.Flight_recorder.wr_dropped
@@ -573,7 +570,7 @@ let sched_report_cmd =
       reports;
     (match T.Flight_recorder.overheads reports with
     | dominant :: rest ->
-        Printf.printf "\ndominant overhead: %s (%.3f s across %d workers%s)\n"
+        Printf.printf "\ndominant overhead: %s (%.3f s across %d domains%s)\n"
           dominant.T.Flight_recorder.ov_label dominant.T.Flight_recorder.ov_seconds
           (List.length reports)
           (String.concat ""
@@ -595,7 +592,7 @@ let sched_report_cmd =
     (Cmd.info "sched-report"
        ~doc:
          "Run a nested evaluation workload with the scheduler flight recorder armed and print \
-          a per-worker busy/steal/idle utilization breakdown naming the dominant overhead.")
+          a per-domain busy/scan/idle utilization breakdown naming the dominant overhead.")
     term
 
 (* -- bench diff / bench check ------------------------------------------------ *)
@@ -641,7 +638,7 @@ let bench_diff_cmd =
        ~doc:
          "Compare two BENCH_*.json artifacts provenance-aware: per-metric thresholds, \
           machine-readable verdict on stdout, nonzero exit on regression, distinct exit \
-          code (3) when the sidecars disagree on core count or scheduler backend.")
+          code (3) when the sidecars disagree on domain or core count.")
     term
 
 let bench_check_cmd =

@@ -26,7 +26,6 @@ module Numerics = struct
   module Rootfind = Ckpt_numerics.Rootfind
   module Quadrature = Ckpt_numerics.Quadrature
   module Summary = Ckpt_numerics.Summary
-  module Histogram = Ckpt_numerics.Histogram
 end
 
 (** Crash-safe filesystem primitives (atomic artifact writes). *)
@@ -34,9 +33,8 @@ module Store = struct
   module Atomic_file = Ckpt_store.Atomic_file
 end
 
-(** Multicore fan-out: persistent work-stealing scheduler. *)
+(** Multicore fan-out: one persistent domain pool. *)
 module Parallel = struct
-  module Deque = Ckpt_parallel.Deque
   module Domain_pool = Ckpt_parallel.Domain_pool
 end
 

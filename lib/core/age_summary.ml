@@ -138,21 +138,10 @@ let log_survival_shift dist t e =
    term; hoist those into flat arrays once.  The sums run in the same
    order over the same floats as [log_survival_shift], so the results
    are bit-identical. *)
-let shift_evaluator ?cumulative_hazard ?cumulative_hazard_batch dist t =
-  let h =
-    match cumulative_hazard with
-    | Some h -> h
-    | None -> dist.Distribution.cumulative_hazard
-  in
-  (* The hoisted H(tau) halves are the one place every summary term is
-     queried at once; a batch evaluator (one tabulated-hazard
-     interpolation pass, bit-identical per element) amortizes the
-     closure dispatch there.  Per-probe queries below stay scalar. *)
-  let hb =
-    match cumulative_hazard_batch with Some hb -> hb | None -> Array.map h
-  in
-  let h_exact = hb t.exact in
-  let h_refs = hb t.references in
+let shift_evaluator dist t =
+  let h = dist.Distribution.cumulative_hazard in
+  let h_exact = Array.map h t.exact in
+  let h_refs = Array.map h t.references in
   let counts_f = Array.map float_of_int t.counts in
   let exact = t.exact and references = t.references and counts = t.counts in
   let nexact = Array.length exact and nrefs = Array.length references in
@@ -178,12 +167,6 @@ let psuc dist t ~elapsed ~duration =
   if duration <= 0. then 1.
   else
     exp (log_survival_shift dist t elapsed -. log_survival_shift dist t (elapsed +. duration))
-
-let max_age t =
-  let m = ref 0. in
-  Array.iter (fun a -> if a > !m then m := a) t.exact;
-  Array.iteri (fun i r -> if t.counts.(i) > 0 && r > !m then m := r) t.references;
-  !m
 
 module Incremental = struct
   type t = { births : float array }

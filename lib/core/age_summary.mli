@@ -56,33 +56,16 @@ val log_survival_shift : Ckpt_distributions.Distribution.t -> t -> float -> floa
     the next [e] seconds.  [Psuc(x | elapsed)] between two horizon
     points is [exp (shift elapsed - shift (elapsed + x))]. *)
 
-val shift_evaluator :
-  ?cumulative_hazard:(float -> float) ->
-  ?cumulative_hazard_batch:(float array -> float array) ->
-  Ckpt_distributions.Distribution.t ->
-  t ->
-  float ->
-  float
+val shift_evaluator : Ckpt_distributions.Distribution.t -> t -> float -> float
 (** [shift_evaluator dist s] is {!log_survival_shift}[ dist s] with the
     [H(tau_j)] halves of every term hoisted out at closure-creation
     time — bit-identical results, half the hazard evaluations.  Use it
-    when probing many shifts of one summary (the DP's G table).
-    [cumulative_hazard] substitutes a tabulated hazard (see
-    {!Ckpt_distributions.Hazard_grid}) for the distribution's exact
-    one; results then differ by the grid's interpolation error.
-    [cumulative_hazard_batch] additionally supplies a batched form of
-    the same hazard (e.g. {!Ckpt_distributions.Hazard_grid.eval_batch})
-    used for the hoisted [H(tau_j)] arrays — it must be bit-identical
-    to mapping [cumulative_hazard], and only amortizes dispatch. *)
+    when probing many shifts of one summary (the DP's G table). *)
 
 val psuc : Ckpt_distributions.Distribution.t -> t -> elapsed:float -> duration:float -> float
 (** Probability that no summarized processor fails during
     [duration], given all have already survived [elapsed] seconds past
     their recorded ages. *)
-
-val max_age : t -> float
-(** Largest age represented in the summary (0. floor); bounds the
-    hazard evaluations a shift over the summary can make. *)
 
 (** Persistent age state maintained across failures.
 

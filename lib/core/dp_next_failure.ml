@@ -1,5 +1,4 @@
 module Metrics = Ckpt_telemetry.Metrics
-module Hazard_grid = Ckpt_distributions.Hazard_grid
 
 let solves = Metrics.counter "dp_next_failure/solves"
 let cells = Metrics.counter "dp_next_failure/cells_solved"
@@ -27,8 +26,7 @@ let expected_work_of_chunks ~context ~ages chunks =
   in
   total
 
-let solve ?(max_states = 150) ?(truncation_factor = 2.) ?(prune = true) ?(hazard_grid_points = 0)
-    ~context ~ages ~work () =
+let solve ?(max_states = 150) ?(truncation_factor = 2.) ?(prune = true) ~context ~ages ~work () =
   if work <= 0. then invalid_arg "Dp_next_failure.solve: work must be positive";
   if max_states < 1 then invalid_arg "Dp_next_failure.solve: max_states must be positive";
   let dist = context.Dp_context.dist in
@@ -54,21 +52,11 @@ let solve ?(max_states = 150) ?(truncation_factor = 2.) ?(prune = true) ?(hazard
      cumulative hazards, and — crucially — interpolation never rounds
      the checkpoint cost away (a grid that did would make checkpoints
      look free and degenerate the plan into one-quantum chunks).  The
-     shift evaluator hoists the H(tau) halves of every term; an
-     optional tabulated hazard ([hazard_grid_points] > 0) removes the
-     remaining per-probe pow/log chains at the cost of bit-exactness. *)
+     shift evaluator hoists the H(tau) halves of every term. *)
   let horizon = float_of_int x_max *. (u +. c) in
   let g_points = 256 in
   let step = horizon /. float_of_int g_points in
-  let shift =
-    if hazard_grid_points > 0 then begin
-      let span = Age_summary.max_age ages +. horizon +. step +. c in
-      let grid = Hazard_grid.make dist ~hi:span ~points:hazard_grid_points in
-      Age_summary.shift_evaluator ~cumulative_hazard:(Hazard_grid.eval grid)
-        ~cumulative_hazard_batch:(Hazard_grid.eval_batch grid) dist ages
-    end
-    else Age_summary.shift_evaluator dist ages
-  in
+  let shift = Age_summary.shift_evaluator dist ages in
   let g = Array.init (g_points + 2) (fun i -> shift (float_of_int i *. step)) in
   let g_at e =
     let t = e /. step in

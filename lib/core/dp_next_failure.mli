@@ -34,7 +34,6 @@ val solve :
   ?max_states:int ->
   ?truncation_factor:float ->
   ?prune:bool ->
-  ?hazard_grid_points:int ->
   context:Dp_context.t ->
   ages:Age_summary.t ->
   work:float ->
@@ -59,11 +58,6 @@ val solve :
     expression and skipped candidates are provably non-improving in
     float arithmetic, so pruned solves return bit-identical plans
     (property-tested; [~prune:false] recovers the exhaustive scan).
-
-    [hazard_grid_points] > 0 tabulates the cumulative hazard on that
-    many sqrt-spaced nodes ({!Ckpt_distributions.Hazard_grid}) before
-    building the G table — faster for pow-heavy distributions
-    (Weibull), but no longer bit-identical; default 0 (exact).
     @raise Invalid_argument if [work <= 0]. *)
 
 val expected_work_of_chunks :

@@ -8,7 +8,12 @@
     - [CKPT_TRACES=<n>]   replicates per configuration;
     - [CKPT_FULL=1]       paper-scale defaults (600 traces, full grids);
     - [CKPT_SEED=<int>]   root seed;
-    - [CKPT_SWEEP_DIR=<dir>]  resumable sweep store (see {!Sweep_store}). *)
+    - [CKPT_SWEEP_DIR=<dir>]  resumable sweep store (see {!Sweep_store}).
+
+    A malformed [CKPT_TRACES] (not an integer, or negative) or
+    [CKPT_SEED] (not an integer) warns once per value on stderr and
+    falls back to the default; [CKPT_TRACES=0] means the default and
+    stays silent. *)
 
 type t = {
   replicates : int;

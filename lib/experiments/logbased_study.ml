@@ -37,9 +37,8 @@ let run ?(config = Config.default ()) ?processor_counts ~cluster () =
   let store = Sweep_store.of_config config in
   let points =
     (* Two-to-four processor counts whose cost grows with the count:
-       the nested replicate fan-out composes under the work-stealing
-       scheduler, so the sweep does not serialize on its widest
-       point. *)
+       the nested replicate fan-out composes in the domain pool, so
+       the sweep does not serialize on its widest point. *)
     Ckpt_parallel.Domain_pool.parallel_map_list
       (fun processors ->
         let scenario =

@@ -48,10 +48,10 @@ let run ?(config = Config.default ()) ?(experiment = "scaling")
   in
   (* Each point is an independent evaluation (own policies, traces,
      engine state): fan out across domains.  Points differ wildly in
-     cost (more processors, slower replicates), but under the
-     work-stealing scheduler each point's replicate fan-out composes
-     with this one, so domains finishing a cheap point steal replicate
-     work from the expensive ones instead of idling at the join. *)
+     cost (more processors, slower replicates), but each point's
+     replicate fan-out composes with this one in the domain pool, so
+     domains finishing a cheap point help with the expensive ones'
+     replicates instead of idling at the join. *)
   let points =
     Ckpt_parallel.Domain_pool.parallel_map_list
       (fun processors ->

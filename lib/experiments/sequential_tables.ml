@@ -11,8 +11,8 @@ let default_mtbfs =
 
 let run ?(config = Config.default ()) ~dist_kind ?(mtbfs = default_mtbfs) () =
   (* Only three MTBF points: on a wide machine the parallelism comes
-     from each point's replicate fan-out, which the work-stealing
-     scheduler lets the remaining domains join instead of idling. *)
+     from each point's replicate fan-out, which the domain pool lets
+     the remaining domains join instead of idling. *)
   Ckpt_parallel.Domain_pool.parallel_map_list
     (fun (mtbf_label, mtbf) ->
       let dist = Setup.distribution dist_kind ~mtbf in

@@ -25,8 +25,8 @@ let run ?(config = Config.default ()) ?shapes ?processors () =
   let points =
     (* Low shapes are far slower to simulate than high ones (more
        failures per trace): composing with the nested replicate
-       fan-out lets domains that finish the easy shapes steal
-       replicates from the hard ones. *)
+       fan-out lets domains that finish the easy shapes help with the
+       hard ones' replicates. *)
     Ckpt_parallel.Domain_pool.parallel_map_list
       (fun shape ->
         let dist = Setup.distribution (Setup.Weibull shape) ~mtbf:preset.P.Presets.processor_mtbf in

@@ -6,10 +6,7 @@ let tasks_run = Metrics.counter "domain_pool/tasks"
 let inline_sweeps = Metrics.counter "domain_pool/inline_sweeps"
 let domains_spawned = Metrics.counter "domain_pool/domains_spawned"
 let early_aborts = Metrics.counter "domain_pool/early_aborts"
-let steals = Metrics.counter "sched/steals"
-let injections = Metrics.counter "sched/injections"
 let regions_run = Metrics.counter "sched/regions"
-let external_tasks = Metrics.counter "sched/external/tasks"
 let park_timer = Metrics.timer "sched/idle_park"
 
 (* Warn once per distinct malformed value: [recommended_domains] runs
@@ -37,482 +34,294 @@ let recommended_domains () =
           fallback
     end
 
-type sched = Seq | Flat | Steal
-
-let warned_sched = Atomic.make ""
-
-let scheduler () =
-  match Sys.getenv_opt "CKPT_SCHED" with
-  | None -> Steal
-  | Some s when String.trim s = "" -> Steal
-  | Some s -> begin
-      match String.lowercase_ascii (String.trim s) with
-      | "steal" -> Steal
-      | "flat" -> Flat
-      | "seq" -> Seq
-      | _ ->
-          warn_once warned_sched ~knob:"CKPT_SCHED" ~value:s
-            ~fallback:"want seq, flat or steal; using steal";
-          Steal
-    end
-
 (* True while the current domain is executing pool work.  The
    evaluation harness reads it to tell a top-level table (which owns
    the process-global timers and progress meter) from one nested
-   inside a study's own fan-out; the flat scheduler additionally uses
-   it to run nested regions inline. *)
+   inside a study's own fan-out. *)
 let in_region_key = Domain.DLS.new_key (fun () -> false)
 
 let in_parallel_region () = Domain.DLS.get in_region_key
 
-(* -- flat scheduler (the pre-scheduler pool, kept for A/B pinning) --------- *)
+(* -- the pool ---------------------------------------------------------------- *)
 
-(* Spawns [domains - 1] fresh domains per call, claims work items from
-   a shared counter, and runs nested calls inline on the claiming
-   domain.  Study-level and replicate-level parallelism do not
-   compose: a narrow outer sweep caps the whole machine. *)
-let flat_parallel_init ~domains n f =
-  let results = Array.make n None in
-  let first_error = Atomic.make None in
-  let next = Atomic.make 0 in
-  let worker () =
-    Domain.DLS.set in_region_key true;
-    let continue = ref true in
-    while !continue do
-      (* Once a task has failed the sweep's outcome is decided: stop
-         claiming so the failure surfaces promptly instead of burning
-         the rest of the grid. *)
-      if Atomic.get first_error <> None then begin
-        Metrics.incr early_aborts;
-        continue := false
-      end
-      else begin
-        let i = Atomic.fetch_and_add next 1 in
-        if i >= n then continue := false
-        else begin
-          Metrics.incr tasks_run;
-          match f i with
-          | v -> results.(i) <- Some v
-          | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              ignore (Atomic.compare_and_set first_error None (Some (e, bt)))
+(* Worker domains are spawned once, wait on the pool's condition
+   variable when idle, and serve every region for the life of the
+   process (which also keeps their DLS solver caches warm across
+   sweeps).
+
+   A *region* is one [parallel_init] call.  Its items are claimed from
+   an atomic counter, so each output slot is written by exactly one
+   task and helpers come and go at item granularity.  A region stays
+   in the pool's list until its last item is claimed; its [seats]
+   bound how many domains besides the forker may help.  A task that
+   itself calls [parallel_init] publishes a nested region at the head
+   of the list, and domains take the newest region first: nested work
+   drains before more outer items start, which bounds the live work
+   (and memory), and the domains a narrow outer sweep leaves idle help
+   its nested regions. *)
+type region = {
+  n : int;
+  next : int Atomic.t;  (* next unclaimed item *)
+  completed : int Atomic.t;  (* claimed items that have finished (ran or skipped) *)
+  mutable seats : int;  (* helpers still admitted; under the pool lock *)
+  error : (exn * Printexc.raw_backtrace) option Atomic.t;
+  run_item : int -> unit;
+}
+
+let finished r = Atomic.get r.completed >= r.n
+
+(* Every mutable field is guarded by [lock].  [cond] is broadcast when
+   a region is published, when a region's last item completes, and at
+   shutdown; each waiter checks its predicate under [lock] before
+   waiting, so no wakeup is lost. *)
+type pool = {
+  lock : Mutex.t;
+  cond : Condition.t;
+  mutable regions : region list;  (* live regions, newest first *)
+  mutable workers : int;
+  mutable spawned : unit Domain.t list;
+  mutable stop : bool;
+}
+
+(* What the current domain is to the pool: its flight-recorder track
+   name, and for pool workers a task counter.  The track is created on
+   first use so a disabled recorder costs neither the ring arrays nor
+   the registry entry. *)
+type member = { name : string; tasks : Metrics.counter option; mutable track : FR.track option }
+
+let external_seq = Atomic.make 0
+
+let member_key =
+  Domain.DLS.new_key (fun () ->
+      {
+        name = Printf.sprintf "external%d" (Atomic.fetch_and_add external_seq 1);
+        tasks = None;
+        track = None;
+      })
+
+let current_track () =
+  if not (FR.enabled ()) then None
+  else begin
+    let m = Domain.DLS.get member_key in
+    if Option.is_none m.track then m.track <- Some (FR.track m.name);
+    m.track
+  end
+
+let stamp track = match track with Some _ -> FR.now () | None -> 0.
+
+let span track state t0 =
+  match track with Some tr -> FR.record tr state ~t0 ~t1:(FR.now ()) | None -> ()
+
+let broadcast p =
+  Mutex.lock p.lock;
+  Condition.broadcast p.cond;
+  Mutex.unlock p.lock
+
+(* Claim-and-run loop.  [stop] lets a joiner lending a hand to another
+   region leave it between items the moment its own region completes;
+   items it leaves are claimed by that region's other domains, its
+   forker's own drain included. *)
+let drain ?(stop = Fun.const false) ?track ?(state = FR.Run_task) p r =
+  let tasks = (Domain.DLS.get member_key).tasks in
+  let rec loop () =
+    if not (stop ()) then begin
+      let i = Atomic.fetch_and_add r.next 1 in
+      if i < r.n then begin
+        if Option.is_none (Atomic.get r.error) then begin
+          Option.iter Metrics.incr tasks;
+          (* [run_item] never raises (it stores the exception in the
+             region), so the span needs no protect. *)
+          let t0 = stamp track in
+          r.run_item i;
+          span track state t0
         end
+        else Metrics.incr early_aborts;
+        if Atomic.fetch_and_add r.completed 1 = r.n - 1 then broadcast p;
+        loop ()
       end
-    done
+    end
   in
-  let spawned = List.init (min domains n - 1) (fun _ -> Domain.spawn worker) in
-  Metrics.add domains_spawned (List.length spawned);
-  Fun.protect ~finally:(fun () -> Domain.DLS.set in_region_key false) worker;
-  List.iter Domain.join spawned;
-  (match Atomic.get first_error with
+  loop ()
+
+(* Under [p.lock]: forget regions with nothing left to claim, then take
+   a seat in the newest region that still has one. *)
+let take p =
+  p.regions <- List.filter (fun r -> Atomic.get r.next < r.n) p.regions;
+  match List.find_opt (fun r -> r.seats > 0) p.regions with
+  | Some r ->
+      r.seats <- r.seats - 1;
+      Some r
+  | None -> None
+
+(* Take a region, waiting on the condition while there is none, unless
+   [give_up ()] holds (checked under the lock before every wait). *)
+let find p ?track ~give_up () =
+  let t0 = stamp track in
+  Mutex.lock p.lock;
+  let rec loop t0 =
+    if give_up () then None
+    else begin
+      match take p with
+      | Some _ as r ->
+          span track FR.Scan_hit t0;
+          r
+      | None ->
+          span track FR.Scan_miss t0;
+          let t1 = Unix.gettimeofday () in
+          Condition.wait p.cond p.lock;
+          let t2 = Unix.gettimeofday () in
+          Metrics.record park_timer (t2 -. t1);
+          (match track with
+          | Some tr ->
+              FR.record tr FR.Park ~t0:t1 ~t1:t2;
+              FR.instant tr FR.Unpark ~at:t2
+          | None -> ());
+          loop t2
+    end
+  in
+  let r = loop t0 in
+  Mutex.unlock p.lock;
+  r
+
+let worker_main p id () =
+  Domain.DLS.set member_key
+    {
+      name = Printf.sprintf "worker%d" id;
+      tasks = Some (Metrics.counter (Printf.sprintf "sched/worker%d/tasks" id));
+      track = None;
+    };
+  let rec loop () =
+    let track = current_track () in
+    match find p ?track ~give_up:(fun () -> p.stop) () with
+    | Some r ->
+        drain ?track p r;
+        loop ()
+    | None -> ()
+  in
+  loop ()
+
+let shutdown p =
+  Mutex.lock p.lock;
+  p.stop <- true;
+  Condition.broadcast p.cond;
+  let spawned = p.spawned in
+  p.spawned <- [];
+  Mutex.unlock p.lock;
+  List.iter Domain.join spawned
+
+(* Mutex-guarded memo, not [lazy]: concurrently forcing a lazy from two
+   domains raises [CamlinternalLazy.Undefined], and nothing stops two
+   caller-spawned domains from entering their first region at once. *)
+let pool_lock = Mutex.create ()
+let pool_memo = ref None
+
+let pool () =
+  Mutex.protect pool_lock (fun () ->
+      match !pool_memo with
+      | Some p -> p
+      | None ->
+          let p =
+            {
+              lock = Mutex.create ();
+              cond = Condition.create ();
+              regions = [];
+              workers = 0;
+              spawned = [];
+              stop = false;
+            }
+          in
+          (* Workers wait on the condition between regions; wake and
+             join them at exit so the process never tears down under a
+             domain mid-wait. *)
+          at_exit (fun () -> shutdown p);
+          pool_memo := Some p;
+          p)
+
+(* [Domain.spawn] has a hard runtime cap; leave headroom for the main
+   domain and any domains the caller spawned itself. *)
+let max_workers = 112
+
+(* Grow the pool to [workers] (never shrinking), then put [r] at the
+   head of the region list and wake everyone. *)
+let publish p ?track ~workers r =
+  let t0 = stamp track in
+  Mutex.lock p.lock;
+  while p.workers < min workers max_workers do
+    (match Domain.spawn (worker_main p p.workers) with
+    | d ->
+        Metrics.incr domains_spawned;
+        p.spawned <- d :: p.spawned
+    | exception _ -> (* Out of domains: run narrower. *) ());
+    p.workers <- p.workers + 1
+  done;
+  p.regions <- r :: p.regions;
+  Condition.broadcast p.cond;
+  Mutex.unlock p.lock;
+  span track FR.Publish t0
+
+(* Fork [n] items, drain them, then join: until the region's last item
+   completes, help whichever region [find] offers (leaving it as soon
+   as our own completes), and otherwise wait. *)
+let pool_parallel_init ~domains n f =
+  let p = pool () in
+  let results = Array.make n None in
+  let error = Atomic.make None in
+  let run_item i =
+    let was_in_region = Domain.DLS.get in_region_key in
+    Domain.DLS.set in_region_key true;
+    Metrics.incr tasks_run;
+    (match f i with
+    | v -> results.(i) <- Some v
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        ignore (Atomic.compare_and_set error None (Some (e, bt))));
+    Domain.DLS.set in_region_key was_in_region
+  in
+  let r =
+    {
+      n;
+      next = Atomic.make 0;
+      completed = Atomic.make 0;
+      seats = min (domains - 1) (n - 1);
+      error;
+      run_item;
+    }
+  in
+  Metrics.incr regions_run;
+  let track = current_track () in
+  if Option.is_some track then Trace_export.ensure_flight_at_exit ();
+  publish p ?track ~workers:(domains - 1) r;
+  drain ?track p r;
+  let own_done () = finished r in
+  let rec join () =
+    match find p ?track ~give_up:own_done () with
+    | Some other ->
+        drain ~stop:own_done ?track ~state:FR.Join_help p other;
+        join ()
+    | None -> ()
+  in
+  join ();
+  (match Atomic.get error with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> ());
   Array.map Option.get results
 
-(* -- work-stealing scheduler ----------------------------------------------- *)
+let pool_workers () =
+  match Mutex.protect pool_lock (fun () -> !pool_memo) with
+  | Some p -> Mutex.protect p.lock (fun () -> p.workers)
+  | None -> 0
 
-(* Domains are spawned once, kept parked on a condition variable when
-   idle, and reused by every region for the life of the process (which
-   also keeps their DLS solver caches warm across sweeps).
-
-   A *region* is one [parallel_init] call: work items are claimed from
-   the region's atomic counter (so each output slot is written by
-   exactly one task, and stealing rebalances at item granularity), and
-   the region descriptor itself is what circulates through the deques.
-   Forking a region pushes up to [domains - 1] helper tickets — each
-   ticket is an invitation to claim items — onto the forker's own
-   Chase–Lev deque (or the shared lock-free injector when the forker
-   is not a pool worker).  Idle workers pop their own deque, then the
-   injector, then steal the oldest ticket from a sibling; a nested
-   region forked inside a task is therefore picked up by whichever
-   domains the outer sweep leaves idle, so study-level and
-   replicate-level parallelism compose and a skewed outer sweep's tail
-   is stolen instead of serialized. *)
-module Steal_sched = struct
-  type region = {
-    n : int;
-    next : int Atomic.t;  (* next unclaimed item *)
-    completed : int Atomic.t;  (* claimed items that have finished (ran or skipped) *)
-    error : (exn * Printexc.raw_backtrace) option Atomic.t;
-    run_item : int -> unit;
-  }
-
-  let finished r = Atomic.get r.completed >= r.n
-
-  type worker = {
-    deque : region Deque.t;
-    tasks : Metrics.counter;
-    id : int;
-    mutable cursor : int;  (* round-robin steal victim, owner-private *)
-    mutable rec_track : FR.track option;  (* flight-recorder track, owner-private *)
-  }
-
-  (* Flight-recorder tracks are allocated lazily so a disabled
-     recorder costs neither the ring arrays nor the registry entry.
-     Each track is written only by its owning domain ([rec_track] is
-     owner-private; external domains go through DLS). *)
-  let worker_track w =
-    match w.rec_track with
-    | Some t -> t
-    | None ->
-        let t = FR.track (Printf.sprintf "worker%d" w.id) in
-        w.rec_track <- Some t;
-        t
-
-  let external_seq = Atomic.make 0
-  let external_track_key = Domain.DLS.new_key (fun () -> None)
-
-  let external_track () =
-    match Domain.DLS.get external_track_key with
-    | Some t -> t
-    | None ->
-        let t = FR.track (Printf.sprintf "external%d" (Atomic.fetch_and_add external_seq 1)) in
-        Domain.DLS.set external_track_key (Some t);
-        t
-
-  let current_track self = match self with Some w -> worker_track w | None -> external_track ()
-
-  type pool = {
-    workers : worker array Atomic.t;  (* grows; never shrinks *)
-    injector : region Deque.Injector.t;
-    lock : Mutex.t;
-    cond : Condition.t;
-    sleepers : int Atomic.t;
-    epoch : int Atomic.t;  (* bumped whenever new work appears or a region completes *)
-    stop : bool Atomic.t;
-    mutable spawned : unit Domain.t list;  (* under [lock] *)
-  }
-
-  (* The pool worker executing the current domain, if any. *)
-  let worker_key = Domain.DLS.new_key (fun () -> None)
-
-  (* Wake parked domains.  The epoch is bumped first so a domain that
-     scanned for work before the bump and is about to park re-checks
-     instead of sleeping through the wakeup. *)
-  let publish p =
-    Atomic.incr p.epoch;
-    if Atomic.get p.sleepers > 0 then begin
-      Mutex.lock p.lock;
-      Condition.broadcast p.cond;
-      Mutex.unlock p.lock
-    end
-
-  let park ?track p ~until =
-    let t0 = Unix.gettimeofday () in
-    Mutex.lock p.lock;
-    Atomic.incr p.sleepers;
-    while not (until ()) do
-      Condition.wait p.cond p.lock
-    done;
-    Atomic.decr p.sleepers;
-    Mutex.unlock p.lock;
-    let t1 = Unix.gettimeofday () in
-    Metrics.record park_timer (t1 -. t0);
-    match track with
-    | Some tr ->
-        FR.record tr FR.Park ~t0 ~t1;
-        FR.instant tr FR.Unpark ~at:t1
-    | None -> ()
-
-  (* Claim-and-run loop.  [stop] lets a joiner lending a hand to a
-     *different* region abandon it between items the moment its own
-     region completes; abandoned items are still claimed later by the
-     lent-to region's owner, whose own drain runs to exhaustion. *)
-  let drain ?stop ?track ?(state = FR.Run_task) p ~count r =
-    let stopped = match stop with None -> Fun.const false | Some f -> f in
-    let rec loop () =
-      if not (stopped ()) then begin
-        let i = Atomic.fetch_and_add r.next 1 in
-        if i < r.n then begin
-          if Atomic.get r.error = None then begin
-            Metrics.incr count;
-            match track with
-            | Some tr ->
-                (* [run_item] never raises (it stores the exception in
-                   the region), so no protect is needed around the
-                   span. *)
-                let t0 = FR.now () in
-                r.run_item i;
-                FR.record tr state ~t0 ~t1:(FR.now ())
-            | None -> r.run_item i
-          end
-          else Metrics.incr early_aborts;
-          if Atomic.fetch_and_add r.completed 1 = r.n - 1 then publish p;
-          loop ()
-        end
-      end
-    in
-    loop ()
-
-  let rec pop_live deque =
-    match Deque.pop deque with
-    | Some r when finished r -> pop_live deque
-    | other -> other
-
-  let rec pop_live_injector inj =
-    match Deque.Injector.pop inj with
-    | Some r when finished r -> pop_live_injector inj
-    | other -> other
-
-  let rec steal_live deque =
-    match Deque.steal deque with
-    | Some r when finished r -> steal_live deque
-    | other -> other
-
-  let try_steal p self =
-    let ws = Atomic.get p.workers in
-    let len = Array.length ws in
-    let start = match self with Some w -> w.cursor | None -> 0 in
-    let rec go k =
-      if k >= len then None
-      else begin
-        let victim = ws.((start + k) mod len) in
-        let own = match self with Some w -> victim == w | None -> false in
-        if own then go (k + 1)
-        else begin
-          match steal_live victim.deque with
-          | Some r ->
-              (match self with Some w -> w.cursor <- (start + k) mod len | None -> ());
-              Metrics.incr steals;
-              Some r
-          | None -> go (k + 1)
-        end
-      end
-    in
-    go 0
-
-  let find_work p self =
-    match match self with Some w -> pop_live w.deque | None -> None with
-    | Some r -> Some r
-    | None -> begin
-        match pop_live_injector p.injector with
-        | Some r -> Some r
-        | None -> try_steal p self
-      end
-
-  let rec worker_loop p w =
-    if not (Atomic.get p.stop) then begin
-      let e0 = Atomic.get p.epoch in
-      let track = if FR.enabled () then Some (worker_track w) else None in
-      let t0 = match track with Some _ -> FR.now () | None -> 0. in
-      (match find_work p (Some w) with
-      | Some r ->
-          (match track with
-          | Some tr -> FR.record tr FR.Steal_success ~t0 ~t1:(FR.now ())
-          | None -> ());
-          drain ?track p ~count:w.tasks r
-      | None ->
-          (match track with
-          | Some tr -> FR.record tr FR.Steal_attempt ~t0 ~t1:(FR.now ())
-          | None -> ());
-          park ?track p ~until:(fun () -> Atomic.get p.stop || Atomic.get p.epoch <> e0));
-      worker_loop p w
-    end
-
-  let worker_main p w () =
-    Domain.DLS.set worker_key (Some w);
-    worker_loop p w
-
-  let create_pool () =
-    {
-      workers = Atomic.make [||];
-      injector = Deque.Injector.create ();
-      lock = Mutex.create ();
-      cond = Condition.create ();
-      sleepers = Atomic.make 0;
-      epoch = Atomic.make 0;
-      stop = Atomic.make false;
-      spawned = [];
-    }
-
-  let shutdown p =
-    Atomic.set p.stop true;
-    Mutex.lock p.lock;
-    Condition.broadcast p.cond;
-    let spawned = p.spawned in
-    p.spawned <- [];
-    Mutex.unlock p.lock;
-    List.iter Domain.join spawned
-
-  (* Mutex-guarded memo, not [lazy]: concurrently forcing a lazy from
-     two domains raises [CamlinternalLazy.Undefined], and nothing
-     stops two caller-spawned domains from entering their first
-     region simultaneously. *)
-  let pool_lock = Mutex.create ()
-  let pool_memo = ref None
-
-  let pool () =
-    Mutex.lock pool_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock pool_lock)
-      (fun () ->
-        match !pool_memo with
-        | Some p -> p
-        | None ->
-            let p = create_pool () in
-            (* Workers idle on the condition variable between regions;
-               wake and join them at exit so the process never tears
-               down under a domain mid-park. *)
-            at_exit (fun () -> shutdown p);
-            pool_memo := Some p;
-            p)
-
-  (* [Domain.spawn] has a hard runtime cap; leave headroom for the
-     main domain and any domains the caller spawned itself. *)
-  let max_workers = 112
-
-  let ensure_workers p target =
-    let target = min target max_workers in
-    if Array.length (Atomic.get p.workers) < target then begin
-      Mutex.lock p.lock;
-      Fun.protect
-        ~finally:(fun () -> Mutex.unlock p.lock)
-        (fun () ->
-          let current = Atomic.get p.workers in
-          let have = Array.length current in
-          if have < target then begin
-            let fresh =
-              Array.init (target - have) (fun k ->
-                  {
-                    deque = Deque.create ();
-                    tasks = Metrics.counter (Printf.sprintf "sched/worker%d/tasks" (have + k));
-                    id = have + k;
-                    cursor = 0;
-                    rec_track = None;
-                  })
-            in
-            let all = Array.append current fresh in
-            (* Publish the deques before the domains start so early
-               thieves see every sibling. *)
-            Atomic.set p.workers all;
-            Array.iter
-              (fun w ->
-                match Domain.spawn (worker_main p w) with
-                | d ->
-                    Metrics.incr domains_spawned;
-                    p.spawned <- d :: p.spawned
-                | exception _ ->
-                    (* Out of domains: run narrower.  The orphan deque
-                       stays empty and thieves skip it. *)
-                    ())
-              fresh
-          end)
-    end
-
-  (* Wait for every claimed item of [r] to finish.  Pool workers (and
-     the external owner, which may steal even without a deque of its
-     own) help with other regions' tickets while they wait; with
-     nothing to help with, they park until the region's last item or
-     any new work bumps the epoch. *)
-  let join p self r =
-    let count = match self with Some w -> w.tasks | None -> external_tasks in
-    let rec loop () =
-      if not (finished r) then begin
-        let e0 = Atomic.get p.epoch in
-        let track = if FR.enabled () then Some (current_track self) else None in
-        let t0 = match track with Some _ -> FR.now () | None -> 0. in
-        match find_work p self with
-        | Some other ->
-            (match track with
-            | Some tr -> FR.record tr FR.Steal_success ~t0 ~t1:(FR.now ())
-            | None -> ());
-            let state = if other == r then FR.Run_task else FR.Join_help in
-            drain ?track ~state p ~stop:(fun () -> finished r) ~count other;
-            loop ()
-        | None ->
-            (match track with
-            | Some tr -> FR.record tr FR.Steal_attempt ~t0 ~t1:(FR.now ())
-            | None -> ());
-            if not (finished r) then begin
-              park ?track p ~until:(fun () -> finished r || Atomic.get p.epoch <> e0);
-              loop ()
-            end
-      end
-    in
-    loop ()
-
-  let parallel_init ~domains n f =
-    let p = pool () in
-    ensure_workers p (domains - 1);
-    let results = Array.make n None in
-    let error = Atomic.make None in
-    let run_item i =
-      let was_in_region = Domain.DLS.get in_region_key in
-      Domain.DLS.set in_region_key true;
-      Metrics.incr tasks_run;
-      (match f i with
-      | v -> results.(i) <- Some v
-      | exception e ->
-          let bt = Printexc.get_raw_backtrace () in
-          ignore (Atomic.compare_and_set error None (Some (e, bt))));
-      Domain.DLS.set in_region_key was_in_region
-    in
-    let r = { n; next = Atomic.make 0; completed = Atomic.make 0; error; run_item } in
-    Metrics.incr regions_run;
-    let tickets = min (domains - 1) (n - 1) in
-    let self = Domain.DLS.get worker_key in
-    let track =
-      if FR.enabled () then begin
-        Trace_export.ensure_flight_at_exit ();
-        Some (current_track self)
-      end
-      else None
-    in
-    let push_tickets () =
-      match self with
-      | Some w ->
-          for _ = 1 to tickets do
-            Deque.push w.deque r
-          done
-      | None ->
-          for _ = 1 to tickets do
-            Deque.Injector.push p.injector r
-          done;
-          Metrics.add injections tickets
-    in
-    (match track with
-    | Some tr when tickets > 0 ->
-        let t0 = FR.now () in
-        push_tickets ();
-        FR.record tr FR.Inject ~t0 ~t1:(FR.now ())
-    | _ -> push_tickets ());
-    publish p;
-    let count = match self with Some w -> w.tasks | None -> external_tasks in
-    drain ?track p ~count r;
-    join p self r;
-    (match Atomic.get error with
-    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-    | None -> ());
-    Array.map Option.get results
-
-  let pool_workers () =
-    match !pool_memo with
-    | Some p -> Array.length (Atomic.get p.workers)
-    | None -> 0
-end
-
-let pool_workers = Steal_sched.pool_workers
-
-(* -- common front door ----------------------------------------------------- *)
-
-let inline_init n f =
-  Metrics.incr inline_sweeps;
-  Metrics.add tasks_run n;
-  Array.init n f
+(* -- front door -------------------------------------------------------------- *)
 
 let parallel_init ?domains n f =
   if n < 0 then invalid_arg "Domain_pool.parallel_init: negative size";
   let domains = match domains with Some d -> d | None -> recommended_domains () in
-  if domains <= 1 || n <= 1 then inline_init n f
-  else begin
-    match scheduler () with
-    | Seq -> inline_init n f
-    | Flat ->
-        (* The flat pool never nests: a task spawning more domains on
-           an already-saturated machine would oversubscribe it. *)
-        if in_parallel_region () then inline_init n f else flat_parallel_init ~domains n f
-    | Steal -> Steal_sched.parallel_init ~domains n f
+  if domains <= 1 || n <= 1 then begin
+    Metrics.incr inline_sweeps;
+    Metrics.add tasks_run n;
+    Array.init n f
   end
+  else pool_parallel_init ~domains n f
 
 let parallel_map_list ?domains f items =
   let arr = Array.of_list items in

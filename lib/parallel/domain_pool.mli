@@ -7,67 +7,55 @@
     are claimed from an atomic counter, each output slot is written by
     exactly one task, and the caller reduces in index order, so
     results are bit-identical to the sequential run regardless of
-    scheduling, domain count, or scheduler backend.
+    scheduling or domain count.
 
-    Three backends, selected by the [CKPT_SCHED] environment variable:
-
-    - [steal] (default): a process-wide persistent pool.  Worker
-      domains are spawned once (their DLS solver caches stay warm
-      across sweeps), park on a condition variable when idle, and pick
-      up work through per-worker Chase–Lev deques plus a lock-free
-      injection queue.  Nested calls *compose*: a task that itself
-      calls [parallel_init] forks a sub-region whose items are stolen
-      by whichever domains the outer sweep leaves idle, so a narrow or
-      skewed outer sweep no longer strands the rest of the machine.
-    - [flat]: the previous backend — domains spawned per call, nested
-      calls run inline on the claiming domain.  Kept for A/B pinning.
-    - [seq]: always inline, single-domain.  The reference for
-      determinism tests.
+    One process-wide persistent pool runs every region.  Worker
+    domains are spawned once (their DLS solver caches stay warm across
+    sweeps) and wait on a condition variable when idle.  Live regions
+    sit in one mutex-guarded list, newest first; an idle domain takes
+    a seat in the newest region that has one and claims its items.
+    Nested calls *compose*: a task that itself calls [parallel_init]
+    publishes a sub-region that whichever domains the outer sweep
+    leaves idle help with, so a narrow or skewed outer sweep does not
+    strand the rest of the machine.  A forker that has drained its own
+    region helps other regions until its own completes.
 
     Tasks must not share mutable state (the simulator's runs don't:
     each builds its own policies, traces and engine state).
 
-    With [CKPT_SCHED_TRACE] set, the steal backend records every
-    worker's state intervals (run-task, steal attempts/successes,
-    ticket injection, parking, join-helping) into the scheduler flight
+    With [CKPT_SCHED_TRACE] set, the pool records every domain's state
+    intervals (run-task, scans that find a region or none, region
+    publication, waiting, join-helping) into the scheduler flight
     recorder ([Ckpt_telemetry.Flight_recorder]); [ckpt sched-report]
-    turns the recording into a per-worker utilization breakdown, and a
-    path-valued [CKPT_SCHED_TRACE] additionally exports a Chrome
+    turns the recording into a per-domain utilization breakdown, and
+    a path-valued [CKPT_SCHED_TRACE] additionally exports a Chrome
     trace_event file at exit. *)
-
-type sched = Seq | Flat | Steal
-
-val scheduler : unit -> sched
-(** The backend selected by [CKPT_SCHED] ([seq]/[flat]/[steal]),
-    defaulting to [Steal].  Re-read on every call, so tests and
-    benches can switch per region.  Malformed values warn once on
-    stderr and fall back to [Steal]. *)
 
 val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count ()], overridden by the
     [CKPT_DOMAINS] environment variable when set.  [CKPT_DOMAINS] is
-    the total parallelism including the calling domain: the steal pool
-    keeps [CKPT_DOMAINS - 1] persistent workers (growing, never
-    shrinking, if later calls ask for more).  Malformed values ([0],
-    [-3], [abc]) warn once per value on stderr and fall back to the
-    hardware default. *)
+    the total parallelism including the calling domain: the pool keeps
+    [CKPT_DOMAINS - 1] persistent workers (growing, never shrinking,
+    if later calls ask for more), and [CKPT_DOMAINS=1] runs every
+    region inline — the sequential reference of the determinism tests.
+    Malformed values ([0], [-3], [abc]) warn once per value on stderr
+    and fall back to the hardware default. *)
 
 val in_parallel_region : unit -> bool
-(** True while the calling domain is executing a [parallel_init] task.
-    Used by the evaluation harness to tell top-level tables (which own
-    the process-global timers/progress) from nested ones; the [flat]
-    backend additionally runs nested calls inline. *)
+(** True while the calling domain is executing a pooled
+    [parallel_init] task.  Used by the evaluation harness to tell
+    top-level tables (which own the process-global timers/progress)
+    from nested ones. *)
 
 val parallel_init : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** [parallel_init ~domains n f] is [Array.init n f] evaluated by up
-    to [domains] participating domains (default {!recommended_domains};
-    under [steal] this bounds the helper tickets forked for the
-    region).  Falls back to plain [Array.init] when [domains <= 1],
-    [n <= 1], under [CKPT_SCHED=seq], or (flat backend only) when
-    called from inside another [parallel_init] task.  If any task
-    raises, the region stops claiming new work and one of the raised
-    exceptions is re-raised — with the failing task's original
-    backtrace — after every claimed item has finished.
+    to [domains] participating domains (default
+    {!recommended_domains}): the region admits at most [domains - 1]
+    helpers besides the caller.  Runs inline as plain [Array.init]
+    when [domains <= 1] or [n <= 1].  If any task raises, the region
+    stops claiming new work and one of the raised exceptions is
+    re-raised — with the failing task's original backtrace — after
+    every claimed item has finished.
     @raise Invalid_argument if [n < 0]. *)
 
 val parallel_map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
@@ -75,10 +63,9 @@ val parallel_map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 
 val both : ?domains:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 (** Fork/join pair: [both f g] evaluates [f ()] and [g ()] as one
-    two-item region (so under [steal] an idle domain can run one side)
-    and returns both results.  Exceptions propagate as in
-    {!parallel_init}. *)
+    two-item region (so an idle domain can run one side) and returns
+    both results.  Exceptions propagate as in {!parallel_init}. *)
 
 val pool_workers : unit -> int
 (** Worker domains currently spawned by the persistent pool (0 before
-    the first [steal] region; for telemetry and tests). *)
+    the first pooled region; for telemetry and tests). *)

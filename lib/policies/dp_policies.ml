@@ -9,20 +9,6 @@ let table_entries = Metrics.gauge "dp_makespan/table_cache_entries"
 let table_evictions = Metrics.counter "dp_makespan/table_cache_evictions"
 let replans = Metrics.counter "dp_next_failure/replans"
 
-(* Escape hatches for the DPNextFailure fast paths, read once per
-   policy construction.  All default to the fast path; the slow paths
-   exist for A/B equivalence tests and field debugging. *)
-let incremental_summaries () =
-  match Sys.getenv_opt "CKPT_AGE_INCREMENTAL" with Some "0" -> false | _ -> true
-
-let dpnf_prune () = match Sys.getenv_opt "CKPT_DPNF_PRUNE" with Some "0" -> false | _ -> true
-
-let hazard_grid_points () =
-  match Sys.getenv_opt "CKPT_HAZARD_GRID" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with Some n when n >= 2 -> n | Some _ | None -> 0)
-  | None -> 0
-
 (* DPMakespan tables are shared across executions whose initial age
    falls in the same 50%-geometric bucket: at the month-plus ages where
    jobs start, the optimal plan varies far more slowly than that.
@@ -143,7 +129,7 @@ let dp_makespan ?quantum ?cap_states ?chunk_factor job =
 
 let dp_next_failure ?(nexact = Age_summary.default_nexact)
     ?(napprox = Age_summary.default_napprox) ?(max_states = 150) ?(truncation_factor = 2.)
-    ?cost_profile job =
+    ?cost_profile ?(reference = false) job =
   let base_context = Job.dp_context job ~platform_view:false in
   let units = Job.failure_units job in
   let work_time = job.Job.work_time in
@@ -161,9 +147,6 @@ let dp_next_failure ?(nexact = Age_summary.default_nexact)
         Ckpt_core.Dp_context.create ~dist:base_context.Ckpt_core.Dp_context.dist ~checkpoint:c
           ~recovery:r ~downtime:base_context.Ckpt_core.Dp_context.downtime
   in
-  let use_incremental = incremental_summaries () in
-  let prune = dpnf_prune () in
-  let hazard_grid_points = hazard_grid_points () in
   let instantiate () =
     (* Remaining plan chunks, and how much of the plan may still be
        consumed before a replan (the first-half rule under
@@ -174,14 +157,13 @@ let dp_next_failure ?(nexact = Age_summary.default_nexact)
       Metrics.incr replans;
       let context = context_at ~remaining:obs.Policy.remaining in
       let ages =
-        if use_incremental then
-          obs.Policy.summarize ~nexact ~napprox context.Ckpt_core.Dp_context.dist
-        else
+        if reference then
           Age_summary.build ~nexact ~napprox context.Ckpt_core.Dp_context.dist ~processors:units
             ~iter_ages:obs.Policy.iter_ages
+        else obs.Policy.summarize ~nexact ~napprox context.Ckpt_core.Dp_context.dist
       in
       let plan =
-        Dp_next_failure.solve ~max_states ~truncation_factor ~prune ~hazard_grid_points ~context
+        Dp_next_failure.solve ~max_states ~truncation_factor ~prune:(not reference) ~context
           ~ages ~work:obs.Policy.remaining ()
       in
       pending := plan.Dp_next_failure.chunks;

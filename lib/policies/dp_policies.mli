@@ -25,6 +25,7 @@ val dp_next_failure :
   ?max_states:int ->
   ?truncation_factor:float ->
   ?cost_profile:(progress:float -> float * float) ->
+  ?reference:bool ->
   Job.t ->
   Policy.t
 (** DPNextFailure (Algorithm 2 / Section 3.3) as a policy: after every
@@ -37,4 +38,10 @@ val dp_next_failure :
     checkpoint/recovery costs seen by each replanning step are taken
     at the job's current progress, so the policy adapts its chunk
     sizes as the application's footprint evolves (pair it with
-    [Ckpt_simulator.Engine.run ~cost_profile] — same profile). *)
+    [Ckpt_simulator.Engine.run ~cost_profile] — same profile).
+
+    [reference] (default false) plans through the slow reference
+    paths — a full {!Ckpt_core.Age_summary.build} from the processor
+    ages and an exhaustive [~prune:false] chunk scan — instead of the
+    engine's incremental summary and the pruned scan.  Both paths give
+    bit-identical plans; tests compare them. *)

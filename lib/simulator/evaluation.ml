@@ -275,10 +275,10 @@ let run_replicate_stripe ~scenario ~policies ~first ~len =
    Replicates are grouped into contiguous stripes of [stripe_size]
    (CKPT_SWEEP_STRIPE): the reduction merges replicate outcomes in
    order within each stripe, then stripe partials in stripe order.
-   This fixed merge tree — independent of domain count, scheduler
-   backend, and of whether a stripe was computed now or loaded from a
-   sweep checkpoint — is what makes a resumed study bit-identical to
-   an uninterrupted one. *)
+   This fixed merge tree — independent of domain count, of which
+   domain ran a stripe, and of whether it was computed now or loaded
+   from a sweep checkpoint — is what makes a resumed study
+   bit-identical to an uninterrupted one. *)
 
 let default_stripe_size = 16
 
@@ -286,8 +286,7 @@ let warned_stripe = Atomic.make ""
 
 (* The width is part of every sweep-store key, so a typo silently
    falling back would recompute a whole study under new keys: warn
-   once per distinct malformed value, as CKPT_DOMAINS and CKPT_SCHED
-   do. *)
+   once per distinct malformed value, as CKPT_DOMAINS does. *)
 let stripe_size () =
   match Sys.getenv_opt "CKPT_SWEEP_STRIPE" with
   | None -> default_stripe_size
@@ -521,12 +520,11 @@ let degradation_table ~scenario ~policies ~replicates =
     if top_level then Some (Instrument.progress ~label:"degradation_table" ~total:replicates)
     else None
   in
-  (* Fan the stripes out — under the work-stealing scheduler this
-     composes with a study's own configuration fan-out (idle domains
-     steal stripe work from busy ones); under the flat pool a nested
-     call runs inline — then reduce serially in replicate order: the
-     merge sequence — hence the table — is bit-for-bit independent of
-     the domain count and of the scheduler backend.  The stripe is the
+  (* Fan the stripes out — in the domain pool this composes with a
+     study's own configuration fan-out (idle domains help with the
+     stripes of busy ones) — then reduce serially in replicate order:
+     the merge sequence — hence the table — is bit-for-bit independent
+     of the domain count.  The stripe is the
      unit of parallel work because the engine amortizes across its
      replicates; flattening in stripe order preserves replicate
      order. *)

@@ -19,7 +19,7 @@
     {!Engine.run_stripe} — one lockstep pass per policy over the whole
     stripe, the stripe being the unit of parallel work — and each
     slot's outcome is exactly that replicate's execution alone.  Under
-    tracing ([CKPT_TRACE]) every run records into its own
+    tracing ([CKPT_TRACE_OUT]) every run records into its own
     [rep<r>/<policy>] (and [rep<r>/LowerBound]) buffer. *)
 
 (** Distributional view of a policy's completed runs, derived from the

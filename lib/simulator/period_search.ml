@@ -49,8 +49,8 @@ let best_period ?(factors = default_factors ()) ?(tuning_replicates = 16) ~scena
   in
   let initial_births = Array.map (Scenario.initial_lifetime_starts scenario) trace_sets in
   (* Candidates are scored independently on the shared tuning sets:
-     fan them out (composing with an enclosing study's fan-out under
-     the work-stealing scheduler), then pick the winner in candidate
+     fan them out (composing with an enclosing study's fan-out in the
+     domain pool), then pick the winner in candidate
      order so ties break as the sequential fold did. *)
   let scores =
     Ckpt_parallel.Domain_pool.parallel_map_list

@@ -6,9 +6,8 @@
    purpose.  `ckpt bench diff OLD NEW` compares measurement fields
    under per-metric thresholds and direction heuristics, and *refuses*
    (distinct exit code) when the provenance sidecars show the two runs
-   are not comparable in the first place — different core counts or a
-   different scheduler backend make "20% slower" meaningless, not
-   alarming.
+   are not comparable in the first place — different core or domain
+   counts make "20% slower" meaningless, not alarming.
 
    Field classification is by leaf-name convention, which every bench
    stage follows:
@@ -51,8 +50,8 @@ type verdict = {
 
 (* -- flattening ------------------------------------------------------------- *)
 
-(* "curve[2].steal_seconds" — nested objects and arrays become dotted
-   paths so the sched bench's per-domain curve points are compared
+(* "curve[2].stripe_seconds" — nested objects and arrays become dotted
+   paths so a bench's per-point curve entries are compared
    individually. *)
 let rec flatten prefix j acc =
   match j with
@@ -130,10 +129,7 @@ let default_threshold = function
 
 let sidecar_path p = p ^ ".meta.json"
 
-(* CKPT_SCHED="" means the default backend, which is steal. *)
-let normalize_sched = function None | Some "" -> "steal" | Some s -> s
-
-type provenance = { p_domains : float option; p_sched : string; p_cores : float option }
+type provenance = { p_domains : float option; p_cores : float option }
 
 let load_provenance path =
   match Atomic_file.read (sidecar_path path) with
@@ -145,9 +141,6 @@ let load_provenance path =
           Ok
             {
               p_domains = Option.bind (Json.member j "domains") Json.to_float;
-              p_sched =
-                normalize_sched
-                  (Option.bind (Json.path j [ "env"; "CKPT_SCHED" ]) Json.to_string_opt);
               p_cores =
                 Option.bind (Json.path j [ "parameters"; "physical_cores" ]) Json.to_float;
             })
@@ -167,9 +160,6 @@ let provenance_mismatches ~old_path ~new_path =
       let fnum v = Printf.sprintf "%g" v in
       opt_pair "domains" po.p_domains pn.p_domains fnum;
       opt_pair "physical_cores" po.p_cores pn.p_cores fnum;
-      if po.p_sched <> pn.p_sched then
-        mism :=
-          Printf.sprintf "sidecar CKPT_SCHED: %s vs %s" po.p_sched pn.p_sched :: !mism;
       (List.rev !mism, [])
 
 (* -- diff ------------------------------------------------------------------- *)

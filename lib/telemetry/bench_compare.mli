@@ -4,11 +4,11 @@
     are classified by leaf-name convention — [*_per_sec] and
     [*speedup*] are higher-better, [*_seconds]/[*_ms]/[*_us] are
     lower-better, [*_percent] is lower-better with an absolute
-    percentage-point threshold — and nested values (e.g. the sched
-    bench's per-domain curve) are flattened to dotted paths.
+    percentage-point threshold — and nested values (e.g. the engine
+    bench's per-point curve) are flattened to dotted paths.
     Workload-shape fields (replicates, processors, strings, booleans)
-    must match exactly, as must the provenance sidecars' core count
-    and scheduler backend; otherwise the pair is {e incomparable} and
+    must match exactly, as must the provenance sidecars' domain and
+    core counts; otherwise the pair is {e incomparable} and
     gets a distinct exit code rather than a fake verdict. *)
 
 type direction = Higher_better | Lower_better | Lower_better_pp
@@ -49,8 +49,8 @@ val exit_regression : int  (** 1 — at least one metric beyond threshold *)
 val exit_error : int  (** 2 — unreadable/unparseable input *)
 
 val exit_incomparable : int
-(** 3 — sidecars or workload-shape fields disagree (core count,
-    [CKPT_SCHED], replicates, ...) *)
+(** 3 — sidecars or workload-shape fields disagree (domains, core
+    count, replicates, ...) *)
 
 val verdict_json : verdict -> Json.t
 (** Machine-readable verdict (printed to stdout by [ckpt bench diff]). *)

@@ -1,14 +1,12 @@
-(* Scheduler flight recorder: what is each worker domain doing, when?
+(* Scheduler flight recorder: what is each domain doing, when?
 
-   The steal scheduler's counters (sched/steals, sched/idle_park, ...)
-   say how often things happened but not where the wall time went —
-   open item 5's regression (steal slower than flat at 2–8 domains)
-   needs per-worker, per-interval visibility.  This module records
-   worker *state intervals* — run-task, steal-attempt, steal-success,
-   inject, park, unpark, join-help — into per-track ring buffers with
-   the same single-writer discipline as [Tracer]: each track is owned
-   by exactly one domain, so recording takes no lock and no atomic
-   beyond the enabled check.
+   The pool's counters (sched/regions, sched/idle_park, ...) say how
+   often things happened but not where the wall time went.  This
+   module records per-domain *state intervals* — run-task, scan-miss,
+   scan-hit, publish, park, unpark, join-help — into per-track ring
+   buffers with the same single-writer discipline as [Tracer]: each
+   track is owned by exactly one domain, so recording takes no lock and
+   no atomic beyond the enabled check.
 
    Unlike [Tracer] (simulated clock), spans here are real wall-clock
    intervals from [Unix.gettimeofday], clamped monotone per track so a
@@ -21,38 +19,38 @@
 
 type state =
   | Run_task
-  | Steal_attempt
-  | Steal_success
-  | Inject
+  | Scan_miss
+  | Scan_hit
+  | Publish
   | Park
   | Unpark
   | Join_help
 
-let all_states = [ Run_task; Steal_attempt; Steal_success; Inject; Park; Unpark; Join_help ]
+let all_states = [ Run_task; Scan_miss; Scan_hit; Publish; Park; Unpark; Join_help ]
 
 let state_name = function
   | Run_task -> "run-task"
-  | Steal_attempt -> "steal-attempt"
-  | Steal_success -> "steal-success"
-  | Inject -> "inject"
+  | Scan_miss -> "scan-miss"
+  | Scan_hit -> "scan-hit"
+  | Publish -> "publish"
   | Park -> "park"
   | Unpark -> "unpark"
   | Join_help -> "join-help"
 
 let state_tag = function
   | Run_task -> 0
-  | Steal_attempt -> 1
-  | Steal_success -> 2
-  | Inject -> 3
+  | Scan_miss -> 1
+  | Scan_hit -> 2
+  | Publish -> 3
   | Park -> 4
   | Unpark -> 5
   | Join_help -> 6
 
 let state_of_tag = function
   | 0 -> Run_task
-  | 1 -> Steal_attempt
-  | 2 -> Steal_success
-  | 3 -> Inject
+  | 1 -> Scan_miss
+  | 2 -> Scan_hit
+  | 3 -> Publish
   | 4 -> Park
   | 5 -> Unpark
   | _ -> Join_help
@@ -216,24 +214,24 @@ let state_seconds wr st =
 let state_count wr st =
   List.fold_left (fun acc r -> if r.st_state = st then acc + r.st_count else acc) 0 wr.wr_states
 
-(* The three candidate explanations for steal-scheduler overhead, each
-   summed across all workers.  "Failed steals" is time spent in
-   steal-attempt spans that found nothing; "parking churn" is time
-   parked plus the wake transitions; "injector contention" is time
-   spent pushing tickets through the shared injector. *)
+(* The three candidate explanations for pool overhead, each summed
+   across all domains.  "Empty scans" is time spent looking for a
+   region and finding none; "parking churn" is time parked plus the
+   wake transitions; "queue publication" is time spent putting a new
+   region on the shared list (including the pool lock). *)
 type overhead = { ov_label : string; ov_seconds : float; ov_events : int }
 
 let overheads reports =
   let total st = List.fold_left (fun acc wr -> acc +. state_seconds wr st) 0. reports in
   let count st = List.fold_left (fun acc wr -> acc + state_count wr st) 0 reports in
   [
-    { ov_label = "failed steals"; ov_seconds = total Steal_attempt; ov_events = count Steal_attempt };
+    { ov_label = "empty scans"; ov_seconds = total Scan_miss; ov_events = count Scan_miss };
     {
       ov_label = "parking churn";
       ov_seconds = total Park;
       ov_events = count Park + count Unpark;
     };
-    { ov_label = "injector contention"; ov_seconds = total Inject; ov_events = count Inject };
+    { ov_label = "queue publication"; ov_seconds = total Publish; ov_events = count Publish };
   ]
   |> List.stable_sort (fun a b -> Float.compare b.ov_seconds a.ov_seconds)
 

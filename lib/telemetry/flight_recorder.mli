@@ -1,9 +1,10 @@
-(** Scheduler flight recorder: per-worker wall-clock state intervals.
+(** Scheduler flight recorder: per-domain wall-clock state intervals.
 
-    Each worker domain of the steal scheduler owns one {!track} and
-    records which state it is in — running a task, attempting or
-    completing a steal, injecting tickets, parked, or helping another
-    region's join — as spans on a per-track monotone wall clock.
+    Each domain taking part in the pool owns one {!track} ([worker<i>]
+    for pool workers, [external<i>] for any other domain) and records
+    which state it is in — running a task, scanning the region list,
+    publishing a region, parked, or helping another region's join — as
+    spans on a per-track monotone wall clock.
     Recording is single-writer (the owning domain) and lock-free;
     reports and exports run after the parallel region quiesces.
 
@@ -16,11 +17,11 @@
 
 type state =
   | Run_task
-  | Steal_attempt  (** looked for work and found none *)
-  | Steal_success  (** looked for work and found a region *)
-  | Inject
+  | Scan_miss  (** looked for a region and found none *)
+  | Scan_hit  (** looked for a region and took a seat in one *)
+  | Publish  (** put a new region on the pool's list *)
   | Park
-  | Unpark  (** instant: woken by an epoch bump *)
+  | Unpark  (** instant: woken by the pool's condition variable *)
   | Join_help  (** running another region's items while joining *)
 
 val all_states : state list
@@ -92,9 +93,9 @@ val state_count : worker_report -> state -> int
 type overhead = { ov_label : string; ov_seconds : float; ov_events : int }
 
 val overheads : worker_report list -> overhead list
-(** The three steal-scheduler overhead candidates — failed steals,
-    parking churn, injector contention — summed across workers,
-    sorted by descending time. *)
+(** The three pool overhead candidates — empty scans, parking churn,
+    queue publication — summed across domains, sorted by descending
+    time. *)
 
 val dominant_overhead : worker_report list -> overhead option
 (** Head of {!overheads} when it has nonzero time. *)

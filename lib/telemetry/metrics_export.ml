@@ -23,7 +23,7 @@ module Atomic_file = Ckpt_store.Atomic_file
 
 (* -- OpenMetrics rendering -------------------------------------------------- *)
 
-(* Metric names like "sched/steals" become "ckpt_sched_steals":
+(* Metric names like "sched/regions" become "ckpt_sched_regions":
    [a-zA-Z0-9_] only, with a namespace prefix. *)
 let sanitize name =
   let buf = Buffer.create (String.length name + 5) in

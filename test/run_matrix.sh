@@ -1,16 +1,17 @@
 #!/usr/bin/env bash
-# Tier-1 scheduler matrix: the full test suite must be green under
-# every CKPT_SCHED backend so a scheduler regression cannot land
-# silently.  Extra arguments are passed through to `dune runtest`
-# (e.g. `test/run_matrix.sh --display quiet`).
+# Tier-1 domain matrix: the full test suite must be green at
+# CKPT_DOMAINS = 1 (every region inline), 2 and 4 (the persistent pool)
+# so a scheduler regression cannot land silently.  Extra arguments are
+# passed through to `dune runtest` (e.g. `test/run_matrix.sh --display
+# quiet`).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 status=0
-for mode in seq flat steal; do
-  echo "== dune runtest (CKPT_SCHED=$mode) =="
-  if ! CKPT_SCHED=$mode dune runtest --force "$@"; then
-    echo "FAIL: test suite is red under CKPT_SCHED=$mode" >&2
+for domains in 1 2 4; do
+  echo "== dune runtest (CKPT_DOMAINS=$domains) =="
+  if ! CKPT_DOMAINS=$domains dune runtest --force "$@"; then
+    echo "FAIL: test suite is red under CKPT_DOMAINS=$domains" >&2
     status=1
   fi
 done
@@ -103,6 +104,6 @@ done
 if [ "$status" -eq 0 ]; then
   echo "sweep smoke: resumed tables byte-identical; completed units skipped"
   echo "worker smoke: 2-worker sweep survived SIGKILL and matches serial bytes"
-  echo "scheduler matrix: all three backends green"
+  echo "domain matrix: green at CKPT_DOMAINS = 1, 2 and 4"
 fi
 exit "$status"

@@ -548,20 +548,6 @@ let prop_incremental_summary_matches_build =
       in
       Age_summary.Incremental.summarize ~nexact ~napprox inc weibull_dist ~now:!now = expected)
 
-let prop_hazard_grid_accuracy =
-  (* The sqrt-spaced grid must track the exact cumulative hazard to
-     within its documented interpolation error over the span, and fall
-     back to the exact value outside it. *)
-  QCheck2.Test.make ~name:"hazard grid tracks the exact H" ~count:100
-    QCheck2.Gen.(pair (float_range 1. 9.9e5) (float_range 0.55 1.5))
-    (fun (x, shape) ->
-      let dist = Weibull.of_mtbf ~mtbf:1e6 ~shape in
-      let grid = Ckpt_distributions.Hazard_grid.make dist ~hi:1e6 ~points:4096 in
-      let exact = dist.D.cumulative_hazard x in
-      let approx = Ckpt_distributions.Hazard_grid.eval grid x in
-      abs_float (approx -. exact) <= 1e-4 *. (1. +. abs_float exact)
-      && Ckpt_distributions.Hazard_grid.eval grid (2e6 +. x) = dist.D.cumulative_hazard (2e6 +. x))
-
 let core_qcheck =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -571,7 +557,6 @@ let core_qcheck =
       prop_age_summary_psuc_in_unit;
       prop_dpnf_pruned_equals_unpruned;
       prop_incremental_summary_matches_build;
-      prop_hazard_grid_accuracy;
     ]
 
 (* -- Waste (first-order analysis) --------------------------------------------- *)

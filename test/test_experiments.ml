@@ -25,6 +25,11 @@ let with_env pairs f =
       List.iter (fun (k, v) -> Unix.putenv k (Option.value v ~default:"")) saved)
     f
 
+let contains_sub ~needle haystack =
+  let nl = String.length needle and hl = String.length haystack in
+  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
+  go 0
+
 (* -- config ------------------------------------------------------------------- *)
 
 let test_config_env () =
@@ -33,6 +38,111 @@ let test_config_env () =
       check Alcotest.int "traces" 17 c.Config.replicates;
       check Alcotest.bool "full" true c.Config.full;
       check Alcotest.int64 "seed" 99L c.Config.seed)
+
+(* [f ()] with stderr redirected to a temporary file: its result and
+   everything it printed there. *)
+let capture_stderr f =
+  let path = Filename.temp_file "ckpt_stderr" ".txt" in
+  flush stderr;
+  let saved = Unix.dup Unix.stderr in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  Unix.dup2 fd Unix.stderr;
+  Unix.close fd;
+  let result =
+    Fun.protect f ~finally:(fun () ->
+        flush stderr;
+        Unix.dup2 saved Unix.stderr;
+        Unix.close saved)
+  in
+  let printed = In_channel.with_open_bin path In_channel.input_all in
+  Sys.remove path;
+  (result, printed)
+
+let test_config_malformed () =
+  (* Malformed values warn on stderr and fall back to the defaults
+     instead of being silently eaten. *)
+  let default_with pairs =
+    with_env (("CKPT_FULL", "") :: pairs) (fun () -> capture_stderr Config.default)
+  in
+  List.iter
+    (fun (knob, bad) ->
+      let c, printed =
+        default_with [ ("CKPT_TRACES", ""); ("CKPT_SEED", ""); (knob, bad) ]
+      in
+      check Alcotest.int (Printf.sprintf "%s=%S: default traces" knob bad) 0 c.Config.replicates;
+      check Alcotest.int64 (Printf.sprintf "%s=%S: default seed" knob bad) 0x5EEDL c.Config.seed;
+      check Alcotest.bool
+        (Printf.sprintf "%s=%S warns: %S" knob bad printed)
+        true
+        (contains_sub ~needle:(Printf.sprintf "ckpt: ignoring malformed %s=%S" knob bad) printed))
+    [ ("CKPT_SEED", "12x"); ("CKPT_TRACES", "abc"); ("CKPT_TRACES", "-5") ];
+  (* CKPT_TRACES=0 spells "the default", and a valid seed is taken. *)
+  let c, printed = default_with [ ("CKPT_TRACES", "0"); ("CKPT_SEED", "-7") ] in
+  check Alcotest.int "CKPT_TRACES=0 means the default" 0 c.Config.replicates;
+  check Alcotest.int64 "negative seeds are valid" (-7L) c.Config.seed;
+  check Alcotest.string "well-formed values print nothing" "" printed
+
+(* -- knob table ------------------------------------------------------------------ *)
+
+(* Every [CKPT_<NAME>] token in [text].  A token ending in '_' is a
+   prefix pattern ("CKPT_*" in prose, a [starts_with] filter), not a
+   knob. *)
+let knob_names text =
+  let is_name_char c = (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_' in
+  let n = String.length text in
+  let rec scan i acc =
+    if i + 5 > n then acc
+    else if String.sub text i 5 = "CKPT_" && (i = 0 || not (is_name_char text.[i - 1])) then begin
+      let j = ref (i + 5) in
+      while !j < n && is_name_char text.[!j] do
+        incr j
+      done;
+      let name = String.sub text i (!j - i) in
+      scan !j (if String.ends_with ~suffix:"_" name then acc else name :: acc)
+    end
+    else scan (i + 1) acc
+  in
+  List.sort_uniq compare (scan 0 [])
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let rec source_files dir =
+  List.concat_map
+    (fun entry ->
+      let path = Filename.concat dir entry in
+      if Sys.is_directory path then source_files path
+      else if Filename.check_suffix entry ".ml" || Filename.check_suffix entry ".mli" then
+        [ path ]
+      else [])
+    (List.sort compare (Array.to_list (Sys.readdir dir)))
+
+let test_readme_knob_table () =
+  (* The tests run in _build/default/test; the dune stanza copies the
+     sources and README next to them. *)
+  let code =
+    knob_names
+      (String.concat "\n"
+         (List.map read_file (source_files "../lib" @ source_files "../bin" @ [ "../bench/main.ml" ])))
+  in
+  (* One row per knob, named in the row's first cell, which ends at the
+     first " | " (a pipe escaped as \| inside a cell does not). *)
+  let first_cell row =
+    let len = String.length row in
+    let rec stop i = if i + 3 > len || String.sub row i 3 = " | " then i else stop (i + 1) in
+    String.sub row 0 (stop 2)
+  in
+  let table =
+    String.split_on_char '\n' (read_file "../README.md")
+    |> List.filter (String.starts_with ~prefix:"| `CKPT_")
+    |> List.concat_map (fun row -> knob_names (first_cell row))
+    |> List.sort_uniq compare
+  in
+  check Alcotest.bool "found the code's knobs" true (List.length code > 10);
+  let missing from names = List.filter (fun k -> not (List.mem k from)) names in
+  check (Alcotest.list Alcotest.string) "named in the code but not in README's knob table" []
+    (missing table code);
+  check (Alcotest.list Alcotest.string) "in README's knob table but named nowhere in the code" []
+    (missing code table)
 
 let test_config_scale () =
   let explicit = { Config.replicates = 12; full = false; seed = 0L; sweep_dir = None } in
@@ -74,11 +184,6 @@ let failed_policy_table () =
       [ Ckpt_policies.Policy.periodic "ok" ~period:1000.;
         Ckpt_policies.Policy.stateless "never" (fun _ -> None) ]
     ~replicates:3
-
-let contains_sub ~needle haystack =
-  let nl = String.length needle and hl = String.length haystack in
-  let rec go i = i + nl <= hl && (String.sub haystack i nl = needle || go (i + 1)) in
-  go 0
 
 let test_csv_no_nan_for_failed_policy () =
   let table = failed_policy_table () in
@@ -388,6 +493,9 @@ let () =
         [
           Alcotest.test_case "environment" `Quick test_config_env;
           Alcotest.test_case "scale" `Quick test_config_scale;
+          Alcotest.test_case "malformed CKPT_SEED / CKPT_TRACES warn" `Quick
+            test_config_malformed;
+          Alcotest.test_case "README knob table matches the code" `Quick test_readme_knob_table;
         ] );
       ( "report",
         [

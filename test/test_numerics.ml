@@ -5,7 +5,6 @@ module Special = Ckpt_numerics.Special
 module Rootfind = Ckpt_numerics.Rootfind
 module Quadrature = Ckpt_numerics.Quadrature
 module Summary = Ckpt_numerics.Summary
-module Histogram = Ckpt_numerics.Histogram
 
 let check = Alcotest.check
 let close ?(tol = 1e-9) msg expected actual =
@@ -359,37 +358,6 @@ let test_vector_errors () =
   check Alcotest.(option reject) "garbage rejected" None
     (Option.map ignore (Summary.Vector.deserialize "vector nonsense"))
 
-(* -- Histogram -------------------------------------------------------------- *)
-
-let test_histogram_counts () =
-  let h = Histogram.create ~lo:0. ~hi:10. ~bins:10 in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 1.7; 9.9; -1.; 10.; 11. ];
-  check Alcotest.int "total" 7 (Histogram.count h);
-  check Alcotest.int "bin 0" 1 (Histogram.bin_count h 0);
-  check Alcotest.int "bin 1" 2 (Histogram.bin_count h 1);
-  check Alcotest.int "bin 9" 1 (Histogram.bin_count h 9);
-  check Alcotest.int "underflow" 1 (Histogram.underflow h);
-  check Alcotest.int "overflow" 2 (Histogram.overflow h)
-
-let test_histogram_density () =
-  let h = Histogram.create ~lo:0. ~hi:1. ~bins:4 in
-  List.iter (Histogram.add h) [ 0.1; 0.3; 0.6; 0.9 ];
-  (* Each bin holds 1 of 4 observations over width 0.25. *)
-  close "density" 1. (Histogram.density h 0);
-  close "bin center" 0.125 (Histogram.bin_center h 0)
-
-let test_histogram_chi_square_uniform () =
-  let h = Histogram.create ~lo:0. ~hi:4. ~bins:4 in
-  List.iter (Histogram.add h) [ 0.5; 1.5; 2.5; 3.5 ];
-  close "perfectly uniform" 0. (Histogram.chi_square_uniform h)
-
-let test_histogram_errors () =
-  Alcotest.check_raises "bad bounds" (Invalid_argument "Histogram.create: hi <= lo") (fun () ->
-      ignore (Histogram.create ~lo:1. ~hi:1. ~bins:4));
-  let h = Histogram.create ~lo:0. ~hi:1. ~bins:2 in
-  Alcotest.check_raises "bad index" (Invalid_argument "Histogram: bin index out of range")
-    (fun () -> ignore (Histogram.bin_count h 2))
-
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -458,13 +426,6 @@ let () =
         [
           Alcotest.test_case "known stats" `Quick test_vector_known;
           Alcotest.test_case "errors" `Quick test_vector_errors;
-        ] );
-      ( "histogram",
-        [
-          Alcotest.test_case "counts" `Quick test_histogram_counts;
-          Alcotest.test_case "density" `Quick test_histogram_density;
-          Alcotest.test_case "chi-square uniform" `Quick test_histogram_chi_square_uniform;
-          Alcotest.test_case "errors" `Quick test_histogram_errors;
         ] );
       ("properties", qcheck_cases);
     ]

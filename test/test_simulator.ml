@@ -387,10 +387,9 @@ let with_env key value f =
 
 let test_engine_fast_paths_bit_identical () =
   (* The DPNextFailure fast paths — incremental age summaries and the
-     monotone chunk-search prune — must not change a single bit of any
-     execution.  The escape-hatch knobs are read at policy
-     construction, so each arm builds its policy inside the env
-     scope. *)
+     branch-and-bound chunk-scan prune — must not change a single bit
+     of any execution against the [~reference:true] policy, which
+     rebuilds every summary and scans exhaustively. *)
   let job =
     Job.create
       ~dist:(Weibull.of_mtbf ~mtbf:1e6 ~shape:0.7)
@@ -400,47 +399,76 @@ let test_engine_fast_paths_bit_identical () =
       ~work_time:5e5
   in
   let scenario = Scenario.create ~horizon:1e7 ~start_time:0. job in
-  let run () =
-    let policy = Ckpt_policies.Dp_policies.dp_next_failure ~max_states:60 job in
+  let run ~reference =
+    let policy = Ckpt_policies.Dp_policies.dp_next_failure ~max_states:60 ~reference job in
     List.map
       (fun replicate ->
         Engine.run ~scenario ~traces:(Scenario.traces scenario ~replicate) ~policy ())
       [ 0; 1; 2 ]
   in
-  let fast = run () in
-  let slow =
-    with_env "CKPT_AGE_INCREMENTAL" "0" (fun () -> with_env "CKPT_DPNF_PRUNE" "0" run)
-  in
+  let fast = run ~reference:false in
+  let slow = run ~reference:true in
   check Alcotest.bool "fast paths change nothing" true (fast = slow)
 
+(* A deliberately skewed study x replicate nest: fewer configurations
+   than domains, with per-point cost growing ~8x across the sweep.
+   Stripes of 4 give each point's 8 replicates a two-stripe fan-out, a
+   region nested inside the study's, so the widest point finishes while
+   the other domains help it. *)
+let skewed_study_tables () =
+  let weibull = Weibull.of_mtbf ~mtbf:(Ckpt_platform.Units.of_years 125.) ~shape:0.7 in
+  with_env "CKPT_SWEEP_STRIPE" "4" @@ fun () ->
+  Ckpt_parallel.Domain_pool.parallel_map_list
+    (fun processors ->
+      let job =
+        Job.create ~dist:weibull ~processors
+          ~machine:
+            (Machine.create ~total_processors:processors ~downtime:60.
+               ~overhead:(Overhead.constant 600.))
+          ~work_time:(Ckpt_platform.Units.of_years 1000. /. float_of_int processors)
+      in
+      let policies =
+        Ckpt_policies.[ Young.policy job; Daly.high job; Optexp.policy job ]
+      in
+      Evaluation.degradation_table ~scenario:(Scenario.create job) ~policies ~replicates:8)
+    [ 512; 512; 1024; 1024; 2048; 4096 ]
+
 let test_evaluation_steal_scheduler_deterministic () =
-  (* Regression for the work-stealing scheduler: the full evaluation
-     determinism suite under CKPT_SCHED=steal must produce the exact
-     sequential-reference table at every domain count — including a DP
-     policy, whose solved tables are cached per (persistent) domain. *)
+  (* Regression for the pool: the full evaluation determinism suite
+     must produce the exact sequential-reference table (CKPT_DOMAINS=1,
+     every region inline) at every domain count — including a DP
+     policy, whose solved tables are cached per (persistent) domain,
+     and a skewed nested study whose replicate regions run inside the
+     study's own fan-out. *)
   let policies () =
     [ Policy.periodic "a" ~period:900.; Policy.periodic "b" ~period:2000.;
       Ckpt_policies.Dp_policies.dp_makespan ~cap_states:40 (eval_scenario ()).Scenario.job ]
   in
-  let table_with ~sched ~domains =
+  let table_with ~domains =
     (* A fresh scenario per run: no trace-set cache sharing between
-       the reference and scheduled runs. *)
-    with_env "CKPT_SCHED" sched (fun () ->
-        with_domains domains (fun () ->
-            Evaluation.degradation_table ~scenario:(eval_scenario ()) ~policies:(policies ())
-              ~replicates:6))
+       the reference and pooled runs. *)
+    with_domains domains (fun () ->
+        Evaluation.degradation_table ~scenario:(eval_scenario ()) ~policies:(policies ())
+          ~replicates:6)
   in
-  let reference = table_with ~sched:"seq" ~domains:1 in
+  let reference = table_with ~domains:1 in
+  let study_reference = with_domains 1 skewed_study_tables in
   List.iter
     (fun domains ->
-      let stolen = table_with ~sched:"steal" ~domains in
+      let pooled = table_with ~domains in
       check Alcotest.bool
-        (Printf.sprintf "steal CKPT_DOMAINS=%d == seq" domains)
-        true (stolen = reference);
+        (Printf.sprintf "CKPT_DOMAINS=%d == sequential reference" domains)
+        true (pooled = reference);
       check Alcotest.string
         (Printf.sprintf "identical rendering at CKPT_DOMAINS=%d" domains)
         (Format.asprintf "%a" Evaluation.pp_table reference)
-        (Format.asprintf "%a" Evaluation.pp_table stolen))
+        (Format.asprintf "%a" Evaluation.pp_table pooled);
+      if domains > 1 then
+        check Alcotest.bool
+          (Printf.sprintf "skewed nested study at CKPT_DOMAINS=%d == sequential reference"
+             domains)
+          true
+          (with_domains domains skewed_study_tables = study_reference))
     [ 1; 2; 8 ]
 
 let contains_substring haystack needle =
@@ -1014,7 +1042,7 @@ let pinned_traced_run = "679700001d495ba77e7e5072936bf445"
 let pinned_traced_lower_bound = "c594f23f169a3a1f9955cf4b34937458"
 
 (* [eval_scenario], roster a / b / DPMakespan, 9 replicates, by stripe
-   width: the full table with every cell, at CKPT_SCHED=seq. *)
+   width: the full table with every cell, at CKPT_DOMAINS=1. *)
 let pinned_tables =
   [
     (1, "e5be4287c488975a1d2f58dbca95e2fc");
@@ -1135,7 +1163,7 @@ let test_profile_accounting_identity () =
 let test_profile_stripe_sched_bit_identity () =
   (* The tentpole determinism guarantee: the distributional profiles —
      exact sums and log histograms — reduce to the same bits at every
-     stripe width and under both schedulers.  (The scalar Welford
+     stripe width, inline (CKPT_DOMAINS=1) and pooled.  (The scalar Welford
      columns are only stripe-invariant within one width — the Chan
      merge tree shape matters to their last bits, which is exactly why
      CKPT_SWEEP_STRIPE participates in the sweep-store key; the
@@ -1145,9 +1173,9 @@ let test_profile_stripe_sched_bit_identity () =
     [ Policy.periodic "a" ~period:900.; Policy.periodic "b" ~period:2000.;
       Ckpt_policies.Dp_policies.dp_makespan ~cap_states:40 (eval_scenario ()).Scenario.job ]
   in
-  let table_with ~stripe ~sched =
+  let table_with ~stripe ~domains =
     with_env "CKPT_SWEEP_STRIPE" (string_of_int stripe) (fun () ->
-        with_env "CKPT_SCHED" sched (fun () ->
+        with_domains domains (fun () ->
             Evaluation.degradation_table ~scenario:(eval_scenario ()) ~policies:(policies ())
               ~replicates:9))
   in
@@ -1156,24 +1184,24 @@ let test_profile_stripe_sched_bit_identity () =
       (fun (r : Evaluation.policy_result) -> r.Evaluation.profile)
       (t.Evaluation.lower_bound :: t.Evaluation.results)
   in
-  let reference = profiles (table_with ~stripe:16 ~sched:"seq") in
+  let reference = profiles (table_with ~stripe:16 ~domains:1) in
   check Alcotest.int "profiles present" 4 (List.length (List.filter_map Fun.id reference));
   List.iter
     (fun stripe ->
       List.iter
-        (fun sched ->
-          let t = table_with ~stripe ~sched in
+        (fun domains ->
+          let t = table_with ~stripe ~domains in
           check Alcotest.bool
-            (Printf.sprintf "stripe=%d sched=%s profiles == reference, bit for bit" stripe
-               sched)
+            (Printf.sprintf "stripe=%d domains=%d profiles == reference, bit for bit" stripe
+               domains)
             true
             (compare reference (profiles t) = 0))
-        [ "seq"; "steal" ])
+        [ 1; 2 ])
     [ 1; 4; 16 ]
 
 let test_engine_matrix_bit_identity () =
   (* Golden matrix: the full degradation table (Welford columns
-     included) at every CKPT_SCHED x stripe width combination equals
+     included) at every CKPT_DOMAINS x stripe width combination equals
      the digest pinned from the scalar/sequential reference of the
      same stripe width — the retired per-execution engine survives as
      [pinned_tables], so the one stripe loop is held to its bits. *)
@@ -1181,8 +1209,8 @@ let test_engine_matrix_bit_identity () =
     [ Policy.periodic "a" ~period:900.; Policy.periodic "b" ~period:2000.;
       Ckpt_policies.Dp_policies.dp_makespan ~cap_states:40 (eval_scenario ()).Scenario.job ]
   in
-  let table_with ~sched ~stripe =
-    with_env "CKPT_SCHED" sched (fun () ->
+  let table_with ~domains ~stripe =
+    with_domains domains (fun () ->
         with_env "CKPT_SWEEP_STRIPE" (string_of_int stripe) (fun () ->
             Evaluation.degradation_table ~scenario:(eval_scenario ()) ~policies:(policies ())
               ~replicates:9))
@@ -1190,12 +1218,12 @@ let test_engine_matrix_bit_identity () =
   List.iter
     (fun stripe ->
       List.iter
-        (fun sched ->
+        (fun domains ->
           check Alcotest.string
-            (Printf.sprintf "sched=%s stripe=%d == scalar/seq reference" sched stripe)
+            (Printf.sprintf "domains=%d stripe=%d == scalar/seq reference" domains stripe)
             (List.assoc stripe pinned_tables)
-            (hex_of_table (table_with ~sched ~stripe)))
-        [ "seq"; "steal" ])
+            (hex_of_table (table_with ~domains ~stripe)))
+        [ 1; 2 ])
     [ 1; 4; 16 ]
 
 (* -- stripe engine ---------------------------------------------------------- *)
@@ -1351,7 +1379,7 @@ let () =
           Alcotest.test_case "average makespan" `Quick test_average_makespan;
           Alcotest.test_case "parallel = serial (CKPT_DOMAINS)" `Quick
             test_evaluation_parallel_deterministic;
-          Alcotest.test_case "steal scheduler = seq (CKPT_SCHED matrix)" `Quick
+          Alcotest.test_case "steal scheduler = seq (CKPT_DOMAINS matrix)" `Quick
             test_evaluation_steal_scheduler_deterministic;
           Alcotest.test_case "no nan in printed tables" `Quick test_evaluation_no_nan_printed;
           Alcotest.test_case "trace cache reuse" `Quick test_trace_cache_reuses_sets;

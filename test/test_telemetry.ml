@@ -439,7 +439,7 @@ let test_flight_monotone_clamp () =
       FR.record t FR.Run_task ~t0:10. ~t1:12.;
       (* A backwards-stepping wall clock must not yield negative or
          reverse-overlapping spans. *)
-      FR.record t FR.Steal_attempt ~t0:11. ~t1:11.5;
+      FR.record t FR.Scan_miss ~t0:11. ~t1:11.5;
       FR.record t FR.Park ~t0:13. ~t1:12.5;
       match FR.spans t with
       | [ a; b; c ] ->
@@ -470,11 +470,11 @@ let test_flight_report () =
   with_flight (fun () ->
       let w = FR.track "worker0" in
       FR.record w FR.Run_task ~t0:0. ~t1:6.;
-      FR.record w FR.Steal_attempt ~t0:6. ~t1:9.;
+      FR.record w FR.Scan_miss ~t0:6. ~t1:9.;
       FR.record w FR.Park ~t0:9. ~t1:10.;
       FR.instant w FR.Unpark ~at:10.;
       let ext = FR.track "external0" in
-      FR.record ext FR.Inject ~t0:0. ~t1:0.5;
+      FR.record ext FR.Publish ~t0:0. ~t1:0.5;
       FR.record ext FR.Run_task ~t0:0.5 ~t1:10.;
       let reports = FR.report () in
       check Alcotest.int "one report per track" 2 (List.length reports);
@@ -484,10 +484,10 @@ let test_flight_report () =
       close "run-task seconds" 6. (FR.state_seconds wr FR.Run_task);
       check Alcotest.int "unpark counted as an event" 1 (FR.state_count wr FR.Unpark);
       close "unpark has no duration" 0. (FR.state_seconds wr FR.Unpark);
-      (* Failed steals (3 s) beat parking churn (1 s) and injection (0.5 s). *)
+      (* Empty scans (3 s) beat parking churn (1 s) and publication (0.5 s). *)
       match FR.dominant_overhead reports with
       | Some o ->
-          check Alcotest.string "dominant overhead" "failed steals" o.FR.ov_label;
+          check Alcotest.string "dominant overhead" "empty scans" o.FR.ov_label;
           close "dominant seconds" 3. o.FR.ov_seconds
       | None -> Alcotest.fail "expected a dominant overhead")
 
@@ -495,10 +495,10 @@ let test_flight_chrome_golden () =
   with_flight (fun () ->
       let w = FR.track "worker0" in
       FR.record w FR.Run_task ~t0:100.0 ~t1:100.5;
-      FR.record w FR.Steal_attempt ~t0:100.5 ~t1:100.6;
+      FR.record w FR.Scan_miss ~t0:100.5 ~t1:100.6;
       FR.instant w FR.Unpark ~at:100.6;
       let ext = FR.track "external0" in
-      FR.record ext FR.Inject ~t0:100.0 ~t1:100.1;
+      FR.record ext FR.Publish ~t0:100.0 ~t1:100.1;
       let path = Filename.temp_file "ckpt_flight" ".json" in
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
@@ -556,7 +556,7 @@ let bench_artifact ~rate ~elapsed =
 
 let bench_sidecar ~domains =
   Printf.sprintf
-    {|{"schema": "ckpt-bench-meta/1", "domains": %d, "env": {"CKPT_SCHED": "steal"}, "parameters": {"physical_cores": "4"}}|}
+    {|{"schema": "ckpt-bench-meta/1", "domains": %d, "env": {}, "parameters": {"physical_cores": "4"}}|}
     domains
 
 let test_bench_diff_self () =
