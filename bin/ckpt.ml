@@ -126,19 +126,24 @@ let period_cmd =
 
 (* -- simulate ------------------------------------------------------------ *)
 
+(* Evaluate the full roster (DPMakespan only for Exponential failures)
+   and print the table; shared by simulate and stats. *)
+let print_roster_table mtbf_hours shape processors checkpoint downtime work_days traces seed =
+  let job = job ~mtbf_hours ~shape ~processors ~checkpoint ~downtime ~work_days in
+  let scenario = S.Scenario.create ~seed:(Int64.of_int seed) job in
+  let policies =
+    [ Po.Young.policy job; Po.Daly.low job; Po.Daly.high job; Po.Optexp.policy job;
+      Po.Bouguerra.policy job; Po.Liu.policy job; S.Period_search.policy scenario;
+      Po.Dp_policies.dp_next_failure job ]
+    @ (if shape = None then [ Po.Dp_policies.dp_makespan job ] else [])
+  in
+  let table = S.Evaluation.degradation_table ~scenario ~policies ~replicates:traces in
+  Format.printf "%a@." S.Evaluation.pp_table table
+
 let simulate_cmd =
   let run mtbf_hours shape processors checkpoint downtime work_days traces seed =
-    let job = job ~mtbf_hours ~shape ~processors ~checkpoint ~downtime ~work_days in
-    let scenario = S.Scenario.create ~seed:(Int64.of_int seed) job in
-    let dp_makespan = shape = None in
-    let policies =
-      [ Po.Young.policy job; Po.Daly.low job; Po.Daly.high job; Po.Optexp.policy job;
-        Po.Bouguerra.policy job; Po.Liu.policy job; S.Period_search.policy scenario;
-        Po.Dp_policies.dp_next_failure job ]
-      @ (if dp_makespan then [ Po.Dp_policies.dp_makespan job ] else [])
-    in
-    let table = S.Evaluation.degradation_table ~scenario ~policies ~replicates:traces in
-    Format.printf "%a@." S.Evaluation.pp_table table
+    T.Span.scope ~label:"simulate" (fun () ->
+        print_roster_table mtbf_hours shape processors checkpoint downtime work_days traces seed)
   in
   let term =
     Term.(
@@ -459,18 +464,11 @@ let explain_cmd =
 let stats_cmd =
   let run mtbf_hours shape processors checkpoint downtime work_days traces seed =
     T.Metrics.set_enabled true;
-    let job = job ~mtbf_hours ~shape ~processors ~checkpoint ~downtime ~work_days in
-    let scenario = S.Scenario.create ~seed:(Int64.of_int seed) job in
-    let dp_makespan = shape = None in
-    let policies =
-      [ Po.Young.policy job; Po.Daly.low job; Po.Daly.high job; Po.Optexp.policy job;
-        Po.Bouguerra.policy job; Po.Liu.policy job; S.Period_search.policy scenario;
-        Po.Dp_policies.dp_next_failure job ]
-      @ (if dp_makespan then [ Po.Dp_policies.dp_makespan job ] else [])
-    in
-    let table = S.Evaluation.degradation_table ~scenario ~policies ~replicates:traces in
-    Format.printf "%a@." S.Evaluation.pp_table table;
-    Format.printf "metrics registry:@.%a@." T.Metrics.pp_snapshot (T.Metrics.snapshot ())
+    T.Span.set_enabled true;
+    print_roster_table mtbf_hours shape processors checkpoint downtime work_days traces seed;
+    Format.printf "metrics registry:@.%a@." T.Metrics.pp_snapshot (T.Metrics.snapshot ());
+    Format.printf "wall-clock spans (summed over domains):@.%a@." T.Span.pp_totals
+      (T.Span.merge (T.Span.tracks ()))
   in
   let term =
     Term.(
@@ -480,14 +478,14 @@ let stats_cmd =
   Cmd.v
     (Cmd.info "stats"
        ~doc:
-         "Evaluate the policy roster with the metrics registry enabled and print every \
-          counter, timer and histogram.")
+         "Evaluate the policy roster with the metrics registry and span recording enabled, \
+          then print every counter, gauge and histogram and the per-layer span totals.")
     term
 
 (* -- sched-report ------------------------------------------------------------ *)
 
-(* Run a skewed nested workload through the domain pool with the
-   flight recorder armed, then break each domain's wall time down by
+(* Run a skewed nested workload through the domain pool with span
+   recording on, then break each domain's wall time down by scheduler
    state.  The dominant-overhead line names which of the three
    candidate causes (empty scans, parking churn, queue publication)
    actually costs time on this machine. *)
@@ -516,8 +514,9 @@ let sched_report_cmd =
     (* The pool only engages with >= 2 domains — on a 1-core host the
        report still has to show scheduler behavior, not the inline
        fallback. *)
-    T.Flight_recorder.set_enabled true;
-    let domains = max 2 (Ckpt_parallel.Domain_pool.recommended_domains ()) in
+    T.Span.set_enabled true;
+    let module Pool = Ckpt_parallel.Domain_pool in
+    let domains = max 2 (Pool.recommended_domains ()) in
     Unix.putenv "CKPT_DOMAINS" (string_of_int domains);
     let weibull = D.Weibull.of_mtbf ~mtbf:(P.Units.of_years 125.) ~shape:0.7 in
     let mini_job p =
@@ -529,7 +528,7 @@ let sched_report_cmd =
     in
     let t0 = Unix.gettimeofday () in
     let tables =
-      Ckpt_parallel.Domain_pool.parallel_map_list
+      Pool.parallel_map_list
         (fun p ->
           let job = mini_job p in
           let scenario = S.Scenario.create job in
@@ -540,50 +539,36 @@ let sched_report_cmd =
     let wall = Unix.gettimeofday () -. t0 in
     Printf.printf "sched-report: %d configurations x %d replicates x 3 policies, %d domains, %.2f s wall\n\n"
       (List.length tables) replicates domains wall;
-    let reports =
-      List.filter (fun r -> r.T.Flight_recorder.wr_wall > 0.) (T.Flight_recorder.report ())
-    in
+    let reports = List.filter (fun u -> u.Pool.wall > 0.) (Pool.utilization ()) in
     if reports = [] then begin
       prerr_endline "ckpt sched-report: no spans recorded (workload too small?)";
       exit 1
     end;
-    let pct r s = 100. *. T.Flight_recorder.state_seconds r s /. r.T.Flight_recorder.wr_wall in
     Printf.printf "%-11s %8s %6s %6s %6s %6s %6s %8s %12s\n" "domain" "wall s" "run%" "help%"
       "hit%" "miss%" "park%" "publish%" "attributed%";
     let min_attr = ref infinity in
     List.iter
-      (fun r ->
-        let attr = 100. *. r.T.Flight_recorder.wr_attributed /. r.T.Flight_recorder.wr_wall in
+      (fun u ->
+        let pct state = 100. *. Pool.state_seconds [ u ] state /. u.Pool.wall in
+        let attr = 100. *. u.Pool.attributed /. u.Pool.wall in
         min_attr := Float.min !min_attr attr;
-        Printf.printf "%-11s %8.3f %6.1f %6.1f %6.1f %6.1f %6.1f %8.1f %12.1f%s\n"
-          r.T.Flight_recorder.wr_name r.T.Flight_recorder.wr_wall
-          (pct r T.Flight_recorder.Run_task)
-          (pct r T.Flight_recorder.Join_help)
-          (pct r T.Flight_recorder.Scan_hit)
-          (pct r T.Flight_recorder.Scan_miss)
-          (pct r T.Flight_recorder.Park)
-          (pct r T.Flight_recorder.Publish)
-          attr
-          (if r.T.Flight_recorder.wr_dropped > 0 then
-             Printf.sprintf "  (%d spans dropped)" r.T.Flight_recorder.wr_dropped
+        Printf.printf "%-11s %8.3f %6.1f %6.1f %6.1f %6.1f %6.1f %8.1f %12.1f%s\n" u.Pool.domain
+          u.Pool.wall (pct "run-task") (pct "join-help") (pct "scan-hit") (pct "scan-miss")
+          (pct "park") (pct "publish") attr
+          (if u.Pool.dropped > 0 then Printf.sprintf "  (%d spans dropped)" u.Pool.dropped
            else ""))
       reports;
-    (match T.Flight_recorder.overheads reports with
-    | dominant :: rest ->
-        Printf.printf "\ndominant overhead: %s (%.3f s across %d domains%s)\n"
-          dominant.T.Flight_recorder.ov_label dominant.T.Flight_recorder.ov_seconds
+    (match Pool.overheads reports with
+    | (label, seconds, _) :: rest ->
+        Printf.printf "\ndominant overhead: %s (%.3f s across %d domains%s)\n" label seconds
           (List.length reports)
           (String.concat ""
-             (List.map
-                (fun o ->
-                  Printf.sprintf "; %s %.3f s" o.T.Flight_recorder.ov_label
-                    o.T.Flight_recorder.ov_seconds)
-                rest))
+             (List.map (fun (label, seconds, _) -> Printf.sprintf "; %s %.3f s" label seconds) rest))
     | [] -> ());
     Printf.printf "min attribution: %.1f%% (target >= 95%%)\n" !min_attr;
     match out with
     | Some path ->
-        T.Trace_export.write_flight ~path (T.Flight_recorder.tracks ());
+        T.Span.write_chrome ~path;
         Printf.printf "wrote %s\n%!" path
     | None -> ()
   in
@@ -591,8 +576,8 @@ let sched_report_cmd =
   Cmd.v
     (Cmd.info "sched-report"
        ~doc:
-         "Run a nested evaluation workload with the scheduler flight recorder armed and print \
-          a per-domain busy/scan/idle utilization breakdown naming the dominant overhead.")
+         "Run a nested evaluation workload with span recording on and print a per-domain \
+          busy/scan/idle utilization breakdown of the scheduler naming the dominant overhead.")
     term
 
 (* -- bench diff / bench check ------------------------------------------------ *)

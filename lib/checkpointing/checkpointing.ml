@@ -101,7 +101,7 @@ module Telemetry = struct
   module Metrics_export = Ckpt_telemetry.Metrics_export
   module Tracer = Ckpt_telemetry.Tracer
   module Trace_export = Ckpt_telemetry.Trace_export
-  module Flight_recorder = Ckpt_telemetry.Flight_recorder
+  module Span = Ckpt_telemetry.Span
   module Provenance = Ckpt_telemetry.Provenance
   module Json = Ckpt_telemetry.Json
   module Bench_compare = Ckpt_telemetry.Bench_compare

@@ -6,11 +6,10 @@ type entry = {
   run : Config.t -> unit;
 }
 
-(* Each experiment owns the stage timers while it runs: without the
-   scope, back-to-back studies in one `experiments` process would
-   accumulate (and double-report) each other's stages. *)
+(* Under CKPT_VERBOSE=1 each experiment reports the spans recorded
+   since it started, so back-to-back studies never count each other's. *)
 let scoped e =
-  { e with run = (fun config -> Ckpt_simulator.Instrument.scoped ~label:e.id (fun () -> e.run config)) }
+  { e with run = (fun config -> Ckpt_telemetry.Span.scope ~label:e.id (fun () -> e.run config)) }
 
 let all () =
   List.map scoped

@@ -167,12 +167,9 @@ module Claim = struct
   let default_ttl = 600.
 
   let ttl () =
-    match Sys.getenv_opt "CKPT_SWEEP_CLAIM_TTL" with
-    | Some s -> (
-        match float_of_string_opt (String.trim s) with
-        | Some t when t >= 0. -> t
-        | Some _ | None -> default_ttl)
-    | None -> default_ttl
+    Option.value ~default:default_ttl
+      (Ckpt_telemetry.Provenance.env_float "CKPT_SWEEP_CLAIM_TTL" ~want:"seconds >= 0"
+         ~valid:(fun t -> t >= 0.))
 
   let payload ~pid ~host ~time =
     Printf.sprintf "%s pid=%d host=%s time=%h\n" format pid host time
@@ -274,7 +271,10 @@ let compute_and_persist ~path ~digest ~stripe ~fields ~encode compute =
 
 (* [None] only in worker mode, for a unit another live worker holds. *)
 let load_or_compute_opt ~path ~digest ~stripe ~fields ~decode ~encode compute =
-  let ex () = examine ~path ~digest ~stripe ~decode in
+  let ex () =
+    Ckpt_telemetry.Span.time ~layer:"experiments.store_load" "Sweep_store.examine" (fun () ->
+        examine ~path ~digest ~stripe ~decode)
+  in
   match ex () with
   | `Valid v ->
       bump skipped m_skipped;

@@ -21,12 +21,8 @@ let env_var = "CKPT_SWEEP_WORKER"
 let workers_var = "CKPT_SWEEP_WORKERS"
 
 let default_workers () =
-  match Sys.getenv_opt workers_var with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> 1)
-  | None -> 1
+  Option.value ~default:1
+    (Ckpt_telemetry.Provenance.env_int workers_var ~want:"an integer >= 1" ~valid:(fun n -> n >= 1))
 
 let worker_index () =
   match Sys.getenv_opt env_var with

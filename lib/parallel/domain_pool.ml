@@ -1,43 +1,16 @@
 module Metrics = Ckpt_telemetry.Metrics
-module FR = Ckpt_telemetry.Flight_recorder
-module Trace_export = Ckpt_telemetry.Trace_export
+module Span = Ckpt_telemetry.Span
 
 let tasks_run = Metrics.counter "domain_pool/tasks"
 let inline_sweeps = Metrics.counter "domain_pool/inline_sweeps"
 let domains_spawned = Metrics.counter "domain_pool/domains_spawned"
 let early_aborts = Metrics.counter "domain_pool/early_aborts"
 let regions_run = Metrics.counter "sched/regions"
-let park_timer = Metrics.timer "sched/idle_park"
-
-(* Warn once per distinct malformed value: [recommended_domains] runs
-   on every fan-out, and a bad CKPT_DOMAINS should not flood stderr. *)
-let warn_once cell ~knob ~value ~fallback =
-  if Atomic.get cell <> value then begin
-    Atomic.set cell value;
-    Printf.eprintf "ckpt: ignoring malformed %s=%S (%s)\n%!" knob value fallback
-  end
-
-let warned_domains = Atomic.make ""
-
-let recommended_domains () =
-  match Sys.getenv_opt "CKPT_DOMAINS" with
-  | None -> Domain.recommended_domain_count ()
-  | Some s when String.trim s = "" -> Domain.recommended_domain_count ()
-  | Some s -> begin
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None ->
-          let fallback = Domain.recommended_domain_count () in
-          warn_once warned_domains ~knob:"CKPT_DOMAINS" ~value:s
-            ~fallback:
-              (Printf.sprintf "want an integer >= 1; using the hardware default %d" fallback);
-          fallback
-    end
+let recommended_domains = Ckpt_telemetry.Provenance.domain_count
 
 (* True while the current domain is executing pool work.  The
-   evaluation harness reads it to tell a top-level table (which owns
-   the process-global timers and progress meter) from one nested
-   inside a study's own fan-out. *)
+   evaluation harness reads it to tell a top-level table (which prints
+   replicate progress) from one nested inside a study's own fan-out. *)
 let in_region_key = Domain.DLS.new_key (fun () -> false)
 
 let in_parallel_region () = Domain.DLS.get in_region_key
@@ -83,34 +56,18 @@ type pool = {
   mutable stop : bool;
 }
 
-(* What the current domain is to the pool: its flight-recorder track
-   name, and for pool workers a task counter.  The track is created on
-   first use so a disabled recorder costs neither the ring arrays nor
-   the registry entry. *)
-type member = { name : string; tasks : Metrics.counter option; mutable track : FR.track option }
+(* Pool workers count their tasks; other domains do not. *)
+let tasks_key = Domain.DLS.new_key (fun () -> None)
 
-let external_seq = Atomic.make 0
+(* Every domain's scheduler states are [parallel.sched] spans.  Leaf
+   states are stamped before and recorded after; [stamp] is [None]
+   while recording is off. *)
+let sched = "parallel.sched"
+let stamp () = if Span.enabled () then Some (Span.now ()) else None
 
-let member_key =
-  Domain.DLS.new_key (fun () ->
-      {
-        name = Printf.sprintf "external%d" (Atomic.fetch_and_add external_seq 1);
-        tasks = None;
-        track = None;
-      })
-
-let current_track () =
-  if not (FR.enabled ()) then None
-  else begin
-    let m = Domain.DLS.get member_key in
-    if Option.is_none m.track then m.track <- Some (FR.track m.name);
-    m.track
-  end
-
-let stamp track = match track with Some _ -> FR.now () | None -> 0.
-
-let span track state t0 =
-  match track with Some tr -> FR.record tr state ~t0 ~t1:(FR.now ()) | None -> ()
+let span state = function
+  | Some t0 -> Span.record ~layer:sched state ~t0 ~t1:(Span.now ())
+  | None -> ()
 
 let broadcast p =
   Mutex.lock p.lock;
@@ -121,19 +78,16 @@ let broadcast p =
    region leave it between items the moment its own region completes;
    items it leaves are claimed by that region's other domains, its
    forker's own drain included. *)
-let drain ?(stop = Fun.const false) ?track ?(state = FR.Run_task) p r =
-  let tasks = (Domain.DLS.get member_key).tasks in
+let drain ?(stop = Fun.const false) ?(state = "run-task") p r =
+  let tasks = Domain.DLS.get tasks_key in
   let rec loop () =
     if not (stop ()) then begin
       let i = Atomic.fetch_and_add r.next 1 in
       if i < r.n then begin
         if Option.is_none (Atomic.get r.error) then begin
           Option.iter Metrics.incr tasks;
-          (* [run_item] never raises (it stores the exception in the
-             region), so the span needs no protect. *)
-          let t0 = stamp track in
-          r.run_item i;
-          span track state t0
+          (* An item's own spans nest inside this one. *)
+          Span.time ~layer:sched state (fun () -> r.run_item i)
         end
         else Metrics.incr early_aborts;
         if Atomic.fetch_and_add r.completed 1 = r.n - 1 then broadcast p;
@@ -155,28 +109,24 @@ let take p =
 
 (* Take a region, waiting on the condition while there is none, unless
    [give_up ()] holds (checked under the lock before every wait). *)
-let find p ?track ~give_up () =
-  let t0 = stamp track in
+let find p ~give_up () =
+  let t0 = stamp () in
   Mutex.lock p.lock;
   let rec loop t0 =
     if give_up () then None
     else begin
       match take p with
       | Some _ as r ->
-          span track FR.Scan_hit t0;
+          span "scan-hit" t0;
           r
       | None ->
-          span track FR.Scan_miss t0;
-          let t1 = Unix.gettimeofday () in
+          span "scan-miss" t0;
+          let parked = stamp () in
           Condition.wait p.cond p.lock;
-          let t2 = Unix.gettimeofday () in
-          Metrics.record park_timer (t2 -. t1);
-          (match track with
-          | Some tr ->
-              FR.record tr FR.Park ~t0:t1 ~t1:t2;
-              FR.instant tr FR.Unpark ~at:t2
-          | None -> ());
-          loop t2
+          span "park" parked;
+          let woken = stamp () in
+          Option.iter (fun t -> Span.record ~layer:sched "unpark" ~t0:t ~t1:t) woken;
+          loop woken
     end
   in
   let r = loop t0 in
@@ -184,17 +134,12 @@ let find p ?track ~give_up () =
   r
 
 let worker_main p id () =
-  Domain.DLS.set member_key
-    {
-      name = Printf.sprintf "worker%d" id;
-      tasks = Some (Metrics.counter (Printf.sprintf "sched/worker%d/tasks" id));
-      track = None;
-    };
+  Span.name_track (Printf.sprintf "worker%d" id);
+  Domain.DLS.set tasks_key (Some (Metrics.counter (Printf.sprintf "sched/worker%d/tasks" id)));
   let rec loop () =
-    let track = current_track () in
-    match find p ?track ~give_up:(fun () -> p.stop) () with
+    match find p ~give_up:(fun () -> p.stop) () with
     | Some r ->
-        drain ?track p r;
+        drain p r;
         loop ()
     | None -> ()
   in
@@ -243,8 +188,8 @@ let max_workers = 112
 
 (* Grow the pool to [workers] (never shrinking), then put [r] at the
    head of the region list and wake everyone. *)
-let publish p ?track ~workers r =
-  let t0 = stamp track in
+let publish p ~workers r =
+  let t0 = stamp () in
   Mutex.lock p.lock;
   while p.workers < min workers max_workers do
     (match Domain.spawn (worker_main p p.workers) with
@@ -257,7 +202,7 @@ let publish p ?track ~workers r =
   p.regions <- r :: p.regions;
   Condition.broadcast p.cond;
   Mutex.unlock p.lock;
-  span track FR.Publish t0
+  span "publish" t0
 
 (* Fork [n] items, drain them, then join: until the region's last item
    completes, help whichever region [find] offers (leaving it as soon
@@ -288,15 +233,13 @@ let pool_parallel_init ~domains n f =
     }
   in
   Metrics.incr regions_run;
-  let track = current_track () in
-  if Option.is_some track then Trace_export.ensure_flight_at_exit ();
-  publish p ?track ~workers:(domains - 1) r;
-  drain ?track p r;
+  publish p ~workers:(domains - 1) r;
+  drain p r;
   let own_done () = finished r in
   let rec join () =
-    match find p ?track ~give_up:own_done () with
+    match find p ~give_up:own_done () with
     | Some other ->
-        drain ~stop:own_done ?track ~state:FR.Join_help p other;
+        drain ~stop:own_done ~state:"join-help" p other;
         join ()
     | None -> ()
   in
@@ -334,3 +277,46 @@ let both ?domains f g =
   match (r.(0), r.(1)) with
   | Either.Left a, Either.Right b -> (a, b)
   | _ -> assert false
+
+(* -- utilization ------------------------------------------------------------- *)
+
+type utilization = {
+  domain : string;
+  wall : float;
+  attributed : float;
+  states : Span.total list;
+  dropped : int;
+}
+
+let utilization () =
+  List.filter_map
+    (fun (t : Span.track) ->
+      match List.filter (fun (x : Span.total) -> x.layer = sched) t.totals with
+      | [] -> None
+      | states ->
+          let fold f init = List.fold_left f init states in
+          let first = fold (fun a x -> Float.min a x.Span.first) infinity in
+          let last = fold (fun a x -> Float.max a x.Span.last) neg_infinity in
+          let attributed = fold (fun a x -> a +. x.Span.seconds) 0. in
+          Some { domain = t.track; wall = last -. first; attributed; states; dropped = t.dropped })
+    (Span.tracks ())
+
+let state_total f init us name =
+  List.fold_left
+    (fun acc u ->
+      List.fold_left (fun acc (x : Span.total) -> if x.name = name then f acc x else acc) acc u.states)
+    init us
+
+let state_seconds = state_total (fun a x -> a +. x.Span.seconds) 0.
+let state_count = state_total (fun a x -> a + x.Span.count) 0
+
+(* The three candidate explanations for pool overhead, summed across
+   domains: looking for a region and finding none, parking (plus the
+   wake-ups), and putting a new region on the list. *)
+let overheads us =
+  [
+    ("empty scans", state_seconds us "scan-miss", state_count us "scan-miss");
+    ("parking churn", state_seconds us "park", state_count us "park" + state_count us "unpark");
+    ("queue publication", state_seconds us "publish", state_count us "publish");
+  ]
+  |> List.stable_sort (fun (_, a, _) (_, b, _) -> Float.compare b a)

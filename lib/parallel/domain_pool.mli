@@ -23,13 +23,10 @@
     Tasks must not share mutable state (the simulator's runs don't:
     each builds its own policies, traces and engine state).
 
-    With [CKPT_SCHED_TRACE] set, the pool records every domain's state
-    intervals (run-task, scans that find a region or none, region
-    publication, waiting, join-helping) into the scheduler flight
-    recorder ([Ckpt_telemetry.Flight_recorder]); [ckpt sched-report]
-    turns the recording into a per-domain utilization breakdown, and
-    a path-valued [CKPT_SCHED_TRACE] additionally exports a Chrome
-    trace_event file at exit. *)
+    Every domain's scheduler states are recorded as
+    [Ckpt_telemetry.Span]s of layer [parallel.sched] (see
+    {!utilization}); [ckpt sched-report] turns them into a per-domain
+    utilization breakdown. *)
 
 val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count ()], overridden by the
@@ -39,13 +36,14 @@ val recommended_domains : unit -> int
     if later calls ask for more), and [CKPT_DOMAINS=1] runs every
     region inline — the sequential reference of the determinism tests.
     Malformed values ([0], [-3], [abc]) warn once per value on stderr
-    and fall back to the hardware default. *)
+    and fall back to the hardware default
+    ({!Ckpt_telemetry.Provenance.domain_count}). *)
 
 val in_parallel_region : unit -> bool
 (** True while the calling domain is executing a pooled
     [parallel_init] task.  Used by the evaluation harness to tell
-    top-level tables (which own the process-global timers/progress)
-    from nested ones. *)
+    top-level tables (which print replicate progress) from nested
+    ones. *)
 
 val parallel_init : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** [parallel_init ~domains n f] is [Array.init n f] evaluated by up
@@ -69,3 +67,30 @@ val both : ?domains:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
 val pool_workers : unit -> int
 (** Worker domains currently spawned by the persistent pool (0 before
     the first pooled region; for telemetry and tests). *)
+
+(** {1 Utilization}
+
+    Read from the [parallel.sched] span totals, whose names are the
+    pool's states: [run-task], [scan-hit] / [scan-miss] (a look at the
+    region list that took a seat or found none), [publish], [park],
+    [unpark] (an instant) and [join-help] (running another region's
+    items while joining). *)
+
+type utilization = {
+  domain : string;  (** the domain's span track *)
+  wall : float;  (** last state's end − first state's start *)
+  attributed : float;  (** seconds inside recorded states *)
+  states : Ckpt_telemetry.Span.total list;
+  dropped : int;
+}
+
+val utilization : unit -> utilization list
+(** One entry per track that recorded a scheduler state. *)
+
+val state_seconds : utilization list -> string -> float
+val state_count : utilization list -> string -> int
+
+val overheads : utilization list -> (string * float * int) list
+(** The three pool overhead candidates — empty scans, parking churn,
+    queue publication — as (label, seconds, events) summed across
+    domains, largest first. *)

@@ -36,12 +36,12 @@ let bucket_age bucket = expm1 ((float_of_int bucket +. 0.5) *. 0.5)
 let default_dp_cache_cap = 64
 
 let dp_cache_cap () =
-  match Sys.getenv_opt "CKPT_DP_CACHE_CAP" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some 0 -> max_int
-      | Some n when n >= 1 -> n
-      | Some _ | None -> default_dp_cache_cap)
+  match
+    Ckpt_telemetry.Provenance.env_int "CKPT_DP_CACHE_CAP" ~want:"an integer >= 0" ~valid:(fun n ->
+        n >= 0)
+  with
+  | Some 0 -> max_int
+  | Some n -> n
   | None -> default_dp_cache_cap
 
 type table_entry = { table : Dp_makespan.t; mutable last_use : int }

@@ -19,6 +19,10 @@ val dp_makespan :
 val table_cache_size : unit -> int
 (** Occupancy of the calling domain's DPMakespan table cache (tests). *)
 
+val dp_cache_cap : unit -> int
+(** That cache's bound: [CKPT_DP_CACHE_CAP] (default 64; [0] reads as
+    unbounded, [max_int]). *)
+
 val dp_next_failure :
   ?nexact:int ->
   ?napprox:int ->

@@ -3,16 +3,13 @@ module Summary = Ckpt_numerics.Summary
 module Domain_pool = Ckpt_parallel.Domain_pool
 module Metrics = Ckpt_telemetry.Metrics
 module Metrics_export = Ckpt_telemetry.Metrics_export
+module Span = Ckpt_telemetry.Span
 module Tracer = Ckpt_telemetry.Tracer
 module Trace_export = Ckpt_telemetry.Trace_export
 
 let trace_gen_seconds = Metrics.histogram "eval/trace_gen_seconds"
 let replicates_run = Metrics.counter "eval/replicates"
 let unusable_replicates = Metrics.counter "eval/unusable_replicates"
-
-(* Wall-clock spent inside [Engine.run_stripe] (one policy's pass over
-   a whole stripe). *)
-let stripe_engine_seconds = Metrics.timer "eval/stripe_engine_seconds"
 
 (* Simulated waste decomposition of every completed run, one histogram
    per component (seconds of simulated time); fills under
@@ -207,31 +204,31 @@ let run_replicate_stripe ~scenario ~policies ~first ~len =
   let buffer ~slot name =
     Tracer.create_buffer ~name:(Printf.sprintf "rep%d/%s" (first + slot) name) ()
   in
-  let traces =
-    Instrument.time "trace-generation" (fun () ->
-        Array.init len (fun i ->
-            if not metered then Scenario.traces scenario ~replicate:(first + i)
-            else begin
-              let t0 = Unix.gettimeofday () in
-              let tr = Scenario.traces scenario ~replicate:(first + i) in
-              Metrics.observe trace_gen_seconds (Unix.gettimeofday () -. t0);
-              tr
-            end))
+  let traces, initial_births =
+    Span.time ~layer:"failures.trace_gen" "Scenario.traces" (fun () ->
+        let traces =
+          Array.init len (fun i ->
+              if not metered then Scenario.traces scenario ~replicate:(first + i)
+              else begin
+                let t0 = Unix.gettimeofday () in
+                let tr = Scenario.traces scenario ~replicate:(first + i) in
+                Metrics.observe trace_gen_seconds (Unix.gettimeofday () -. t0);
+                tr
+              end)
+        in
+        (traces, Array.map (Scenario.initial_lifetime_starts scenario) traces))
   in
-  let initial_births = Array.map (Scenario.initial_lifetime_starts scenario) traces in
   (* One engine pass per policy over the full stripe; [policy_runs.(j).(i)]
      is policy [j]'s outcome on replicate [first + i]. *)
   let policy_runs =
     Array.map
       (fun policy ->
-        Instrument.time policy.Policy.name (fun () ->
+        Span.time ~layer:"simulator.stripe" policy.Policy.name (fun () ->
             let trace =
               if tracing then Some (Array.init len (fun slot -> buffer ~slot policy.Policy.name))
               else None
             in
-            let t0 = if metered then Unix.gettimeofday () else 0. in
             let runs = Engine.run_stripe ?trace ~initial_births ~scenario ~traces ~policy () in
-            if metered then Metrics.record stripe_engine_seconds (Unix.gettimeofday () -. t0);
             Option.iter (Array.iter Tracer.register) trace;
             runs))
       policies
@@ -256,7 +253,7 @@ let run_replicate_stripe ~scenario ~policies ~first ~len =
             | Engine.Policy_failed _ -> ())
           policy_runs;
         let lb =
-          Instrument.time "LowerBound" (fun () ->
+          Span.time ~layer:"simulator.stripe" "LowerBound" (fun () ->
               let trace = if tracing then Some (buffer ~slot:i "LowerBound") else None in
               let lb = Engine.lower_bound ?trace ~scenario ~traces:traces.(i) () in
               Option.iter Tracer.register trace;
@@ -282,26 +279,12 @@ let run_replicate_stripe ~scenario ~policies ~first ~len =
 
 let default_stripe_size = 16
 
-let warned_stripe = Atomic.make ""
-
 (* The width is part of every sweep-store key, so a typo silently
-   falling back would recompute a whole study under new keys: warn
-   once per distinct malformed value, as CKPT_DOMAINS does. *)
+   falling back would recompute a whole study under new keys. *)
 let stripe_size () =
-  match Sys.getenv_opt "CKPT_SWEEP_STRIPE" with
-  | None -> default_stripe_size
-  | Some s when String.trim s = "" -> default_stripe_size
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None ->
-          if Atomic.get warned_stripe <> s then begin
-            Atomic.set warned_stripe s;
-            Printf.eprintf
-              "ckpt: ignoring malformed CKPT_SWEEP_STRIPE=%S (want an integer >= 1; using %d)\n%!" s
-              default_stripe_size
-          end;
-          default_stripe_size)
+  Option.value ~default:default_stripe_size
+    (Ckpt_telemetry.Provenance.env_int "CKPT_SWEEP_STRIPE" ~want:"an integer >= 1"
+       ~valid:(fun n -> n >= 1))
 
 let stripe_count ~replicates =
   if replicates <= 0 then invalid_arg "Evaluation.stripe_count: replicates must be positive";
@@ -499,25 +482,29 @@ let deserialize_partial contents =
       end
   | _ -> None
 
+(* Replicate progress under CKPT_VERBOSE=1: one stderr line per
+   finished stripe, under one lock since stripes finish on any domain. *)
+let progress_lock = Mutex.create ()
+
+let progress finished ~len ~total =
+  Mutex.protect progress_lock (fun () ->
+      Printf.eprintf "[eval] degradation_table: %d/%d replicates\n%!"
+        (len + Atomic.fetch_and_add finished len)
+        total)
+
 let degradation_table ~scenario ~policies ~replicates =
   if replicates <= 0 then invalid_arg "Evaluation.degradation_table: replicates must be positive";
   if policies = [] then invalid_arg "Evaluation.degradation_table: no policies";
-  (* Timers and progress are process-global; only a top-level table
-     (not one nested inside a study's own fan-out, where several
-     tables run concurrently) resets and reports them — and when a
-     study claimed the timers with [Instrument.scoped], the scope owns
-     reset and report, so even a top-level table defers to it. *)
-  let top_level = not (Domain_pool.in_parallel_region ()) in
-  let owns_timers = top_level && not (Instrument.in_scope ()) in
-  if owns_timers then Instrument.reset ();
   if Tracer.enabled () then Trace_export.ensure_at_exit ();
   (* Long tables are exactly what the periodic sampler exists for; the
      call is a no-op unless CKPT_METRICS_INTERVAL/CKPT_METRICS_OUT is
      set. *)
   Metrics_export.ensure_sampler ();
   let policy_array = Array.of_list policies in
-  let progress =
-    if top_level then Some (Instrument.progress ~label:"degradation_table" ~total:replicates)
+  (* Only a top-level table reports progress: tables nested in a
+     study's own fan-out run several at once. *)
+  let finished =
+    if Span.verbose () && not (Domain_pool.in_parallel_region ()) then Some (Atomic.make 0)
     else None
   in
   (* Fan the stripes out — in the domain pool this composes with a
@@ -534,7 +521,7 @@ let degradation_table ~scenario ~policies ~replicates =
         let first = stripe * sz in
         let len = min sz (replicates - first) in
         let os = run_replicate_stripe ~scenario ~policies:policy_array ~first ~len in
-        Option.iter (fun p -> for _ = 1 to len do Instrument.step p done) progress;
+        Option.iter (fun finished -> progress finished ~len ~total:replicates) finished;
         os)
     |> Array.to_list |> Array.concat
   in
@@ -542,20 +529,13 @@ let degradation_table ~scenario ~policies ~replicates =
      (within-stripe in replicate order, then across stripes in stripe
      order), so a table assembled from checkpointed stripe partials is
      bit-identical to this one. *)
-  let names = Array.map (fun p -> p.Policy.name) policy_array in
-  let partials =
-    List.init (stripe_count ~replicates) (fun stripe ->
-        let first = stripe * sz in
-        partial_of_outcomes ~policy_names:names outcomes ~first
-          ~len:(min sz (replicates - first)))
-  in
-  let table = table_of_partials partials in
-  if owns_timers then begin
-    let hits, misses = Scenario.cache_stats scenario in
-    Instrument.info "trace cache: %d hits, %d misses" hits misses;
-    Instrument.report ~label:"degradation_table" ()
-  end;
-  table
+  Span.time ~layer:"simulator.reduce" "degradation_table" (fun () ->
+      let names = Array.map (fun p -> p.Policy.name) policy_array in
+      table_of_partials
+        (List.init (stripe_count ~replicates) (fun stripe ->
+             let first = stripe * sz in
+             partial_of_outcomes ~policy_names:names outcomes ~first
+               ~len:(min sz (replicates - first)))))
 
 (* The Welford fold below is kept in the exact shape (and order) of
    the original [average_makespan], so the mean this returns is

@@ -12,8 +12,10 @@
     accumulates into its own state and the per-replicate accumulators
     are merged serially in replicate order ({!Ckpt_numerics.Summary.merge}),
     so the table is bit-for-bit identical for every domain count.
-    Set [CKPT_VERBOSE=1] for per-policy wall-clock and replicate
-    progress reporting (see {!Instrument}).
+    Trace generation, each policy's stripe pass and the reduce are
+    recorded as {!Ckpt_telemetry.Span}s ([failures.trace_gen],
+    [simulator.stripe], [simulator.reduce]); [CKPT_VERBOSE=1] also
+    prints a top-level table's replicate progress on stderr.
 
     Each stripe of replicates (see {!stripe_size}) runs through
     {!Engine.run_stripe} — one lockstep pass per policy over the whole

@@ -63,7 +63,10 @@ let best_period ?(factors = default_factors ()) ?(tuning_replicates = 16) ~scena
 
 let policy ?factors ?tuning_replicates scenario =
   let base_period = Optexp.period scenario.Scenario.job in
-  let period, _ = best_period ?factors ?tuning_replicates ~scenario ~base_period () in
+  let period, _ =
+    Ckpt_telemetry.Span.time ~layer:"simulator.period_search" "best_period" (fun () ->
+        best_period ?factors ?tuning_replicates ~scenario ~base_period ())
+  in
   Policy.periodic "PeriodLB" ~period
 
 let sweep ~scenario ~periods ~replicates =

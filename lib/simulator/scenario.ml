@@ -36,13 +36,9 @@ let default_cache_capacity = 64
 let max_stripes = 16
 
 let cache_capacity () =
-  match Sys.getenv_opt "CKPT_TRACE_CACHE" with
-  | Some s -> begin
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 0 -> n
-      | Some _ | None -> default_cache_capacity
-    end
-  | None -> default_cache_capacity
+  Option.value ~default:default_cache_capacity
+    (Ckpt_telemetry.Provenance.env_int "CKPT_TRACE_CACHE" ~want:"an integer >= 0" ~valid:(fun n ->
+         n >= 0))
 
 (* Spread the total capacity over the stripes (never a zero-capacity
    stripe: with fewer slots than stripes, use fewer stripes). *)

@@ -1,16 +1,14 @@
-(* A process-global metrics registry: named counters, gauges, timers
-   and log-scale histograms, shared by every layer of the stack (DP
-   solvers, trace cache, domain pool, evaluation harness).
+(* A process-global metrics registry: named counters, gauges and
+   log-scale histograms, shared by every layer of the stack (DP
+   solvers, trace cache, domain pool, evaluation harness).  Wall-clock
+   time is not a metric: it is recorded as [Span]s.
 
    The registry follows the same contract as the rest of the telemetry
    layer: *off by default*, enabled by CKPT_METRICS=1 (or
    programmatically), and every update entry point costs exactly one
    [Atomic.get] branch when disabled, so instrumenting a hot loop is
    free in normal runs.  Reads ({!snapshot}, {!find}) work regardless
-   of the enabled flag — timers recorded explicitly through {!record}
-   (the Instrument wall-clock path, which gates itself on
-   CKPT_VERBOSE) must stay reportable even when CKPT_METRICS is
-   unset. *)
+   of the enabled flag. *)
 
 let enabled_flag =
   Atomic.make
@@ -73,9 +71,6 @@ let histogram_quantile h p = Log_hist.quantile (hist_of_snapshot h) p
 type counter = int Atomic.t
 type gauge = float Atomic.t
 
-type timer_cell = { mutable seconds : float; mutable calls : int }
-type timer = { t_lock : Mutex.t; cell : timer_cell }
-
 type hist_cell = {
   h_lock : Mutex.t;
   h_buckets : int array;
@@ -90,13 +85,11 @@ type histogram = hist_cell
 type metric =
   | M_counter of counter
   | M_gauge of gauge
-  | M_timer of timer
   | M_histogram of hist_cell
 
 type value =
   | Counter of int
   | Gauge of float
-  | Timer of { seconds : float; calls : int }
   | Histogram of histogram_snapshot
 
 let registry : (string, metric) Hashtbl.t = Hashtbl.create 64
@@ -132,13 +125,6 @@ let gauge name =
       (g, M_gauge g))
     (function M_gauge g -> Some g | _ -> None)
 
-let timer name =
-  register name
-    (fun () ->
-      let t = { t_lock = Mutex.create (); cell = { seconds = 0.; calls = 0 } } in
-      (t, M_timer t))
-    (function M_timer t -> Some t | _ -> None)
-
 let histogram name =
   register name
     (fun () ->
@@ -161,15 +147,6 @@ let incr c = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c 1)
 let add c n = if Atomic.get enabled_flag then ignore (Atomic.fetch_and_add c n)
 let set g v = if Atomic.get enabled_flag then Atomic.set g v
 
-(* Timers are recorded unconditionally: the caller decides whether to
-   measure at all (Instrument gates on CKPT_VERBOSE || CKPT_METRICS),
-   and a recorded duration must be reportable either way. *)
-let record t dt =
-  Mutex.lock t.t_lock;
-  t.cell.seconds <- t.cell.seconds +. dt;
-  t.cell.calls <- t.cell.calls + 1;
-  Mutex.unlock t.t_lock
-
 let observe h v =
   if Atomic.get enabled_flag then begin
     let b = bucket_of_value v in
@@ -187,11 +164,6 @@ let observe h v =
 let value_of = function
   | M_counter c -> Counter (Atomic.get c)
   | M_gauge g -> Gauge (Atomic.get g)
-  | M_timer t ->
-      Mutex.lock t.t_lock;
-      let v = Timer { seconds = t.cell.seconds; calls = t.cell.calls } in
-      Mutex.unlock t.t_lock;
-      v
   | M_histogram h ->
       Mutex.lock h.h_lock;
       let v =
@@ -219,11 +191,6 @@ let snapshot () =
 let reset_metric = function
   | M_counter c -> Atomic.set c 0
   | M_gauge g -> Atomic.set g nan
-  | M_timer t ->
-      Mutex.lock t.t_lock;
-      t.cell.seconds <- 0.;
-      t.cell.calls <- 0;
-      Mutex.unlock t.t_lock
   | M_histogram h ->
       Mutex.lock h.h_lock;
       Array.fill h.h_buckets 0 hist_buckets 0;
@@ -233,15 +200,12 @@ let reset_metric = function
       h.h_max <- neg_infinity;
       Mutex.unlock h.h_lock
 
-let has_prefix ~prefix s =
-  String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
-
 let reset ?prefix () =
   locked (fun () ->
       Hashtbl.iter
         (fun name m ->
           match prefix with
-          | Some p when not (has_prefix ~prefix:p name) -> ()
+          | Some prefix when not (String.starts_with ~prefix name) -> ()
           | _ -> reset_metric m)
         registry)
 
@@ -250,7 +214,6 @@ let reset ?prefix () =
 let pp_value fmt = function
   | Counter n -> Format.fprintf fmt "%d" n
   | Gauge v -> if Float.is_nan v then Format.fprintf fmt "unset" else Format.fprintf fmt "%g" v
-  | Timer { seconds; calls } -> Format.fprintf fmt "%.4f s over %d calls" seconds calls
   | Histogram h ->
       if h.count = 0 then Format.fprintf fmt "empty"
       else
@@ -261,7 +224,6 @@ let pp_value fmt = function
 let nonempty = function
   | Counter 0 -> false
   | Gauge v -> not (Float.is_nan v)
-  | Timer { calls; _ } -> calls > 0
   | Histogram { count; _ } -> count > 0
   | Counter _ -> true
 

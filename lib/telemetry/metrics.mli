@@ -1,12 +1,11 @@
-(** Process-global metrics registry: named counters, gauges, timers
-    and log-scale histograms.
+(** Process-global metrics registry: named counters, gauges and
+    log-scale histograms.  Wall-clock time is recorded as {!Span}s.
 
     Off by default; enable with [CKPT_METRICS=1] or {!set_enabled}.
     When disabled, every update entry point ({!incr}, {!add}, {!set},
     {!observe}) is a single [Atomic.get] branch, so instrumented hot
-    paths cost nothing in normal runs.  {!record} (used by the
-    wall-clock Instrument layer, which applies its own gating) is the
-    one unconditional update.  All entry points are domain-safe.
+    paths cost nothing in normal runs.  All entry points are
+    domain-safe.
 
     Handles are registered by name on first use and shared thereafter;
     registering the same name with a different kind raises
@@ -19,12 +18,10 @@ val set_enabled : bool -> unit
 
 type counter
 type gauge
-type timer
 type histogram
 
 val counter : string -> counter
 val gauge : string -> gauge
-val timer : string -> timer
 val histogram : string -> histogram
 
 (** {1 Updates} *)
@@ -32,10 +29,6 @@ val histogram : string -> histogram
 val incr : counter -> unit
 val add : counter -> int -> unit
 val set : gauge -> float -> unit
-
-val record : timer -> float -> unit
-(** [record t dt] accumulates [dt] seconds and one call.  Not gated on
-    {!enabled}: callers measure (and pay for) the duration themselves. *)
 
 val observe : histogram -> float -> unit
 (** Count [v] into its power-of-two bucket and the running moments. *)
@@ -69,7 +62,6 @@ val bucket_lower : int -> float
 type value =
   | Counter of int
   | Gauge of float  (** NaN when never set *)
-  | Timer of { seconds : float; calls : int }
   | Histogram of histogram_snapshot
 
 val find : string -> value option

@@ -9,11 +9,11 @@
      after-the-fact trajectory plots of a long sweep.
 
    Off by default.  CKPT_METRICS_INTERVAL=<seconds> starts a sampler
-   thread (and implies CKPT_METRICS=1 — asking for periodic samples of
-   a disabled registry would be useless); CKPT_METRICS_OUT names the
-   textfile (default "metrics.prom"; the JSONL series goes to the same
-   path + ".jsonl").  CKPT_METRICS_OUT without an interval publishes
-   one final snapshot at exit.
+   thread (and implies CKPT_METRICS=1 and span recording — asking for
+   periodic samples of a disabled registry would be useless);
+   CKPT_METRICS_OUT names the textfile (default "metrics.prom"; the
+   JSONL series goes to the same path + ".jsonl").  CKPT_METRICS_OUT
+   without an interval publishes one final snapshot at exit.
 
    The sampler is a [Thread] rather than a [Domain]: it spends its
    life in [Thread.delay] and brief registry reads, so it must not
@@ -36,8 +36,8 @@ let sanitize name =
     name;
   Buffer.contents buf
 
-(* Timers and histograms hold seconds; give them the unit suffix
-   unless the registry name already carries it. *)
+(* Histograms hold seconds; give them the unit suffix unless the
+   registry name already carries it. *)
 let with_seconds name =
   let suffix = "_seconds" in
   let l = String.length name and ls = String.length suffix in
@@ -51,7 +51,7 @@ let float_str v =
 
 let quantiles = [ 0.5; 0.9; 0.99 ]
 
-let openmetrics snap =
+let openmetrics ?(spans = []) snap =
   let buf = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf s; Buffer.add_char buf '\n') fmt in
   List.iter
@@ -67,12 +67,6 @@ let openmetrics snap =
             line "# TYPE %s gauge" m;
             line "%s %s" m (float_str v)
           end
-      | Metrics.Timer { seconds; calls } ->
-          (* A timer is a summary with no quantile information. *)
-          let m = sanitize (with_seconds name) in
-          line "# TYPE %s summary" m;
-          line "%s_sum %s" m (float_str seconds);
-          line "%s_count %d" m calls
       | Metrics.Histogram h ->
           let m = sanitize (with_seconds name) in
           line "# TYPE %s summary" m;
@@ -84,6 +78,21 @@ let openmetrics snap =
           line "%s_sum %s" m (float_str h.Metrics.sum);
           line "%s_count %d" m h.Metrics.count)
     snap;
+  (* Span totals: one quantile-less summary family, labelled by layer
+     and name.  [String.escaped] agrees with OpenMetrics on the escapes
+     it defines (backslash, double quote, newline). *)
+  if spans <> [] then begin
+    line "# TYPE ckpt_span_seconds summary";
+    List.iter
+      (fun (t : Span.total) ->
+        let labels =
+          Printf.sprintf "{layer=\"%s\",name=\"%s\"}" (String.escaped t.layer)
+            (String.escaped t.name)
+        in
+        line "ckpt_span_seconds_sum%s %s" labels (float_str t.seconds);
+        line "ckpt_span_seconds_count%s %d" labels t.count)
+      spans
+  end;
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
 
@@ -92,13 +101,6 @@ let openmetrics snap =
 let json_of_value = function
   | Metrics.Counter n -> Json.Obj [ ("type", Json.Str "counter"); ("value", Json.Num (float_of_int n)) ]
   | Metrics.Gauge v -> Json.Obj [ ("type", Json.Str "gauge"); ("value", Json.Num v) ]
-  | Metrics.Timer { seconds; calls } ->
-      Json.Obj
-        [
-          ("type", Json.Str "timer");
-          ("seconds", Json.Num seconds);
-          ("calls", Json.Num (float_of_int calls));
-        ]
   | Metrics.Histogram h ->
       Json.Obj
         ([
@@ -117,12 +119,22 @@ let json_of_value = function
             ("p99", Json.Num (Metrics.histogram_quantile h 0.99));
           ])
 
-let jsonl_sample ~ts snap =
+let json_of_span (t : Span.total) =
+  Json.Obj
+    [
+      ("layer", Json.Str t.layer);
+      ("name", Json.Str t.name);
+      ("seconds", Json.Num t.seconds);
+      ("count", Json.Num (float_of_int t.count));
+    ]
+
+let jsonl_sample ?(spans = []) ~ts snap =
   Json.to_string
     (Json.Obj
        [
          ("ts", Json.Num ts);
          ("metrics", Json.Obj (List.map (fun (name, v) -> (name, json_of_value v)) snap));
+         ("spans", Json.Arr (List.map json_of_span spans));
        ])
 
 (* -- publication ------------------------------------------------------------ *)
@@ -135,9 +147,8 @@ let out_path () =
 let series_path () = out_path () ^ ".jsonl"
 
 let interval () =
-  match Option.bind (Sys.getenv_opt "CKPT_METRICS_INTERVAL") float_of_string_opt with
-  | Some dt when dt > 0. && Float.is_finite dt -> Some dt
-  | _ -> None
+  Provenance.env_float "CKPT_METRICS_INTERVAL" ~want:"a positive number of seconds"
+    ~valid:(fun dt -> dt > 0. && Float.is_finite dt)
 
 (* Serialize concurrent publishers (the sampler thread and the at_exit
    final flush can overlap). *)
@@ -146,6 +157,7 @@ let publish_lock = Mutex.create ()
 let publish () =
   try
     let snap = Metrics.snapshot () in
+    let spans = Span.merge (Span.tracks ()) in
     let ts = Unix.gettimeofday () in
     Mutex.lock publish_lock;
     Fun.protect
@@ -154,12 +166,12 @@ let publish () =
         (* The textfile is replaced atomically; the series is a plain
            append (one line per sample — a crash can at worst truncate
            the final line, which readers skip). *)
-        Atomic_file.write ~fsync:false ~path:(out_path ()) (openmetrics snap);
+        Atomic_file.write ~fsync:false ~path:(out_path ()) (openmetrics ~spans snap);
         let oc = open_out_gen [ Open_append; Open_creat ] 0o644 (series_path ()) in
         Fun.protect
           ~finally:(fun () -> close_out oc)
           (fun () ->
-            output_string oc (jsonl_sample ~ts snap);
+            output_string oc (jsonl_sample ~spans ~ts snap);
             output_char oc '\n'))
   with exn ->
     (* The sampler must never take the process down. *)
@@ -181,6 +193,7 @@ let ensure_sampler () =
     match interval () with
     | Some dt ->
         Metrics.set_enabled true;
+        Span.set_enabled true;
         at_exit (fun () ->
             Atomic.set stop_requested true;
             publish ());
@@ -190,6 +203,7 @@ let ensure_sampler () =
            gets a final snapshot at exit. *)
         if Sys.getenv_opt "CKPT_METRICS_OUT" <> None then begin
           Metrics.set_enabled true;
+          Span.set_enabled true;
           at_exit publish
         end
   end

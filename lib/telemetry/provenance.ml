@@ -8,8 +8,6 @@
    costs one stat and a few hundred bytes, and reproducibility is not
    an opt-in property. *)
 
-let json_escape = Trace_export.json_escape
-
 (* The git revision is a process-constant: one subprocess per process,
    on first use.  Memoized behind a mutex rather than [lazy]: sidecars
    are written from inside parallel regions (sweep-store units), and
@@ -47,15 +45,45 @@ let ckpt_environment () =
          | _ -> None)
   |> List.sort compare
 
-let domain_count () =
-  match Sys.getenv_opt "CKPT_DOMAINS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some _ | None -> Domain.recommended_domain_count ())
-  | None -> Domain.recommended_domain_count ()
+(* -- knob readers -------------------------------------------------------------
 
-let quote s = Printf.sprintf "\"%s\"" (json_escape s)
+   A malformed CKPT_* value falls back to the knob's default, but never
+   silently: the sidecar records the raw value, so running with the
+   default unannounced would publish an artifact claiming a setting it
+   was not computed with.  Each distinct (knob, value) pair warns once —
+   readers such as CKPT_DOMAINS run on every fan-out. *)
+
+let warned = Hashtbl.create 8
+let warned_lock = Mutex.create ()
+
+let warn_malformed name raw ~want =
+  Mutex.protect warned_lock (fun () ->
+      if not (Hashtbl.mem warned (name, raw)) then begin
+        Hashtbl.add warned (name, raw) ();
+        Printf.eprintf "ckpt: ignoring malformed %s=%S (want %s; using the default)\n%!" name raw
+          want
+      end)
+
+let env_number parse name ~want ~valid =
+  match Sys.getenv_opt name with
+  | None -> None
+  | Some raw when String.trim raw = "" -> None
+  | Some raw -> (
+      match parse (String.trim raw) with
+      | Some v when valid v -> Some v
+      | Some _ | None ->
+          warn_malformed name raw ~want;
+          None)
+
+let env_int = env_number int_of_string_opt
+let env_float = env_number float_of_string_opt
+
+let domain_count () =
+  Option.value
+    (env_int "CKPT_DOMAINS" ~want:"an integer >= 1" ~valid:(fun n -> n >= 1))
+    ~default:(Domain.recommended_domain_count ())
+
+let quote s = Printf.sprintf "\"%s\"" (Json.escape s)
 
 let manifest ?(extra = []) () =
   let buf = Buffer.create 512 in

@@ -17,6 +17,17 @@ val write_sidecar : ?extra:(string * string) list -> path:string -> unit -> unit
 (** Write the manifest next to [path].  Never raises (a sidecar must
     not break the write of the artifact itself). *)
 
+val env_int : string -> want:string -> valid:(int -> bool) -> int option
+(** [env_int name ~want ~valid] reads the [CKPT_*] knob [name] as an
+    integer.  Unset or blank is [None]; so is a malformed value (not an
+    integer, or rejected by [valid]), which also warns on stderr, once
+    per distinct value: [ckpt: ignoring malformed NAME="v" (want WANT;
+    using the default)].  Every integer knob reads through here. *)
+
+val env_float : string -> want:string -> valid:(float -> bool) -> float option
+(** {!env_int} for floating-point knobs. *)
+
 val domain_count : unit -> int
-(** The effective fan-out width: [CKPT_DOMAINS] if valid, else the
-    runtime's recommended domain count. *)
+(** The effective fan-out width: [CKPT_DOMAINS] if valid (a malformed
+    value warns through {!env_int}), else the runtime's recommended
+    domain count. *)

@@ -10,21 +10,6 @@
      events are instants ("i").  Timestamps are simulated seconds
      exported as microseconds (the trace_event unit). *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* JSON numbers: finite floats only ("%.17g" round-trips doubles but
    is noisy; %g at 12 significant digits is exact at the microsecond
    over any simulated horizon we produce). *)
@@ -52,7 +37,7 @@ let event_fields = function
 
 let jsonl_line ~buffer_name e =
   let kind, fields = event_fields e in
-  let fields = ("run", Printf.sprintf "%S" (json_escape buffer_name)) :: fields in
+  let fields = ("run", Printf.sprintf "%S" (Json.escape buffer_name)) :: fields in
   Printf.sprintf "{\"event\":\"%s\",%s}" kind
     (String.concat "," (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%s" k v) fields))
 
@@ -109,7 +94,7 @@ let write_chrome oc buffers =
         (Printf.sprintf
            "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
            tid
-           (json_escape (Tracer.name b)));
+           (Json.escape (Tracer.name b)));
       List.iter (fun e -> emit (chrome_event ~tid e)) (Tracer.to_list b))
     buffers;
   output_string oc "\n]}\n"
@@ -123,68 +108,6 @@ let write ~path buffers =
   Fun.protect
     ~finally:(fun () -> close_out oc)
     (fun () -> if is_jsonl path then write_jsonl oc buffers else write_chrome oc buffers)
-
-(* -- flight-recorder export ------------------------------------------------ *)
-
-(* One Chrome thread per worker track.  Flight-recorder timestamps are
-   absolute Unix times; rebase on the earliest recorded instant so the
-   trace opens at t=0 instead of 1.7e9 seconds. *)
-let write_flight_chrome oc tracks =
-  let epoch =
-    List.fold_left
-      (fun acc t ->
-        match Flight_recorder.spans t with
-        | [] -> acc
-        | { Flight_recorder.sp_t0; _ } :: _ -> Float.min acc sp_t0)
-      infinity tracks
-  in
-  let epoch = if Float.is_finite epoch then epoch else 0. in
-  output_string oc "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";
-  let first = ref true in
-  let emit line =
-    if !first then first := false else output_string oc ",\n";
-    output_string oc line
-  in
-  List.iteri
-    (fun tid t ->
-      emit
-        (Printf.sprintf
-           "{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":0,\"tid\":%d,\"args\":{\"name\":\"%s\"}}"
-           tid
-           (json_escape (Flight_recorder.track_name t)));
-      List.iter
-        (fun { Flight_recorder.sp_state; sp_t0; sp_t1 } ->
-          let name = Flight_recorder.state_name sp_state in
-          if sp_t1 > sp_t0 then
-            emit (span_json ~tid ~name ~t0:(sp_t0 -. epoch) ~t1:(sp_t1 -. epoch) ~args:"")
-          else emit (instant_json ~tid ~name ~at:(sp_t0 -. epoch) ~args:""))
-        (Flight_recorder.spans t))
-    tracks;
-  output_string oc "\n]}\n"
-
-let write_flight ~path tracks =
-  let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_flight_chrome oc tracks)
-
-let flight_at_exit_installed = Atomic.make false
-
-let write_flight_registered () =
-  match Flight_recorder.out_path () with
-  | None -> ()
-  | Some path ->
-      let tracks = Flight_recorder.tracks () in
-      if List.exists (fun t -> Flight_recorder.spans t <> []) tracks then begin
-        write_flight ~path tracks;
-        let dropped = List.fold_left (fun a t -> a + Flight_recorder.dropped t) 0 tracks in
-        Printf.eprintf "[sched-trace] wrote %d worker track(s) to %s%s\n%!" (List.length tracks)
-          path
-          (if dropped > 0 then
-             Printf.sprintf " (%d spans dropped; raise CKPT_SCHED_TRACE_CAP)" dropped
-           else "")
-      end
-
-let ensure_flight_at_exit () =
-  if not (Atomic.exchange flight_at_exit_installed true) then at_exit write_flight_registered
 
 (* End-of-process export of everything the sink accumulated.  The hook
    is installed at most once, on the first registration-producing code

@@ -18,23 +18,5 @@ val ensure_at_exit : unit -> unit
     Called by the evaluation harness when tracing is armed, so any
     binary that runs an evaluation exports its trace on exit. *)
 
-val write_flight : path:string -> Flight_recorder.track list -> unit
-(** Chrome trace_event export of scheduler flight-recorder tracks: one
-    named thread per worker, state intervals as complete ("X") events,
-    zero-duration spans (unpark) as instants, timestamps rebased to
-    the earliest recorded span. *)
-
-val write_flight_registered : unit -> unit
-(** Write all flight-recorder tracks to [Flight_recorder.out_path],
-    if set and any track recorded spans. *)
-
-val ensure_flight_at_exit : unit -> unit
-(** Install {!write_flight_registered} as an [at_exit] hook
-    (idempotent).  Called by the scheduler when [CKPT_SCHED_TRACE]
-    names an output path. *)
-
 val jsonl_line : buffer_name:string -> Tracer.event -> string
 (** One event as a JSONL line (exposed for tests). *)
-
-val json_escape : string -> string
-(** JSON string-content escaping (shared with {!Provenance}). *)

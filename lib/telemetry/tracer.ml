@@ -58,13 +58,9 @@ let set_out_path p =
 
 let default_capacity = 65_536
 
-let env_capacity =
-  match Sys.getenv_opt "CKPT_TRACE_CAP" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | Some _ | None -> default_capacity)
-  | None -> default_capacity
+let env_capacity () =
+  Option.value ~default:default_capacity
+    (Provenance.env_int "CKPT_TRACE_CAP" ~want:"an integer >= 1" ~valid:(fun n -> n > 0))
 
 type buffer = {
   name : string;
@@ -82,7 +78,7 @@ let create_buffer ?capacity ~name () =
     match capacity with
     | Some c when c > 0 -> c
     | Some _ -> invalid_arg "Tracer.create_buffer: capacity must be positive"
-    | None -> env_capacity
+    | None -> env_capacity ()
   in
   { name; events = Array.make capacity sentinel; capacity; length = 0; head = 0; dropped = 0 }
 
@@ -150,13 +146,9 @@ let totals b =
 
 let default_max_buffers = 512
 
-let max_buffers =
-  match Sys.getenv_opt "CKPT_TRACE_BUFFERS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n > 0 -> n
-      | Some _ | None -> default_max_buffers)
-  | None -> default_max_buffers
+let max_buffers () =
+  Option.value ~default:default_max_buffers
+    (Provenance.env_int "CKPT_TRACE_BUFFERS" ~want:"an integer >= 1" ~valid:(fun n -> n > 0))
 
 let sink_lock = Mutex.create ()
 let sink : buffer list ref = ref []
@@ -164,6 +156,7 @@ let sink_length = ref 0
 let sink_rejected = ref 0
 
 let register b =
+  let max_buffers = max_buffers () in
   Mutex.lock sink_lock;
   if !sink_length < max_buffers then begin
     sink := b :: !sink;

@@ -12,6 +12,8 @@ module Replication = Ckpt_experiments.Replication
 module P = Ckpt_platform
 module S = Ckpt_simulator
 module F = Ckpt_failures
+module Tracer = Ckpt_telemetry.Tracer
+module Metrics_export = Ckpt_telemetry.Metrics_export
 
 let check = Alcotest.check
 let close ?(tol = 1e-9) msg expected actual =
@@ -80,7 +82,40 @@ let test_config_malformed () =
   let c, printed = default_with [ ("CKPT_TRACES", "0"); ("CKPT_SEED", "-7") ] in
   check Alcotest.int "CKPT_TRACES=0 means the default" 0 c.Config.replicates;
   check Alcotest.int64 "negative seeds are valid" (-7L) c.Config.seed;
-  check Alcotest.string "well-formed values print nothing" "" printed
+  check Alcotest.string "well-formed values print nothing" "" printed;
+  (* Every other numeric knob reads through the same warn-once reader:
+     run each knob's reader with the knob malformed. *)
+  let job () =
+    Setup.scenario ~config:Config.quick
+      ~dist:(Setup.distribution Setup.Exponential ~mtbf:1e6)
+      ~preset:(P.Presets.petascale ()) ~workload_model:P.Workload.Embarrassingly_parallel
+      ~processors:16 ()
+  in
+  List.iter
+    (fun (knob, bad, read) ->
+      let (), printed = with_env [ (knob, bad) ] (fun () -> capture_stderr read) in
+      check Alcotest.bool
+        (Printf.sprintf "%s=%S warns: %S" knob bad printed)
+        true
+        (contains_sub ~needle:(Printf.sprintf "ckpt: ignoring malformed %s=%S" knob bad) printed))
+    [
+      ("CKPT_TRACE_CACHE", "lots", fun () -> ignore (job ()));
+      ("CKPT_TRACE_CAP", "0", fun () -> ignore (Tracer.create_buffer ~name:"knob" ()));
+      ( "CKPT_TRACE_BUFFERS",
+        "-1",
+        fun () ->
+          Tracer.register (Tracer.create_buffer ~capacity:1 ~name:"knob" ());
+          ignore (Tracer.drain ()) );
+      ("CKPT_DP_CACHE_CAP", "big", fun () -> ignore (Ckpt_policies.Dp_policies.dp_cache_cap ()));
+      ( "CKPT_SWEEP_CLAIM_TTL",
+        "-5",
+        fun () -> ignore (Ckpt_experiments.Sweep_store.Claim.ttl ()) );
+      ("CKPT_METRICS_INTERVAL", "soon", fun () -> ignore (Metrics_export.interval ()));
+      ( "CKPT_SWEEP_WORKERS",
+        "0",
+        fun () -> ignore (Ckpt_experiments.Sweep_workers.default_workers ()) );
+      ("CKPT_DOMAINS", "none", fun () -> ignore (Ckpt_telemetry.Provenance.domain_count ()));
+    ]
 
 (* -- knob table ------------------------------------------------------------------ *)
 

@@ -14,7 +14,6 @@ module Machine = Ckpt_platform.Machine
 module Overhead = Ckpt_platform.Overhead
 module Exponential = Ckpt_distributions.Exponential
 module Weibull = Ckpt_distributions.Weibull
-module Instrument = Ckpt_simulator.Instrument
 module Metrics = Ckpt_telemetry.Metrics
 module Tracer = Ckpt_telemetry.Tracer
 
@@ -1309,31 +1308,6 @@ let test_stripe_size_malformed () =
   with_env "CKPT_SWEEP_STRIPE" " 4 " (fun () ->
       check Alcotest.int "well-formed width" 4 (Evaluation.stripe_size ()))
 
-let test_instrument_scoped_resets () =
-  Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Metrics.set_enabled false;
-      Metrics.reset ~prefix:"stage/" ())
-    (fun () ->
-      let calls () =
-        match Metrics.find "stage/scoping-test" with
-        | Some (Metrics.Timer { calls; _ }) -> calls
-        | _ -> 0
-      in
-      Instrument.scoped ~label:"first study" (fun () ->
-          check Alcotest.bool "in scope" true (Instrument.in_scope ());
-          Instrument.time "scoping-test" (fun () -> ());
-          Instrument.time "scoping-test" (fun () -> ());
-          (* A nested scope must not steal ownership of the timers. *)
-          Instrument.scoped ~label:"nested" (fun () ->
-              Instrument.time "scoping-test" (fun () -> ()));
-          check Alcotest.int "accumulates within one scope" 3 (calls ()));
-      check Alcotest.bool "out of scope" false (Instrument.in_scope ());
-      Instrument.scoped ~label:"second study" (fun () ->
-          Instrument.time "scoping-test" (fun () -> ());
-          check Alcotest.int "fresh timers per outermost scope" 1 (calls ())))
-
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [ prop_metrics_partition; prop_metrics_partition_weibull; prop_stripe_slot_equals_run ]
@@ -1425,7 +1399,6 @@ let () =
             test_traced_weibull_reconciles;
           Alcotest.test_case "cost-profile trace reconciles bitwise" `Quick
             test_traced_cost_profile_reconciles;
-          Alcotest.test_case "instrument scoping" `Quick test_instrument_scoped_resets;
         ] );
       ( "explain",
         [

@@ -1,11 +1,13 @@
 (* Telemetry subsystem: metrics registry semantics, histogram merging,
-   trace ring buffers, export formats and provenance sidecars. *)
+   wall-clock spans, trace ring buffers, export formats and provenance
+   sidecars. *)
 
 module Metrics = Ckpt_telemetry.Metrics
 module Tracer = Ckpt_telemetry.Tracer
 module Trace_export = Ckpt_telemetry.Trace_export
 module Provenance = Ckpt_telemetry.Provenance
-module FR = Ckpt_telemetry.Flight_recorder
+module Span = Ckpt_telemetry.Span
+module Domain_pool = Ckpt_parallel.Domain_pool
 module Json = Ckpt_telemetry.Json
 module Metrics_export = Ckpt_telemetry.Metrics_export
 module Bench_compare = Ckpt_telemetry.Bench_compare
@@ -35,6 +37,21 @@ let with_metrics f =
       Metrics.set_enabled false;
       Metrics.reset ())
 
+(* Fresh tracks with recording on; the calling domain records on a
+   track of its own. *)
+let with_spans f =
+  let was = Span.enabled () in
+  Span.reset ();
+  Span.set_enabled true;
+  Fun.protect f ~finally:(fun () ->
+      Span.set_enabled was;
+      Span.reset ())
+
+let span_total ?since ~layer name =
+  List.find_opt
+    (fun (t : Span.total) -> t.layer = layer && t.name = name)
+    (Span.merge (Span.tracks ?since ()))
+
 (* -- metrics registry ------------------------------------------------------- *)
 
 let test_metrics_kinds () =
@@ -51,14 +68,6 @@ let test_metrics_kinds () =
       (match Metrics.find "test/kinds_gauge" with
       | Some (Metrics.Gauge 7.25) -> ()
       | v -> Alcotest.failf "gauge: unexpected %a" (Fmt.option Metrics.pp_value) v);
-      let t = Metrics.timer "test/kinds_timer" in
-      Metrics.record t 0.5;
-      Metrics.record t 1.5;
-      (match Metrics.find "test/kinds_timer" with
-      | Some (Metrics.Timer { seconds; calls }) ->
-          close "timer seconds" 2.0 seconds;
-          check Alcotest.int "timer calls" 2 calls
-      | v -> Alcotest.failf "timer: unexpected %a" (Fmt.option Metrics.pp_value) v);
       let h = Metrics.histogram "test/kinds_hist" in
       Metrics.observe h 1.0;
       Metrics.observe h 4.0;
@@ -84,22 +93,15 @@ let test_metrics_gating () =
   Metrics.set_enabled false;
   let c = Metrics.counter "test/gated_counter" in
   let h = Metrics.histogram "test/gated_hist" in
-  let t = Metrics.timer "test/gated_timer" in
   Metrics.reset ~prefix:"test/gated" ();
   Metrics.incr c;
   Metrics.observe h 3.0;
-  (* [record] is deliberately unconditional: the caller already paid
-     for the measurement. *)
-  Metrics.record t 1.0;
   (match Metrics.find "test/gated_counter" with
   | Some (Metrics.Counter 0) -> ()
   | _ -> Alcotest.fail "disabled counter must not move");
-  (match Metrics.find "test/gated_hist" with
+  match Metrics.find "test/gated_hist" with
   | Some (Metrics.Histogram s) -> check Alcotest.int "disabled hist empty" 0 s.Metrics.count
-  | _ -> Alcotest.fail "histogram registered");
-  match Metrics.find "test/gated_timer" with
-  | Some (Metrics.Timer { calls = 1; _ }) -> ()
-  | _ -> Alcotest.fail "record must accumulate even when disabled"
+  | _ -> Alcotest.fail "histogram registered"
 
 let test_metrics_reset_prefix () =
   with_metrics (fun () ->
@@ -270,8 +272,8 @@ let test_jsonl_export () =
 
 let test_json_escape () =
   check Alcotest.string "quotes and backslashes" "a\\\"b\\\\c"
-    (Trace_export.json_escape "a\"b\\c");
-  check Alcotest.string "control characters" "tab\\there" (Trace_export.json_escape "tab\there")
+    (Json.escape "a\"b\\c");
+  check Alcotest.string "control characters" "tab\\there" (Json.escape "tab\there")
 
 (* -- histogram algebra: properties ------------------------------------------ *)
 
@@ -313,16 +315,18 @@ let prop_quantile_monotone =
 (* -- domain safety ----------------------------------------------------------- *)
 
 let test_metrics_concurrent_increments () =
+  with_spans @@ fun () ->
   with_metrics (fun () ->
       let c = Metrics.counter "stress/hits" in
-      let t = Metrics.timer "stress/t" in
       let h = Metrics.histogram "stress/h" in
       Metrics.reset ~prefix:"stress/" ();
       let domains = 4 and per = 10_000 in
       let worker () =
         for i = 1 to per do
           Metrics.incr c;
-          Metrics.record t 1e-3;
+          (* Each domain records on its own track; the merge is exact. *)
+          let t0 = float_of_int i in
+          Span.record ~layer:"stress" "span" ~t0 ~t1:(t0 +. 1e-3);
           Metrics.observe h (float_of_int (1 + (i mod 7)))
         done
       in
@@ -331,11 +335,12 @@ let test_metrics_concurrent_increments () =
       (match Metrics.find "stress/hits" with
       | Some (Metrics.Counter n) -> check Alcotest.int "no lost counter increments" (domains * per) n
       | _ -> Alcotest.fail "counter registered");
-      (match Metrics.find "stress/t" with
-      | Some (Metrics.Timer { calls; seconds }) ->
-          check Alcotest.int "no lost timer calls" (domains * per) calls;
-          close ~tol:1e-6 "timer sum exact" (float_of_int (domains * per) *. 1e-3) seconds
-      | _ -> Alcotest.fail "timer registered");
+      (match span_total ~layer:"stress" "span" with
+      | Some t ->
+          check Alcotest.int "one track per domain" domains (List.length (Span.tracks ()));
+          check Alcotest.int "no lost spans" (domains * per) t.Span.count;
+          close ~tol:1e-6 "span seconds exact" (float_of_int (domains * per) *. 1e-3) t.Span.seconds
+      | None -> Alcotest.fail "spans recorded");
       match Metrics.find "stress/h" with
       | Some (Metrics.Histogram s) ->
           check Alcotest.int "no lost observations" (domains * per) s.Metrics.count;
@@ -386,16 +391,31 @@ let test_json_rejects_garbage () =
 let test_openmetrics_render () =
   with_metrics (fun () ->
       Metrics.add (Metrics.counter "exp/events") 3;
-      Metrics.record (Metrics.timer "exp/phase_seconds") 0.25;
       let h = Metrics.histogram "exp/latency" in
       List.iter (Metrics.observe h) [ 0.001; 0.01; 0.1; 1.0; 10.0 ];
-      let body = Metrics_export.openmetrics (Metrics.snapshot ()) in
+      Metrics.observe (Metrics.histogram "exp/phase_seconds") 0.25;
+      let spans =
+        [
+          { Span.layer = "simulator.stripe"; name = "Dp \"q\""; seconds = 0.25; count = 2;
+            first = 0.; last = 1. };
+        ]
+      in
+      let body = Metrics_export.openmetrics ~spans (Metrics.snapshot ()) in
       check Alcotest.bool "counter type line" true
         (contains ~needle:"# TYPE ckpt_exp_events counter" body);
       check Alcotest.bool "counter total" true (contains ~needle:"ckpt_exp_events_total 3" body);
-      check Alcotest.bool "timer keeps existing unit suffix" true
+      check Alcotest.bool "histogram keeps existing unit suffix" true
         (contains ~needle:"ckpt_exp_phase_seconds_sum" body);
       check Alcotest.bool "no doubled unit suffix" false (contains ~needle:"_seconds_seconds" body);
+      check Alcotest.bool "span summary type line" true
+        (contains ~needle:"# TYPE ckpt_span_seconds summary" body);
+      check Alcotest.bool "span seconds, labels escaped" true
+        (contains
+           ~needle:{|ckpt_span_seconds_sum{layer="simulator.stripe",name="Dp \"q\""} 0.25|}
+           body);
+      check Alcotest.bool "span count" true
+        (contains ~needle:{|ckpt_span_seconds_count{layer="simulator.stripe",name="Dp \"q\""} 2|}
+           body);
       check Alcotest.bool "histogram gains unit suffix" true
         (contains ~needle:"ckpt_exp_latency_seconds_count 5" body);
       check Alcotest.bool "median quantile line" true
@@ -427,90 +447,176 @@ let test_jsonl_sample_parses () =
           check Alcotest.bool "histogram quantiles ordered" true
             (q "p50" <= q "p90" && q "p90" <= q "p99"))
 
-(* -- flight recorder --------------------------------------------------------- *)
+(* -- spans ---------------------------------------------------------------------- *)
 
-let with_flight f =
-  FR.reset ();
-  Fun.protect f ~finally:FR.reset
+let test_span_totals () =
+  with_spans (fun () ->
+      Span.record ~layer:"test.totals" "phase" ~t0:10. ~t1:10.5;
+      Span.record ~layer:"test.totals" "phase" ~t0:11. ~t1:12.5;
+      check Alcotest.int "time returns f's value" 42
+        (Span.time ~layer:"test.totals" "timed" (fun () -> 42));
+      (match span_total ~layer:"test.totals" "phase" with
+      | Some t ->
+          close "seconds" 2.0 t.Span.seconds;
+          check Alcotest.int "count" 2 t.Span.count;
+          close "first start" 10. t.Span.first;
+          close "last end" 12.5 t.Span.last
+      | None -> Alcotest.fail "phase recorded");
+      check Alcotest.bool "timed span recorded" true
+        (span_total ~layer:"test.totals" "timed" <> None);
+      (* An exception still closes the span. *)
+      (match Span.time ~layer:"test.totals" "raises" (fun () -> failwith "boom") with
+      | () -> Alcotest.fail "must re-raise"
+      | exception Failure _ -> ());
+      check Alcotest.bool "raising span recorded" true
+        (span_total ~layer:"test.totals" "raises" <> None);
+      (* Disabled: [time] still runs [f], and nothing is recorded. *)
+      Span.set_enabled false;
+      let ran = ref false in
+      Span.time ~layer:"test.totals" "gated" (fun () -> ran := true);
+      Span.record ~layer:"test.totals" "gated" ~t0:0. ~t1:1.;
+      check Alcotest.bool "disabled time runs f" true !ran;
+      check Alcotest.bool "disabled records nothing" true
+        (span_total ~layer:"test.totals" "gated" = None))
+
+(* A span enclosing another layer's spans keeps its whole duration,
+   and the domain's attribution counts the encloser once. *)
+let test_span_enclosing_layer () =
+  with_spans (fun () ->
+      let outer_wall =
+        let t0 = Span.now () in
+        Span.time ~layer:"simulator.stripe" "enclosing" (fun () ->
+            for _ = 1 to 3 do
+              Span.time ~layer:"parallel.sched" "run-task" (fun () -> Unix.sleepf 0.01)
+            done);
+        Span.now () -. t0
+      in
+      let seconds layer name =
+        match span_total ~layer name with Some t -> t.Span.seconds | None -> 0.
+      in
+      let stripe = seconds "simulator.stripe" "enclosing" in
+      let sched = seconds "parallel.sched" "run-task" in
+      check Alcotest.bool "nested spans timed" true (sched >= 0.03);
+      check Alcotest.bool "encloser not truncated by nested layers" true (stripe >= sched);
+      check Alcotest.bool "encloser within the measured wall" true (stripe <= outer_wall);
+      match Span.tracks () with
+      | [ t ] -> close ~tol:1e-12 "attribution counts the outermost span once" stripe t.Span.top_seconds
+      | ts -> Alcotest.failf "expected one track, got %d" (List.length ts))
+
+(* Marks make study reports independent: a study's totals are what was
+   recorded since its own mark, however the studies follow or nest. *)
+let test_span_scopes () =
+  with_spans (fun () ->
+      let calls m =
+        match span_total ~since:m ~layer:"test.scope" "scoping-test" with
+        | Some t -> t.Span.count
+        | None -> 0
+      in
+      let tick () = Span.time ~layer:"test.scope" "scoping-test" ignore in
+      let first = Span.mark () in
+      tick ();
+      tick ();
+      let nested = Span.mark () in
+      tick ();
+      check Alcotest.int "a nested study sees its own spans" 1 (calls nested);
+      check Alcotest.int "accumulates within one study" 3 (calls first);
+      check Alcotest.int "scope is transparent when not verbose" 7
+        (Span.scope ~label:"second study" (fun () -> 7));
+      let second = Span.mark () in
+      tick ();
+      check Alcotest.int "fresh totals per study" 1 (calls second))
+
+(* -- flight recorder: each track's ring of recent spans ------------------------- *)
 
 let test_flight_monotone_clamp () =
-  with_flight (fun () ->
-      let t = FR.track ~capacity:16 "fr/clamp" in
-      FR.record t FR.Run_task ~t0:10. ~t1:12.;
+  with_spans (fun () ->
+      let sched = "parallel.sched" in
+      Span.record ~layer:sched "run-task" ~t0:10. ~t1:12.;
       (* A backwards-stepping wall clock must not yield negative or
-         reverse-overlapping spans. *)
-      FR.record t FR.Scan_miss ~t0:11. ~t1:11.5;
-      FR.record t FR.Park ~t0:13. ~t1:12.5;
-      match FR.spans t with
-      | [ a; b; c ] ->
-          close "first span kept" 10. a.FR.sp_t0;
-          close "clamped start" 12. b.FR.sp_t0;
-          close "clamped end" 12. b.FR.sp_t1;
-          close "later start kept" 13. c.FR.sp_t0;
-          close "end clamped to start" 13. c.FR.sp_t1;
+         reverse-overlapping spans within a layer. *)
+      Span.record ~layer:sched "scan-miss" ~t0:11. ~t1:11.5;
+      Span.record ~layer:sched "park" ~t0:13. ~t1:12.5;
+      (* Another layer has its own clock. *)
+      Span.record ~layer:"simulator.stripe" "enclosing" ~t0:9. ~t1:14.;
+      match Span.recent () with
+      | [ (_, [ a; b; c; d ]) ] ->
+          close "first span kept" 10. a.Span.sp_t0;
+          close "clamped start" 12. b.Span.sp_t0;
+          close "clamped end" 12. b.Span.sp_t1;
+          close "later start kept" 13. c.Span.sp_t0;
+          close "end clamped to start" 13. c.Span.sp_t1;
           check Alcotest.bool "spans monotone" true
-            (a.FR.sp_t1 <= b.FR.sp_t0 && b.FR.sp_t1 <= c.FR.sp_t0)
-      | sps -> Alcotest.failf "expected 3 spans, got %d" (List.length sps))
+            (a.Span.sp_t1 <= b.Span.sp_t0 && b.Span.sp_t1 <= c.Span.sp_t0);
+          close "other layer's start kept" 9. d.Span.sp_t0;
+          close "other layer's end kept" 14. d.Span.sp_t1
+      | rings -> Alcotest.failf "expected 1 track, got %d" (List.length rings))
 
 let test_flight_wraparound () =
-  with_flight (fun () ->
-      let t = FR.track ~capacity:4 "fr/wrap" in
-      for i = 0 to 9 do
+  with_spans (fun () ->
+      let extra = 6 in
+      for i = 0 to Span.ring_capacity + extra - 1 do
         let x = float_of_int i in
-        FR.record t FR.Run_task ~t0:x ~t1:(x +. 0.5)
+        Span.record ~layer:"parallel.sched" "run-task" ~t0:x ~t1:(x +. 0.5)
       done;
-      check Alcotest.int "dropped counts overwrites" 6 (FR.dropped t);
-      match FR.spans t with
-      | [ a; _; _; d ] ->
-          close "oldest surviving span" 6. a.FR.sp_t0;
-          close "newest span" 9. d.FR.sp_t0
-      | sps -> Alcotest.failf "expected 4 spans, got %d" (List.length sps))
+      (match Span.tracks () with
+      | [ t ] -> check Alcotest.int "dropped counts overwrites" extra t.Span.dropped
+      | _ -> Alcotest.fail "expected one track");
+      (match span_total ~layer:"parallel.sched" "run-task" with
+      | Some t -> check Alcotest.int "totals stay exact" (Span.ring_capacity + extra) t.Span.count
+      | None -> Alcotest.fail "totals recorded");
+      match Span.recent () with
+      | [ (_, sps) ] ->
+          check Alcotest.int "ring keeps capacity spans" Span.ring_capacity (List.length sps);
+          close "oldest surviving span" (float_of_int extra) (List.hd sps).Span.sp_t0;
+          close "newest span"
+            (float_of_int (Span.ring_capacity + extra - 1))
+            (List.nth sps (Span.ring_capacity - 1)).Span.sp_t0
+      | _ -> Alcotest.fail "expected one track")
+
+(* Two tracks written from one domain by renaming it: each name is its
+   own single-writer track. *)
+let record_on track spans =
+  Span.name_track track;
+  List.iter (fun (state, t0, t1) -> Span.record ~layer:"parallel.sched" state ~t0 ~t1) spans
 
 let test_flight_report () =
-  with_flight (fun () ->
-      let w = FR.track "worker0" in
-      FR.record w FR.Run_task ~t0:0. ~t1:6.;
-      FR.record w FR.Scan_miss ~t0:6. ~t1:9.;
-      FR.record w FR.Park ~t0:9. ~t1:10.;
-      FR.instant w FR.Unpark ~at:10.;
-      let ext = FR.track "external0" in
-      FR.record ext FR.Publish ~t0:0. ~t1:0.5;
-      FR.record ext FR.Run_task ~t0:0.5 ~t1:10.;
-      let reports = FR.report () in
+  with_spans (fun () ->
+      record_on "worker0"
+        [ ("run-task", 0., 6.); ("scan-miss", 6., 9.); ("park", 9., 10.); ("unpark", 10., 10.) ];
+      record_on "external0" [ ("publish", 0., 0.5); ("run-task", 0.5, 10.) ];
+      let reports = Domain_pool.utilization () in
       check Alcotest.int "one report per track" 2 (List.length reports);
-      let wr = List.find (fun r -> r.FR.wr_name = "worker0") reports in
-      close "wall = last end - first start" 10. wr.FR.wr_wall;
-      close "attribution covers the wall" 10. wr.FR.wr_attributed;
-      close "run-task seconds" 6. (FR.state_seconds wr FR.Run_task);
-      check Alcotest.int "unpark counted as an event" 1 (FR.state_count wr FR.Unpark);
-      close "unpark has no duration" 0. (FR.state_seconds wr FR.Unpark);
+      let wr = List.find (fun u -> u.Domain_pool.domain = "worker0") reports in
+      close "wall = last end - first start" 10. wr.Domain_pool.wall;
+      close "attribution covers the wall" 10. wr.Domain_pool.attributed;
+      close "run-task seconds" 6. (Domain_pool.state_seconds [ wr ] "run-task");
+      check Alcotest.int "unpark counted as an event" 1 (Domain_pool.state_count [ wr ] "unpark");
+      close "unpark has no duration" 0. (Domain_pool.state_seconds [ wr ] "unpark");
       (* Empty scans (3 s) beat parking churn (1 s) and publication (0.5 s). *)
-      match FR.dominant_overhead reports with
-      | Some o ->
-          check Alcotest.string "dominant overhead" "empty scans" o.FR.ov_label;
-          close "dominant seconds" 3. o.FR.ov_seconds
-      | None -> Alcotest.fail "expected a dominant overhead")
+      match Domain_pool.overheads reports with
+      | (label, seconds, _) :: _ ->
+          check Alcotest.string "dominant overhead" "empty scans" label;
+          close "dominant seconds" 3. seconds
+      | [] -> Alcotest.fail "expected a dominant overhead")
 
 let test_flight_chrome_golden () =
-  with_flight (fun () ->
-      let w = FR.track "worker0" in
-      FR.record w FR.Run_task ~t0:100.0 ~t1:100.5;
-      FR.record w FR.Scan_miss ~t0:100.5 ~t1:100.6;
-      FR.instant w FR.Unpark ~at:100.6;
-      let ext = FR.track "external0" in
-      FR.record ext FR.Publish ~t0:100.0 ~t1:100.1;
-      let path = Filename.temp_file "ckpt_flight" ".json" in
+  with_spans (fun () ->
+      record_on "worker0" [ ("run-task", 100.0, 100.5); ("scan-miss", 100.5, 100.6); ("unpark", 100.6, 100.6) ];
+      record_on "external0" [ ("publish", 100.0, 100.1) ];
+      Span.record ~layer:"simulator.stripe" "DPNextFailure" ~t0:100.0 ~t1:100.4;
+      let path = Filename.temp_file "ckpt_spans" ".json" in
       Fun.protect
         ~finally:(fun () -> Sys.remove path)
         (fun () ->
-          Trace_export.write_flight ~path (FR.tracks ());
+          Span.write_chrome ~path;
           let body = read_file path in
           match Json.parse body with
-          | Error e -> Alcotest.failf "flight trace is not valid JSON: %s" e
+          | Error e -> Alcotest.failf "span trace is not valid JSON: %s" e
           | Ok j ->
               let events = Option.get (Option.bind (Json.member j "traceEvents") Json.to_list) in
               check Alcotest.bool "has events" true (events <> []);
-              let ph ev = Option.bind (Json.member ev "ph") Json.to_string_opt in
+              let str ev k = Option.bind (Json.member ev k) Json.to_string_opt in
+              let ph ev = str ev "ph" in
               let names =
                 List.filter_map
                   (fun ev ->
@@ -528,6 +634,7 @@ let test_flight_chrome_golden () =
                   check Alcotest.bool "pid present" true (has "pid");
                   check Alcotest.bool "tid present" true (has "tid");
                   if ph ev <> Some "M" then begin
+                    check Alcotest.bool "cat present" true (has "cat");
                     check Alcotest.bool "ts present" true (has "ts");
                     check Alcotest.bool "ts rebased to trace start" true
                       (Option.get (Option.bind (Json.member ev "ts") Json.to_float) >= 0.)
@@ -535,7 +642,10 @@ let test_flight_chrome_golden () =
                 events;
               let phs = List.filter_map ph events in
               check Alcotest.bool "complete spans present" true (List.mem "X" phs);
-              check Alcotest.bool "instant events present" true (List.mem "i" phs)))
+              check Alcotest.bool "instant events present" true (List.mem "i" phs);
+              let cats = List.filter_map (fun ev -> str ev "cat") events in
+              check Alcotest.bool "every layer exported" true
+                (List.mem "parallel.sched" cats && List.mem "simulator.stripe" cats)))
 
 (* -- bench trajectory -------------------------------------------------------- *)
 
@@ -759,7 +869,7 @@ let () =
     [
       ( "metrics registry",
         [
-          Alcotest.test_case "counter/gauge/timer/histogram" `Quick test_metrics_kinds;
+          Alcotest.test_case "counter/gauge/histogram" `Quick test_metrics_kinds;
           Alcotest.test_case "kind mismatch raises" `Quick test_metrics_kind_mismatch;
           Alcotest.test_case "disabled gating" `Quick test_metrics_gating;
           Alcotest.test_case "reset by prefix" `Quick test_metrics_reset_prefix;
@@ -784,6 +894,12 @@ let () =
         [
           Alcotest.test_case "openmetrics textfile" `Quick test_openmetrics_render;
           Alcotest.test_case "jsonl sample parses" `Quick test_jsonl_sample_parses;
+        ] );
+      ( "spans",
+        [
+          Alcotest.test_case "totals and gating" `Quick test_span_totals;
+          Alcotest.test_case "enclosing layer keeps duration" `Quick test_span_enclosing_layer;
+          Alcotest.test_case "back-to-back scopes" `Quick test_span_scopes;
         ] );
       ( "flight recorder",
         [
