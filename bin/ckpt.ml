@@ -12,10 +12,9 @@
      trace-stats  generate traces and report their empirical statistics
      gen-log      write a synthetic LANL-style availability log
      fit-log      MLE-fit lifetime models to an availability log
-     experiment   regenerate a paper table/figure by id
+     experiment   regenerate paper tables/figures by id
      sweep        run experiments against a resumable checkpoint store
-     sched-report per-domain utilization breakdown of the domain pool
-     bench        diff/check BENCH_*.json artifacts (regression tooling) *)
+     sched-report per-domain utilization breakdown of the domain pool *)
 
 open Cmdliner
 module D = Ckpt_distributions
@@ -580,127 +579,45 @@ let sched_report_cmd =
           busy/scan/idle utilization breakdown of the scheduler naming the dominant overhead.")
     term
 
-(* -- bench diff / bench check ------------------------------------------------ *)
-
-let bench_diff_cmd =
-  let old_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"OLD.json") in
-  let new_arg = Arg.(required & pos 1 (some string) None & info [] ~docv:"NEW.json") in
-  let threshold_arg =
-    let doc =
-      "Override every per-metric threshold (relative percent for rates/times, percentage \
-       points for *_percent metrics)."
-    in
-    Arg.(value & opt (some float) None & info [ "threshold" ] ~docv:"PCT" ~doc)
-  in
-  let run old_path new_path threshold =
-    match T.Bench_compare.diff ?threshold ~old_path ~new_path () with
-    | Error msg ->
-        Printf.eprintf "ckpt bench diff: %s\n" msg;
-        exit T.Bench_compare.exit_error
-    | Ok v ->
-        (* Machine-readable verdict on stdout, human summary on stderr. *)
-        print_endline (T.Json.to_string ~pretty:true (T.Bench_compare.verdict_json v));
-        List.iter
-          (fun m -> Printf.eprintf "incomparable: %s\n" m)
-          v.T.Bench_compare.v_config_mismatches;
-        List.iter
-          (fun c ->
-            if c.T.Bench_compare.c_regressed || c.T.Bench_compare.c_improved then
-              Printf.eprintf "%s %s: %g -> %g (%+.1f%s, threshold %g)\n"
-                (if c.T.Bench_compare.c_regressed then "REGRESSION" else "improvement")
-                c.T.Bench_compare.c_metric c.T.Bench_compare.c_old c.T.Bench_compare.c_new
-                c.T.Bench_compare.c_delta
-                (match c.T.Bench_compare.c_direction with
-                | T.Bench_compare.Lower_better_pp -> "pp"
-                | _ -> "%")
-                c.T.Bench_compare.c_threshold)
-          v.T.Bench_compare.v_comparisons;
-        exit (T.Bench_compare.exit_code v)
-  in
-  let term = Term.(const run $ old_arg $ new_arg $ threshold_arg) in
-  Cmd.v
-    (Cmd.info "diff"
-       ~doc:
-         "Compare two BENCH_*.json artifacts provenance-aware: per-metric thresholds, \
-          machine-readable verdict on stdout, nonzero exit on regression, distinct exit \
-          code (3) when the sidecars disagree on domain or core count.")
-    term
-
-let bench_check_cmd =
-  let dir_arg =
-    Arg.(value & pos 0 string "." & info [] ~docv:"DIR" ~doc:"Directory holding BENCH_*.json.")
-  in
-  let run dir =
-    let results = T.Bench_compare.check ~dir in
-    if results = [] then begin
-      Printf.eprintf "ckpt bench check: no BENCH_*.json under %s\n" dir;
-      exit T.Bench_compare.exit_error
-    end;
-    let failed = ref false in
-    List.iter
-      (fun (path, problems) ->
-        match problems with
-        | [] -> (
-            (* A clean artifact must also survive self-comparison. *)
-            match T.Bench_compare.diff ~old_path:path ~new_path:path () with
-            | Ok v when T.Bench_compare.exit_code v = 0 -> Printf.printf "ok  %s\n" path
-            | Ok v ->
-                failed := true;
-                Printf.printf "BAD %s: self-diff exit %d\n" path (T.Bench_compare.exit_code v)
-            | Error msg ->
-                failed := true;
-                Printf.printf "BAD %s: self-diff failed: %s\n" path msg)
-        | problems ->
-            failed := true;
-            List.iter (fun p -> Printf.printf "BAD %s\n" p) problems)
-      results;
-    exit (if !failed then T.Bench_compare.exit_regression else 0)
-  in
-  let term = Term.(const run $ dir_arg) in
-  Cmd.v
-    (Cmd.info "check"
-       ~doc:
-         "Validate every BENCH_*.json in a directory: parseable, named bench, provenance \
-          sidecar present, and self-comparison clean.")
-    term
-
-let bench_cmd =
-  Cmd.group
-    (Cmd.info "bench"
-       ~doc:"Bench-trajectory tooling: diff two artifacts, or sanity-check a directory.")
-    [ bench_diff_cmd; bench_check_cmd ]
-
 (* -- experiment ------------------------------------------------------------ *)
 
+(* Shared by experiment and sweep: the environment's configuration
+   with the command line's --full and --traces applied, and the run of
+   the given ids in order (no id, or "all", runs the whole registry). *)
+let full_arg = Arg.(value & flag & info [ "full" ] ~doc:"Paper-scale parameters.")
+
+let traces_arg =
+  Arg.(value & opt int 0 & info [ "traces" ] ~docv:"N" ~doc:"Replicates per configuration.")
+
+let experiment_config ~full ~traces =
+  let config = E.Config.default () in
+  {
+    config with
+    E.Config.full = config.E.Config.full || full;
+    replicates = (if traces > 0 then traces else config.E.Config.replicates);
+  }
+
+let run_ids config ids =
+  match ids with
+  | [] | [ "all" ] -> E.Registry.run_all config
+  | ids ->
+      List.iter
+        (fun id ->
+          match E.Registry.find id with
+          | Some e -> e.E.Registry.run config
+          | None ->
+              Printf.eprintf "unknown experiment %S; known: %s\n" id
+                (String.concat ", " (E.Registry.ids ()));
+              exit 2)
+        ids
+
 let experiment_cmd =
-  let id_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"ID")
+  let ids_arg =
+    Arg.(non_empty & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids, or 'all'.")
   in
-  let full_arg = Arg.(value & flag & info [ "full" ] ~doc:"Paper-scale parameters.") in
-  let run id full traces =
-    let config = E.Config.default () in
-    let config =
-      {
-        config with
-        E.Config.full = config.E.Config.full || full;
-        replicates = (if traces > 0 then traces else config.E.Config.replicates);
-      }
-    in
-    if id = "all" then E.Registry.run_all config
-    else begin
-      match E.Registry.find id with
-      | Some e -> e.E.Registry.run config
-      | None ->
-          Printf.eprintf "unknown experiment %S; known: %s\n" id
-            (String.concat ", " (E.Registry.ids ()));
-          exit 2
-    end
-  in
-  let traces_arg =
-    Arg.(value & opt int 0 & info [ "traces" ] ~docv:"N" ~doc:"Replicates per configuration.")
-  in
-  let term = Term.(const run $ id_arg $ full_arg $ traces_arg) in
-  Cmd.v (Cmd.info "experiment" ~doc:"Regenerate a paper table/figure by id (or 'all').") term
+  let run ids full traces = run_ids (experiment_config ~full ~traces) ids in
+  let term = Term.(const run $ ids_arg $ full_arg $ traces_arg) in
+  Cmd.v (Cmd.info "experiment" ~doc:"Regenerate paper tables/figures by id (or 'all').") term
 
 (* -- sweep ----------------------------------------------------------------- *)
 
@@ -716,10 +633,6 @@ let sweep_cmd =
     in
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"DIR" ~doc)
   in
-  let full_arg = Arg.(value & flag & info [ "full" ] ~doc:"Paper-scale parameters.") in
-  let traces_arg =
-    Arg.(value & opt int 0 & info [ "traces" ] ~docv:"N" ~doc:"Replicates per configuration.")
-  in
   let workers_arg =
     let doc =
       "Worker processes claiming units from the shared store (claim markers arbitrate, no \
@@ -728,20 +641,6 @@ let sweep_cmd =
     in
     Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N" ~doc)
   in
-  let run_ids config ids =
-    match ids with
-    | [] | [ "all" ] -> E.Registry.run_all config
-    | ids ->
-        List.iter
-          (fun id ->
-            match E.Registry.find id with
-            | Some e -> e.E.Registry.run config
-            | None ->
-                Printf.eprintf "unknown experiment %S; known: %s\n" id
-                  (String.concat ", " (E.Registry.ids ()));
-                exit 2)
-          ids
-  in
   let print_stats ~label (s : E.Sweep_store.stats) =
     Printf.printf
       "%s: %d units skipped, %d computed, %d invalidated, %d claimed, %d busy, %d reaped\n%!"
@@ -749,7 +648,7 @@ let sweep_cmd =
       s.E.Sweep_store.claimed s.E.Sweep_store.busy s.E.Sweep_store.reaped
   in
   let run ids resume full traces workers =
-    let config = E.Config.default () in
+    let config = experiment_config ~full ~traces in
     let dir =
       match resume with
       | Some d -> d
@@ -760,15 +659,7 @@ let sweep_cmd =
               prerr_endline "ckpt sweep: pass --resume DIR (or set CKPT_SWEEP_DIR)";
               exit 2)
     in
-    let replicates = if traces > 0 then traces else config.E.Config.replicates in
-    let config =
-      {
-        config with
-        E.Config.full = config.E.Config.full || full;
-        replicates;
-        sweep_dir = Some dir;
-      }
-    in
+    let config = { config with E.Config.sweep_dir = Some dir } in
     let store = E.Sweep_store.create ~dir in
     E.Sweep_store.reset_stats ();
     match E.Sweep_workers.worker_index () with
@@ -792,7 +683,7 @@ let sweep_cmd =
           let args =
             Array.of_list
               (Sys.argv.(0) :: "sweep" :: "--resume" :: dir :: "--traces"
-               :: string_of_int replicates
+               :: string_of_int config.E.Config.replicates
                :: ((if config.E.Config.full then [ "--full" ] else []) @ ids))
           in
           Printf.printf "sweep: launching %d workers over %s\n%!" workers dir;
@@ -856,5 +747,5 @@ let () =
           [
             period_cmd; simulate_cmd; schedule_cmd; mtbf_cmd; waste_cmd; trace_cmd;
             explain_cmd; stats_cmd; trace_stats_cmd; gen_log_cmd; fit_log_cmd; experiment_cmd;
-            sweep_cmd; sched_report_cmd; bench_cmd;
+            sweep_cmd; sched_report_cmd;
           ]))

@@ -104,7 +104,6 @@ module Telemetry = struct
   module Span = Ckpt_telemetry.Span
   module Provenance = Ckpt_telemetry.Provenance
   module Json = Ckpt_telemetry.Json
-  module Bench_compare = Ckpt_telemetry.Bench_compare
 end
 
 (** Discrete-event simulation and evaluation. *)

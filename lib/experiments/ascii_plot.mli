@@ -3,7 +3,7 @@
     The studies print their series as columns; this renders the same
     data as a character-cell chart (one glyph per series, shared
     canvas, a legend, linear or log-2 x-axis), so
-    [dune exec bin/experiments.exe -- fig4] shows the *shape* the
+    [dune exec bin/ckpt.exe -- experiment fig4] shows the *shape* the
     paper's Figure 4 shows: flat DPNextFailure under rising periodic
     heuristics. *)
 

@@ -162,18 +162,26 @@ let launch ~store ~workers ~exe ~args ?(progress = fun ~alive:_ ~units:_ -> ()) 
     let scratch = results_scratch ~dir ~index in
     Atomic_file.mkdir_p scratch;
     Atomic_file.remove (stats_path ~dir ~index);
+    (* Every process exports its spans at exit; a worker inheriting
+       the parent's path would be overwritten by the parent. *)
+    let spans_out =
+      match Sys.getenv_opt "CKPT_SPANS_OUT" with
+      | None | Some "" -> []
+      | Some path -> [ ("CKPT_SPANS_OUT", Printf.sprintf "%s.worker-%02d" path index) ]
+    in
     let env =
       env_with
-        [
-          (env_var, string_of_int index);
-          ("CKPT_DOMAINS", string_of_int per_worker);
-          (* Workers re-run the full study code, including its CSV
-             writers, against placeholder-polluted in-process tables;
-             their output goes to a scratch directory (and their chatter
-             to the log file) so only the parent's canonical pass writes
-             user-visible artifacts. *)
-          ("CKPT_RESULTS_DIR", scratch);
-        ]
+        ([
+           (env_var, string_of_int index);
+           ("CKPT_DOMAINS", string_of_int per_worker);
+           (* Workers re-run the full study code, including its CSV
+              writers, against placeholder-polluted in-process tables;
+              their output goes to a scratch directory (and their chatter
+              to the log file) so only the parent's canonical pass writes
+              user-visible artifacts. *)
+           ("CKPT_RESULTS_DIR", scratch);
+         ]
+        @ spans_out)
     in
     let fd = Unix.openfile log [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
     let pid =

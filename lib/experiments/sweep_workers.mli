@@ -70,9 +70,11 @@ val launch :
     [CKPT_SWEEP_WORKER=<index>], [CKPT_DOMAINS] split evenly across
     workers, stdout/stderr to [worker-<index>.log] and
     [CKPT_RESULTS_DIR] pointed at a per-worker scratch directory —
-    both inside the store directory.  Waits for every child
-    (classifying clean exits, failures and signals), reads the stats
-    files, reaps all leftover claims, and returns the summary.
+    both inside the store directory.  When [CKPT_SPANS_OUT=f] is set,
+    worker [i] exports its spans to [f.worker-NN] ([NN] = [i] in two
+    digits) instead.  Waits for every child (classifying clean exits,
+    failures and signals), reads the stats files, reaps all leftover
+    claims, and returns the summary.
     [progress] is called whenever the number of completed units in the
     store changes.  The caller runs the canonical pass after this
     returns.

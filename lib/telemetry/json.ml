@@ -1,9 +1,9 @@
 (* A minimal JSON reader/writer.
 
-   The container has no JSON package, and the repository's needs are
-   small: parse the flat-ish BENCH_*.json artifacts and their
-   provenance sidecars, validate Chrome trace_event exports in tests,
-   and render machine-readable verdicts.  This is a complete JSON
+   The project depends on no JSON package, and its needs are small:
+   read sweep workers' stats files and the end-to-end benchmark's
+   records, validate Chrome trace_event exports, and render
+   provenance manifests and metrics samples.  This is a complete JSON
    parser (objects, arrays, strings with escapes, numbers, literals)
    with one representational simplification: all numbers are floats,
    which is exactly how every producer in this repository writes
@@ -222,11 +222,8 @@ let parse s =
 
 let member j key = match j with Obj fields -> List.assoc_opt key fields | _ -> None
 
-let path j keys = List.fold_left (fun acc k -> Option.bind acc (fun j -> member j k)) (Some j) keys
-
 let to_float = function Num v -> Some v | _ -> None
 let to_string_opt = function Str s -> Some s | _ -> None
-let to_bool = function Bool b -> Some b | _ -> None
 let to_list = function Arr l -> Some l | _ -> None
 let keys = function Obj fields -> List.map fst fields | _ -> []
 

@@ -1,9 +1,8 @@
 (** Minimal self-contained JSON reader/writer.
 
-    Used by the bench-trajectory tooling ([Bench_compare]) to parse
-    [BENCH_*.json] artifacts and their provenance sidecars, by the
-    metrics sampler to append JSONL time-series, and by tests to
-    validate Chrome trace_event exports.  Numbers are represented as
+    Used to read sweep workers' stats files and the end-to-end
+    benchmark's records, by the metrics sampler to append JSONL
+    time-series, and to validate Chrome trace_event exports.  Numbers are represented as
     floats — every JSON producer in this repository emits numbers
     that fit. *)
 
@@ -22,12 +21,8 @@ val parse : string -> (t, string) result
 val member : t -> string -> t option
 (** [member j key] is the value bound to [key] when [j] is an object. *)
 
-val path : t -> string list -> t option
-(** [path j ["a"; "b"]] descends through nested objects. *)
-
 val to_float : t -> float option
 val to_string_opt : t -> string option
-val to_bool : t -> bool option
 val to_list : t -> t list option
 
 val keys : t -> string list

@@ -66,7 +66,8 @@ fi
 # -- multi-process worker smoke ------------------------------------------------
 # A 2-worker sweep must produce byte-identical CSVs; a SIGKILLed worker
 # must neither wedge the sweep (its claims are reaped) nor corrupt the
-# store (partial writes fail the checksum and are recomputed).
+# store (partial writes fail the checksum and are recomputed).  An
+# uninterrupted 4-worker sweep must match the serial bytes too.
 echo "== sweep worker-mode smoke =="
 
 echo "-- 2-worker run, one worker SIGKILLed mid-sweep"
@@ -101,9 +102,21 @@ for ref_csv in "$smoke"/ref/*.csv; do
   fi
 done
 
+echo "-- uninterrupted 4-worker run"
+CKPT_RESULTS_DIR="$smoke/w4" \
+  "$ckpt" sweep --resume "$smoke/w4_store" --workers 4 sweep-smoke > "$smoke/w4.log"
+
+for ref_csv in "$smoke"/ref/*.csv; do
+  w4_csv="$smoke/w4/$(basename "$ref_csv")"
+  if ! cmp -s "$ref_csv" "$w4_csv"; then
+    echo "FAIL: 4-worker $(basename "$ref_csv") differs from the serial run" >&2
+    status=1
+  fi
+done
+
 if [ "$status" -eq 0 ]; then
   echo "sweep smoke: resumed tables byte-identical; completed units skipped"
-  echo "worker smoke: 2-worker sweep survived SIGKILL and matches serial bytes"
+  echo "worker smoke: 2-worker sweep survived SIGKILL, and it and a 4-worker sweep match serial bytes"
   echo "domain matrix: green at CKPT_DOMAINS = 1, 2 and 4"
 fi
 exit "$status"

@@ -1292,6 +1292,43 @@ let test_stripe_dp_policy_bit_identical () =
   let stripe = Engine.run_stripe ~scenario ~traces ~policy () in
   check Alcotest.bool "DP policy stripe slot k == run on traces k" true (compare single stripe = 0)
 
+let test_stripe_shared_births_bit_identical () =
+  (* The evaluation harness computes each stripe's lifetime templates
+     once and hands the same [initial_births] to every policy's
+     lockstep pass.  At platform scale (p = 1024, the scenario's
+     default nonzero start time) each of Young, DalyHigh and OptExp
+     over such a shared stripe must reproduce per-replicate
+     [Engine.run] bit for bit; so must a policy whose periods follow
+     [min_age], which the shared templates seed. *)
+  let processors = 1024 in
+  let job =
+    Job.create
+      ~dist:(Weibull.of_mtbf ~mtbf:(Ckpt_platform.Units.of_years 125.) ~shape:0.7)
+      ~processors
+      ~machine:
+        (Machine.create ~total_processors:processors ~downtime:60.
+           ~overhead:(Overhead.constant 600.))
+      ~work_time:(Ckpt_platform.Units.of_years 1000. /. float_of_int processors)
+  in
+  let scenario = Scenario.create job in
+  let traces = Array.init 8 (fun replicate -> Scenario.traces scenario ~replicate) in
+  let initial_births = Array.map (Scenario.initial_lifetime_starts scenario) traces in
+  List.iter
+    (fun policy ->
+      let single = Array.map (fun tr -> Engine.run ~scenario ~traces:tr ~policy ()) traces in
+      let stripe = Engine.run_stripe ~initial_births ~scenario ~traces ~policy () in
+      check Alcotest.bool
+        (policy.Policy.name ^ ": shared-births stripe slot k == run on traces k")
+        true
+        (compare single stripe = 0))
+    [
+      Ckpt_policies.Young.policy job;
+      Ckpt_policies.Daly.high job;
+      Ckpt_policies.Optexp.policy job;
+      Policy.stateless "agey" (fun obs ->
+          Some (Float.max 3600. (Ckpt_policies.Young.period job +. (0.01 *. obs.Policy.min_age))));
+    ]
+
 let test_stripe_size_malformed () =
   (* Malformed widths warn on stderr (once per value) and fall back to
      the default instead of being silently eaten: the width is part of
@@ -1366,6 +1403,8 @@ let () =
       ( "batch engine",
         [
           Alcotest.test_case "DP policy bit-identical" `Quick test_stripe_dp_policy_bit_identical;
+          Alcotest.test_case "shared births at p=1024 bit-identical" `Quick
+            test_stripe_shared_births_bit_identical;
           Alcotest.test_case "engine x sched x stripe golden matrix" `Quick
             test_engine_matrix_bit_identity;
           Alcotest.test_case "pinned outcome digests" `Quick test_pinned_outcomes;

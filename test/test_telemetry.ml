@@ -10,7 +10,6 @@ module Span = Ckpt_telemetry.Span
 module Domain_pool = Ckpt_parallel.Domain_pool
 module Json = Ckpt_telemetry.Json
 module Metrics_export = Ckpt_telemetry.Metrics_export
-module Bench_compare = Ckpt_telemetry.Bench_compare
 
 let check = Alcotest.check
 let close ?(tol = 1e-9) msg expected actual =
@@ -26,10 +25,6 @@ let read_file path =
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
     (fun () -> really_input_string ic (in_channel_length ic))
-
-let write_file path s =
-  let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () -> output_string oc s)
 
 let with_metrics f =
   Metrics.set_enabled true;
@@ -356,12 +351,13 @@ let test_json_parse_roundtrip () =
   | Error e -> Alcotest.failf "parse failed: %s" e
   | Ok j ->
       close "float member" 1.5 (Option.get (Option.bind (Json.member j "a") Json.to_float));
-      close "nested path" (-2000.)
-        (Option.get (Option.bind (Json.path j [ "nested"; "k" ]) Json.to_float));
+      close "nested member" (-2000.)
+        (Option.get
+           (Option.bind (Json.member j "nested") (fun n -> Option.bind (Json.member n "k") Json.to_float)));
       (match Option.bind (Json.member j "b") Json.to_list with
       | Some [ b1; b2; n; s ] ->
-          check Alcotest.(option bool) "true literal" (Some true) (Json.to_bool b1);
-          check Alcotest.(option bool) "false literal" (Some false) (Json.to_bool b2);
+          check Alcotest.bool "true literal" true (b1 = Json.Bool true);
+          check Alcotest.bool "false literal" true (b2 = Json.Bool false);
           check Alcotest.bool "null literal" true (n = Json.Null);
           check Alcotest.(option string) "escaped string" (Some "x\ny") (Json.to_string_opt s)
       | _ -> Alcotest.fail "array shape");
@@ -441,9 +437,12 @@ let test_jsonl_sample_parses () =
       | Ok j ->
           close "timestamp" 123.5 (Option.get (Option.bind (Json.member j "ts") Json.to_float));
           let m = Option.get (Json.member j "metrics") in
-          close "counter value" 1.
-            (Option.get (Option.bind (Json.path m [ "exp/ticks"; "value" ]) Json.to_float));
-          let q p = Option.get (Option.bind (Json.path m [ "exp/obs"; p ]) Json.to_float) in
+          let field metric k =
+            Option.get
+              (Option.bind (Json.member m metric) (fun v -> Option.bind (Json.member v k) Json.to_float))
+          in
+          close "counter value" 1. (field "exp/ticks" "value");
+          let q = field "exp/obs" in
           check Alcotest.bool "histogram quantiles ordered" true
             (q "p50" <= q "p90" && q "p90" <= q "p99"))
 
@@ -621,7 +620,7 @@ let test_flight_chrome_golden () =
                 List.filter_map
                   (fun ev ->
                     if ph ev = Some "M" then
-                      Option.bind (Json.path ev [ "args"; "name" ]) Json.to_string_opt
+                      Option.bind (Json.member ev "args") (fun a -> str a "name")
                     else None)
                   events
               in
@@ -646,193 +645,6 @@ let test_flight_chrome_golden () =
               let cats = List.filter_map (fun ev -> str ev "cat") events in
               check Alcotest.bool "every layer exported" true
                 (List.mem "parallel.sched" cats && List.mem "simulator.stripe" cats)))
-
-(* -- bench trajectory -------------------------------------------------------- *)
-
-let with_temp_dir f =
-  let dir = Filename.temp_file "ckpt_bench" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  Fun.protect
-    ~finally:(fun () ->
-      Array.iter (fun name -> Sys.remove (Filename.concat dir name)) (Sys.readdir dir);
-      Unix.rmdir dir)
-    (fun () -> f dir)
-
-let bench_artifact ~rate ~elapsed =
-  Printf.sprintf
-    {|{"bench": "unit", "replicates": 8, "rate_per_sec": %g, "elapsed_seconds": %g, "deterministic": true}|}
-    rate elapsed
-
-let bench_sidecar ~domains =
-  Printf.sprintf
-    {|{"schema": "ckpt-bench-meta/1", "domains": %d, "env": {}, "parameters": {"physical_cores": "4"}}|}
-    domains
-
-let test_bench_diff_self () =
-  with_temp_dir (fun dir ->
-      let p = Filename.concat dir "BENCH_unit.json" in
-      write_file p (bench_artifact ~rate:100. ~elapsed:2.);
-      write_file (p ^ ".meta.json") (bench_sidecar ~domains:4);
-      match Bench_compare.diff ~old_path:p ~new_path:p () with
-      | Error e -> Alcotest.failf "diff failed: %s" e
-      | Ok v ->
-          check Alcotest.int "self-diff exits 0" Bench_compare.exit_ok (Bench_compare.exit_code v);
-          check Alcotest.bool "no mismatches" true (v.Bench_compare.v_config_mismatches = []);
-          check Alcotest.bool "compared something" true (v.Bench_compare.v_comparisons <> []))
-
-let test_bench_diff_regression () =
-  with_temp_dir (fun dir ->
-      let old_p = Filename.concat dir "BENCH_old.json" in
-      let new_p = Filename.concat dir "BENCH_new.json" in
-      write_file old_p (bench_artifact ~rate:100. ~elapsed:2.);
-      write_file (old_p ^ ".meta.json") (bench_sidecar ~domains:4);
-      (* A 20% throughput drop is well past the 5% higher-better
-         threshold; the matching elapsed keeps the rest clean. *)
-      write_file new_p (bench_artifact ~rate:80. ~elapsed:2.);
-      write_file (new_p ^ ".meta.json") (bench_sidecar ~domains:4);
-      match Bench_compare.diff ~old_path:old_p ~new_path:new_p () with
-      | Error e -> Alcotest.failf "diff failed: %s" e
-      | Ok v ->
-          check Alcotest.int "regression exit code" Bench_compare.exit_regression
-            (Bench_compare.exit_code v);
-          let c =
-            List.find
-              (fun c -> c.Bench_compare.c_metric = "rate_per_sec")
-              v.Bench_compare.v_comparisons
-          in
-          check Alcotest.bool "rate flagged" true c.Bench_compare.c_regressed;
-          close ~tol:1e-6 "delta percent" (-20.) c.Bench_compare.c_delta)
-
-let test_bench_diff_improvement () =
-  with_temp_dir (fun dir ->
-      let old_p = Filename.concat dir "BENCH_old.json" in
-      let new_p = Filename.concat dir "BENCH_new.json" in
-      write_file old_p (bench_artifact ~rate:100. ~elapsed:2.);
-      write_file (old_p ^ ".meta.json") (bench_sidecar ~domains:4);
-      write_file new_p (bench_artifact ~rate:150. ~elapsed:1.);
-      write_file (new_p ^ ".meta.json") (bench_sidecar ~domains:4);
-      match Bench_compare.diff ~old_path:old_p ~new_path:new_p () with
-      | Error e -> Alcotest.failf "diff failed: %s" e
-      | Ok v ->
-          check Alcotest.int "improvements exit 0" Bench_compare.exit_ok
-            (Bench_compare.exit_code v);
-          check Alcotest.bool "improvement flagged" true
-            (List.exists (fun c -> c.Bench_compare.c_improved) v.Bench_compare.v_comparisons))
-
-(* The engine bench's throughput leaves follow the [*_per_sec]
-   higher-better convention, nested inside a curve; its workload-shape
-   key [stripe] must gate comparability like replicates/processors
-   do. *)
-let engine_bench_artifact ~stripe_rps ~stripe =
-  Printf.sprintf
-    {|{"bench": "engine-throughput", "replicates": 32, "stripe": %d, "engine": "single-vs-stripe", "curve": [ { "processors": 16384, "single_replicates_per_sec": 120.0, "stripe_replicates_per_sec": %g, "speedup": 2.5 } ], "deterministic": true}|}
-    stripe stripe_rps
-
-let test_bench_diff_replicates_per_sec_higher_better () =
-  with_temp_dir (fun dir ->
-      let old_p = Filename.concat dir "BENCH_engine_old.json" in
-      let new_p = Filename.concat dir "BENCH_engine_new.json" in
-      write_file old_p (engine_bench_artifact ~stripe_rps:800. ~stripe:16);
-      write_file (old_p ^ ".meta.json") (bench_sidecar ~domains:4);
-      (* A 12.5% throughput drop: a lower-better misclassification
-         would read it as an improvement and exit 0. *)
-      write_file new_p (engine_bench_artifact ~stripe_rps:700. ~stripe:16);
-      write_file (new_p ^ ".meta.json") (bench_sidecar ~domains:4);
-      match Bench_compare.diff ~old_path:old_p ~new_path:new_p () with
-      | Error e -> Alcotest.failf "diff failed: %s" e
-      | Ok v ->
-          check Alcotest.int "regression exit code" Bench_compare.exit_regression
-            (Bench_compare.exit_code v);
-          let c =
-            List.find
-              (fun c -> contains ~needle:"stripe_replicates_per_sec" c.Bench_compare.c_metric)
-              v.Bench_compare.v_comparisons
-          in
-          check Alcotest.bool "classified higher-better" true
-            (c.Bench_compare.c_direction = Bench_compare.Higher_better);
-          check Alcotest.bool "drop flagged as regression" true c.Bench_compare.c_regressed;
-          close ~tol:1e-6 "delta percent" (-12.5) c.Bench_compare.c_delta)
-
-let test_bench_diff_stripe_is_config () =
-  with_temp_dir (fun dir ->
-      let old_p = Filename.concat dir "BENCH_engine_old.json" in
-      let new_p = Filename.concat dir "BENCH_engine_new.json" in
-      write_file old_p (engine_bench_artifact ~stripe_rps:800. ~stripe:16);
-      write_file (old_p ^ ".meta.json") (bench_sidecar ~domains:4);
-      (* Same speeds measured at a different stripe width: a different
-         experiment, not a regression. *)
-      write_file new_p (engine_bench_artifact ~stripe_rps:800. ~stripe:8);
-      write_file (new_p ^ ".meta.json") (bench_sidecar ~domains:4);
-      match Bench_compare.diff ~old_path:old_p ~new_path:new_p () with
-      | Error e -> Alcotest.failf "diff failed: %s" e
-      | Ok v ->
-          check Alcotest.int "incomparable exit code" Bench_compare.exit_incomparable
-            (Bench_compare.exit_code v);
-          check Alcotest.bool "mismatch names stripe" true
-            (List.exists (contains ~needle:"stripe") v.Bench_compare.v_config_mismatches))
-
-(* Stage 8 (multi-process sweeps): units/sec at different worker counts
-   are different experiments, not a speed delta. *)
-let sweep_bench_artifact ~workers ~ups =
-  Printf.sprintf
-    {|{"bench": "sweep-workers", "replicates": 16, "stripe": 4, "units": 12, "physical_cores": 4, "curve": [ { "workers": %d, "seconds": 2.0, "units_per_sec": %g, "speedup": 1.0, "oversubscribed": false } ], "byte_identical": true}|}
-    workers ups
-
-let test_bench_diff_workers_is_config () =
-  with_temp_dir (fun dir ->
-      let old_p = Filename.concat dir "BENCH_sweep_old.json" in
-      let new_p = Filename.concat dir "BENCH_sweep_new.json" in
-      write_file old_p (sweep_bench_artifact ~workers:2 ~ups:6.);
-      write_file (old_p ^ ".meta.json") (bench_sidecar ~domains:4);
-      (* Twice the throughput at twice the workers: a different
-         experiment, not an improvement. *)
-      write_file new_p (sweep_bench_artifact ~workers:4 ~ups:12.);
-      write_file (new_p ^ ".meta.json") (bench_sidecar ~domains:4);
-      match Bench_compare.diff ~old_path:old_p ~new_path:new_p () with
-      | Error e -> Alcotest.failf "diff failed: %s" e
-      | Ok v ->
-          check Alcotest.int "incomparable exit code" Bench_compare.exit_incomparable
-            (Bench_compare.exit_code v);
-          check Alcotest.bool "mismatch names workers" true
-            (List.exists (contains ~needle:"workers") v.Bench_compare.v_config_mismatches))
-
-let test_bench_diff_incomparable () =
-  with_temp_dir (fun dir ->
-      let old_p = Filename.concat dir "BENCH_old.json" in
-      let new_p = Filename.concat dir "BENCH_new.json" in
-      write_file old_p (bench_artifact ~rate:100. ~elapsed:2.);
-      write_file (old_p ^ ".meta.json") (bench_sidecar ~domains:4);
-      write_file new_p (bench_artifact ~rate:100. ~elapsed:2.);
-      (* Same numbers, different machine shape: refuse the comparison. *)
-      write_file (new_p ^ ".meta.json") (bench_sidecar ~domains:8);
-      match Bench_compare.diff ~old_path:old_p ~new_path:new_p () with
-      | Error e -> Alcotest.failf "diff failed: %s" e
-      | Ok v ->
-          check Alcotest.int "incomparable exit code" Bench_compare.exit_incomparable
-            (Bench_compare.exit_code v);
-          check Alcotest.bool "mismatch names domains" true
-            (List.exists (contains ~needle:"domains") v.Bench_compare.v_config_mismatches))
-
-let test_bench_diff_unreadable () =
-  match Bench_compare.diff ~old_path:"/nonexistent-ckpt/BENCH_x.json"
-          ~new_path:"/nonexistent-ckpt/BENCH_y.json" ()
-  with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unreadable input must be an error"
-
-let test_bench_check () =
-  with_temp_dir (fun dir ->
-      let good = Filename.concat dir "BENCH_good.json" in
-      write_file good (bench_artifact ~rate:100. ~elapsed:2.);
-      write_file (good ^ ".meta.json") (bench_sidecar ~domains:4);
-      (* Missing sidecar and unparseable body are both problems. *)
-      write_file (Filename.concat dir "BENCH_bad.json") "{not json";
-      let results = Bench_compare.check ~dir in
-      check Alcotest.int "two artifacts found" 2 (List.length results);
-      let problems name = List.assoc (Filename.concat dir name) results in
-      check Alcotest.bool "clean artifact has no problems" true (problems "BENCH_good.json" = []);
-      check Alcotest.bool "broken artifact flagged" true (problems "BENCH_bad.json" <> []))
 
 (* -- provenance ------------------------------------------------------------- *)
 
@@ -907,20 +719,6 @@ let () =
           Alcotest.test_case "ring wraparound" `Quick test_flight_wraparound;
           Alcotest.test_case "utilization report" `Quick test_flight_report;
           Alcotest.test_case "chrome trace golden" `Quick test_flight_chrome_golden;
-        ] );
-      ( "bench compare",
-        [
-          Alcotest.test_case "self-diff is clean" `Quick test_bench_diff_self;
-          Alcotest.test_case "detects regression" `Quick test_bench_diff_regression;
-          Alcotest.test_case "improvement passes" `Quick test_bench_diff_improvement;
-          Alcotest.test_case "replicates_per_sec is higher-better" `Quick
-            test_bench_diff_replicates_per_sec_higher_better;
-          Alcotest.test_case "stripe is configuration" `Quick test_bench_diff_stripe_is_config;
-          Alcotest.test_case "workers is configuration" `Quick
-            test_bench_diff_workers_is_config;
-          Alcotest.test_case "sidecar disagreement" `Quick test_bench_diff_incomparable;
-          Alcotest.test_case "unreadable input errors" `Quick test_bench_diff_unreadable;
-          Alcotest.test_case "check validates artifacts" `Quick test_bench_check;
         ] );
       ( "ring buffers",
         [
