@@ -8,130 +8,108 @@ let solves = Metrics.counter "dp_makespan/solves"
 let quantum_gauge = Metrics.gauge "dp_makespan/quantum_seconds"
 let quantization_error = Metrics.gauge "dp_makespan/checkpoint_quantization_error"
 
-(* Flat open-addressing map over nonzero int keys: parallel unboxed
-   arrays replace the [(int, float * int) Hashtbl], whose every entry
-   boxed a tuple and two floats on the memoization hot path.  Slot 0 is
-   the empty marker — valid because packed state keys are >= 2^32 and
-   tlost keys >= 1024. *)
-type flat_map = {
-  mutable keys : int array;
-  mutable vals : float array;
-  mutable snds : int array;
-  mutable size : int;
-  mutable mask : int;
+(* Tables are split into pages of [page_size] entries, allocated when
+   the first entry is stored, so memory follows the states a solve
+   reaches rather than the whole (x, y) triangle.  An empty page is
+   [[||]]. *)
+let page_bits = 10
+let page_size = 1 lsl page_bits
+let page_mask = page_size - 1
+
+let page dir k make =
+  let j = k lsr page_bits in
+  if Array.length dir.(j) = 0 then dir.(j) <- make ();
+  dir.(j)
+
+(* What every x row shares at one age, i.e. at one (fresh, y):
+   [psuc.(i)] is the probability that a chunk of i quanta and its
+   checkpoint succeed, and [lost.(i)] the E(Tlost) of that chunk in the
+   age's 5%-geometric bucket (NaN until first needed).  Rows of one
+   bucket share [lost], whose entries keep the value computed at the
+   first age that asked. *)
+type age_row = { age : float; psuc : float array; lost : float array }
+
+let no_row = { age = nan; psuc = [||]; lost = [||] }
+
+(* The states of one [fresh] value: cell (x, y) sits at index
+   [row_off.(x) + y] of [values] (NaN = unsolved; a solved value is
+   never NaN) and [chunks] (its optimal chunk); [rows] is indexed by y.
+   The age at (x, y) is [base_age + y u]. *)
+type plane = {
+  base_age : float;
+  row_off : int array;
+  values : float array array;
+  chunks : int array array;
+  rows : age_row array array;
 }
-
-let fm_create cap =
-  let cap = max 16 cap in
-  let cap =
-    let c = ref 16 in
-    while !c < cap do
-      c := !c * 2
-    done;
-    !c
-  in
-  {
-    keys = Array.make cap 0;
-    vals = Array.make cap 0.;
-    snds = Array.make cap 0;
-    size = 0;
-    mask = cap - 1;
-  }
-
-let fm_start m key =
-  let h = key * 0x2545F4914F6CDD1D in
-  (h lxor (h lsr 32)) land m.mask
-
-(* Slot holding [key], or the empty slot where it belongs. *)
-let fm_probe m key =
-  let i = ref (fm_start m key) in
-  let k = ref m.keys.(!i) in
-  while !k <> key && !k <> 0 do
-    i := (!i + 1) land m.mask;
-    k := m.keys.(!i)
-  done;
-  !i
-
-(* Index of [key], or -1. *)
-let fm_find m key =
-  let i = fm_probe m key in
-  if m.keys.(i) = key then i else -1
-
-let fm_add m key v snd =
-  if (m.size + 1) * 4 > (m.mask + 1) * 3 then begin
-    let old_keys = m.keys and old_vals = m.vals and old_snds = m.snds in
-    let cap = (m.mask + 1) * 4 in
-    m.keys <- Array.make cap 0;
-    m.vals <- Array.make cap 0.;
-    m.snds <- Array.make cap 0;
-    m.mask <- cap - 1;
-    Array.iteri
-      (fun i k ->
-        if k <> 0 then begin
-          let j = fm_probe m k in
-          m.keys.(j) <- k;
-          m.vals.(j) <- old_vals.(i);
-          m.snds.(j) <- old_snds.(i)
-        end)
-      old_keys
-  end;
-  let i = fm_probe m key in
-  m.keys.(i) <- key;
-  m.vals.(i) <- v;
-  m.snds.(i) <- snd;
-  m.size <- m.size + 1
 
 type t = {
   context : Dp_context.t;
-  initial_age : float;
   x_max : int;
   u : float;
   c_u : int;  (* checkpoint duration in quanta, for age bookkeeping *)
   chunk_cap : int;  (* largest chunk explored, in quanta *)
   e_rec : float;
-  (* E(T(x u | R)) for every x: the post-recovery states, solved first
-     because every failure branch lands on them. *)
-  post_recovery : float array;
-  post_recovery_chunk : int array;
-  (* Lazily memoized general states, keyed by the packed state. *)
-  memo : flat_map;
-  tlost_cache : flat_map;
+  durations : float array;  (* i u + C, for every chunk size i the search can reach *)
+  fresh : plane;  (* no failure yet: the age started at tau0 *)
+  recovered : plane;  (* the age restarted at R; y = 0 is the post-recovery state *)
+  tlost_by_bucket : (int, float array) Hashtbl.t;
 }
 
-type state = { x : int; fresh : bool; y : int }
-(* Age at a state: (if fresh then tau0 else R) + y * u. *)
+let age_row t p y =
+  let rows = page p.rows y (fun () -> Array.make page_size no_row) in
+  let r = rows.(y land page_mask) in
+  if r != no_row then r
+  else begin
+    let age = p.base_age +. (float_of_int y *. t.u) in
+    (* E(Tlost) varies slowly with age; share evaluations across nearby
+       ages through a 5%-geometric bucket. *)
+    let bucket = if age <= 1. then 0 else 1 + int_of_float (log age /. 0.05) in
+    let lost =
+      match Hashtbl.find_opt t.tlost_by_bucket bucket with
+      | Some lost -> lost
+      | None ->
+          let lost = Array.make (Array.length t.durations) nan in
+          Hashtbl.add t.tlost_by_bucket bucket lost;
+          lost
+    in
+    let psuc = Array.map (fun duration -> Dp_context.psuc t.context ~age ~duration) t.durations in
+    let r = { age; psuc; lost } in
+    rows.(y land page_mask) <- r;
+    r
+  end
 
-(* Layout: [2x + fresh] in the high bits, [y] in the low 31.  [solve]
-   bounds y (= quanta of work plus checkpoints elapsed since the last
-   failure) by x_max * (1 + c_u) and rejects instances that could
-   overflow the field; the guard here catches any other caller. *)
-let pack s =
-  if s.y lsr 31 <> 0 then invalid_arg "Dp_makespan.pack: y exceeds the 31-bit packed field";
-  ((((s.x * 2) + if s.fresh then 1 else 0) lsl 31) lor s.y : int)
-
-let age_of t s =
-  (if s.fresh then t.initial_age else t.context.Dp_context.recovery) +. (float_of_int s.y *. t.u)
-
-(* E(Tlost) varies slowly with age; share evaluations across nearby
-   ages through a 5%-geometric bucket. *)
-let tlost t ~chunk_quanta ~age =
-  let bucket = if age <= 1. then 0 else 1 + int_of_float (log age /. 0.05) in
-  let key = (chunk_quanta * 1024) + bucket in
-  let i = fm_find t.tlost_cache key in
-  if i >= 0 then begin
-    Metrics.incr tlost_hits;
-    t.tlost_cache.vals.(i)
+let tlost t r i =
+  let v = r.lost.(i) in
+  if Float.is_nan v then begin
+    Metrics.incr tlost_misses;
+    let v = Dp_context.expected_tlost t.context ~age:r.age ~window:t.durations.(i) in
+    r.lost.(i) <- v;
+    v
   end
   else begin
-    Metrics.incr tlost_misses;
-    let window = (float_of_int chunk_quanta *. t.u) +. t.context.Dp_context.checkpoint in
-    let v = Dp_context.expected_tlost t.context ~age ~window in
-    fm_add t.tlost_cache key v 0;
+    Metrics.incr tlost_hits;
     v
   end
 
-(* Bellman step at a state, given an evaluator for successor states
-   and the value of the failure branch E(T(x u | R)).  When
+(* Value of state (x, y) of plane [p], solved on first use.  The
+   evaluation is lazy and depth-first, and the order is load-bearing:
+   each E(Tlost) entry keeps the value at the first age that asked. *)
+let rec value t p x y =
+  if x = 0 then 0.
+  else begin
+    let k = p.row_off.(x) + y in
+    let values = p.values.(k lsr page_bits) in
+    let v = if Array.length values = 0 then nan else values.(k land page_mask) in
+    if Float.is_nan v then begin
+      Metrics.incr cells_solved;
+      bellman t p ~x ~y ~failure_value:(value t t.recovered x 0) ~self_referential:false
+    end
+    else v
+  end
+
+(* Bellman step at (x, y) of plane [p]; stores the optimum and returns
+   its value.  [failure_value] is E(T(x u | R)).  When
    [self_referential], the failure branch is the state itself and the
    fixed point is solved in closed form per candidate chunk.  The
    chunk search is capped at [chunk_cap] quanta (several Young periods:
@@ -142,27 +120,26 @@ let tlost t ~chunk_quanta ~age =
    jumps at chunk-count transitions (one chunk of 3 at x = 3, first
    chunk 2 of {2, 2} at x = 4 for memoryless failures) — so no
    monotone pruning of this scan is sound; the solver's speedups come
-   from the flat memo and cached tlost instead. *)
-let bellman t ~x ~age ~successor ~failure_value ~self_referential =
-  let c = t.context.Dp_context.checkpoint in
+   from the paged tables and the per-age rows instead. *)
+and bellman t p ~x ~y ~failure_value ~self_referential =
+  let r = age_row t p y in
   let i_max = min x t.chunk_cap in
   let i_max = if x - i_max < i_max then x else i_max in
   (* ^ when the cap leaves a sub-chunk tail smaller than the cap,
      allow finishing in one chunk so the plan never strands a tail. *)
   let best_v = ref infinity and best_i = ref 1 in
   for i = 1 to i_max do
-    let duration = (float_of_int i *. t.u) +. c in
-    let p = Dp_context.psuc t.context ~age ~duration in
+    let p_i = r.psuc.(i) in
     let v =
-      if p <= 0. then infinity
+      if p_i <= 0. then infinity
       else begin
-        let succ = successor i in
-        let lost = tlost t ~chunk_quanta:i ~age in
+        let duration = t.durations.(i) in
+        let succ = value t p (x - i) (y + i + t.c_u) in
+        let lost = tlost t r i in
         if self_referential then
-          ((p *. (duration +. succ)) +. ((1. -. p) *. (lost +. t.e_rec))) /. p
+          ((p_i *. (duration +. succ)) +. ((1. -. p_i) *. (lost +. t.e_rec))) /. p_i
         else
-          (p *. (duration +. succ))
-          +. ((1. -. p) *. (lost +. t.e_rec +. failure_value))
+          (p_i *. (duration +. succ)) +. ((1. -. p_i) *. (lost +. t.e_rec +. failure_value))
       end
     in
     if v < !best_v then begin
@@ -170,39 +147,34 @@ let bellman t ~x ~age ~successor ~failure_value ~self_referential =
       best_i := i
     end
   done;
-  (!best_v, !best_i)
+  let k = p.row_off.(x) + y in
+  (page p.values k (fun () -> Array.make page_size nan)).(k land page_mask) <- !best_v;
+  (page p.chunks k (fun () -> Array.make page_size 0)).(k land page_mask) <- !best_i;
+  !best_v
 
-let rec value t s =
-  if s.x = 0 then 0.
-  else if (not s.fresh) && s.y = 0 then t.post_recovery.(s.x)
+(* The chunk prescribed at a state ([value] first, so the cell is
+   solved). *)
+let chunk_quanta t p x y =
+  if x = 0 then 0
   else begin
-    let key = pack s in
-    let idx = fm_find t.memo key in
-    if idx >= 0 then t.memo.vals.(idx)
-    else begin
-      Metrics.incr cells_solved;
-      let age = age_of t s in
-      let successor i = value t { x = s.x - i; fresh = s.fresh; y = s.y + i + t.c_u } in
-      let failure_value = t.post_recovery.(s.x) in
-      let v, i = bellman t ~x:s.x ~age ~successor ~failure_value ~self_referential:false in
-      fm_add t.memo key v i;
-      v
-    end
-  end
-
-(* The chunk prescribed at a state ([value] first, so the memo entry
-   exists). *)
-let chunk_quanta t s =
-  if s.x = 0 then 0
-  else if (not s.fresh) && s.y = 0 then t.post_recovery_chunk.(s.x)
-  else begin
-    ignore (value t s);
-    t.memo.snds.(fm_find t.memo (pack s))
+    ignore (value t p x y);
+    let k = p.row_off.(x) + y in
+    p.chunks.(k lsr page_bits).(k land page_mask)
   end
 
 let young_period context =
   let mean = context.Dp_context.dist.Distribution.mean in
   sqrt (2. *. Float.max 1. context.Dp_context.checkpoint *. mean)
+
+(* Row x of a plane holds y from [lo x] to [lo x + len x - 1]. *)
+let plane ~x_max ~y_max ~base_age ~lo ~len =
+  let row_off = Array.make (x_max + 1) 0 and cells = ref 0 in
+  for x = 0 to x_max do
+    row_off.(x) <- !cells - lo x;
+    cells := !cells + len x
+  done;
+  let dir n = Array.make ((n lsr page_bits) + 1) [||] in
+  { base_age; row_off; values = dir !cells; chunks = dir !cells; rows = dir (y_max + 1) }
 
 let solve ?quantum ?(cap_states = 2000) ?(chunk_factor = 6.) ~context ~work ~initial_age () =
   if work <= 0. then invalid_arg "Dp_makespan.solve: work must be positive";
@@ -224,9 +196,8 @@ let solve ?quantum ?(cap_states = 2000) ?(chunk_factor = 6.) ~context ~work ~ini
   let c_quanta = Float.round (context.Dp_context.checkpoint /. u) in
   (* y (quanta elapsed since the last failure) reaches at most
      x_max * (1 + c_u): each of at most x_max chunks advances it by its
-     size plus one checkpoint.  Reject instances whose y could spill
-     out of pack's 31-bit field — with the old 24-bit layout they would
-     have corrupted x silently. *)
+     size plus one checkpoint.  Reject instances whose y could reach
+     2^31 up front, so every index stays well inside an int. *)
   if float_of_int x_max *. (1. +. c_quanta) >= 2147483648. then
     invalid_arg "Dp_makespan.solve: checkpoint/quantum ratio overflows the packed state layout";
   let c_u = int_of_float c_quanta in
@@ -237,52 +208,59 @@ let solve ?quantum ?(cap_states = 2000) ?(chunk_factor = 6.) ~context ~work ~ini
      the checkpoint in the age bookkeeping. *)
   Metrics.set quantization_error
     (Float.abs ((float_of_int c_u *. u) -. context.Dp_context.checkpoint));
+  let y_max = x_max * (1 + c_u) in
+  (* Every chunk the search tries is below 2 chunk_cap (see bellman). *)
+  let width = min x_max (2 * min chunk_cap x_max) in
   let t =
     {
       context;
-      initial_age;
       x_max;
       u;
       c_u;
       chunk_cap;
       e_rec = Dp_context.expected_trec context;
-      post_recovery = Array.make (x_max + 1) 0.;
-      post_recovery_chunk = Array.make (x_max + 1) 0;
-      memo = fm_create 4096;
-      tlost_cache = fm_create 256;
+      durations =
+        Array.init (width + 1) (fun i -> (float_of_int i *. u) +. context.Dp_context.checkpoint);
+      (* From (x_max, fresh, 0), k chunks down to x leave
+         y = (x_max - x) + k c_u with 1 <= k <= x_max - x; from a
+         post-recovery state (x' >= x, 0), y <= (x_max - x)(1 + c_u). *)
+      fresh =
+        plane ~x_max ~y_max ~base_age:initial_age
+          ~lo:(fun x -> x_max - x)
+          ~len:(fun x -> ((x_max - x) * c_u) + 1);
+      recovered =
+        plane ~x_max ~y_max ~base_age:context.Dp_context.recovery
+          ~lo:(fun _ -> 0)
+          ~len:(fun x -> ((x_max - x) * (1 + c_u)) + 1);
+      tlost_by_bucket = Hashtbl.create 64;
     }
   in
   (* Post-recovery states, ascending in x.  Their successors
-     (x - i, fresh=false, y = i + c_u) recursively bottom out on
-     post-recovery values of strictly smaller x. *)
+     (x - i, y = i + c_u) recursively bottom out on post-recovery
+     values of strictly smaller x. *)
   for x = 1 to x_max do
-    let age = context.Dp_context.recovery in
-    let successor i = value t { x = x - i; fresh = false; y = i + t.c_u } in
-    let v, i = bellman t ~x ~age ~successor ~failure_value:nan ~self_referential:true in
-    t.post_recovery.(x) <- v;
-    t.post_recovery_chunk.(x) <- i
+    ignore (bellman t t.recovered ~x ~y:0 ~failure_value:nan ~self_referential:true)
   done;
   t
 
 let quantum t = t.u
 
-let expected_makespan t = value t { x = t.x_max; fresh = true; y = 0 }
+let expected_makespan t = value t t.fresh t.x_max 0
 
-type cursor = { table : t; state : state }
+type cursor = { table : t; plane : plane; x : int; y : int }
 
-let start table = { table; state = { x = table.x_max; fresh = true; y = 0 } }
+let start table = { table; plane = table.fresh; x = table.x_max; y = 0 }
 
-let remaining_work c = float_of_int c.state.x *. c.table.u
+let remaining_work c = float_of_int c.x *. c.table.u
 
 let next_chunk c =
-  if c.state.x = 0 then 0.
-  else float_of_int (chunk_quanta c.table c.state) *. c.table.u
+  if c.x = 0 then 0. else float_of_int (chunk_quanta c.table c.plane c.x c.y) *. c.table.u
 
 let advance_success c =
-  if c.state.x = 0 then c
+  if c.x = 0 then c
   else begin
-    let i = chunk_quanta c.table c.state in
-    { c with state = { c.state with x = c.state.x - i; y = c.state.y + i + c.table.c_u } }
+    let i = chunk_quanta c.table c.plane c.x c.y in
+    { c with x = c.x - i; y = c.y + i + c.table.c_u }
   end
 
-let advance_failure c = { c with state = { c.state with fresh = false; y = 0 } }
+let advance_failure c = { c with plane = c.table.recovered; y = 0 }

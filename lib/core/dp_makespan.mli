@@ -51,16 +51,24 @@ val solve :
 
     Unlike DPNextFailure's chunk search, the argmin here is not
     monotone in remaining work (the optimal composition jumps at
-    chunk-count transitions), so no monotone pruning is applied; the
-    solver's speed comes from a flat open-addressing memo over packed
-    states and the geometric tlost cache.
+    chunk-count transitions), so no monotone pruning is applied.  The
+    solver's speed comes from its layout instead: solved states live in
+    dense per-[b] pages indexed by row offset, allocated when a state
+    of the page is first solved (memory follows the states reached),
+    and the success probabilities of every candidate chunk and the
+    E(Tlost) age bucket are computed once per age [(b, y)] and shared
+    by every [x] row.
 
-    States are memoized under a packed integer key with 31 bits for
-    the elapsed-quanta coordinate; instances whose checkpoint-to-
-    quantum ratio could overflow it are rejected up front (the prior
-    24-bit layout corrupted such keys silently).
-    @raise Invalid_argument if [work <= 0] or the state space cannot
-    be packed. *)
+    States are solved lazily, depth first, and that order is part of
+    the result: an E(Tlost) entry is cached per (chunk, 5% age bucket)
+    at the {e first} age that needs it, so a different evaluation order
+    changes the low bits of the makespan.
+
+    Instances whose elapsed-quanta coordinate [y] could reach [2^31]
+    (a checkpoint-to-quantum ratio too large for the work) are
+    rejected up front.
+    @raise Invalid_argument if [work <= 0], if [work / quantum] needs
+    [2^30] states or more, or if [y] could reach [2^31]. *)
 
 val quantum : t -> float
 val expected_makespan : t -> float

@@ -9,6 +9,7 @@ module Dp_next_failure = Ckpt_core.Dp_next_failure
 module D = Ckpt_distributions.Distribution
 module Exponential = Ckpt_distributions.Exponential
 module Weibull = Ckpt_distributions.Weibull
+module Metrics = Ckpt_telemetry.Metrics
 
 let check = Alcotest.check
 let close ?(tol = 1e-9) msg expected actual =
@@ -420,8 +421,15 @@ let test_dpm_pack_boundary () =
     Dp_context.create ~dist:(Exponential.of_mtbf ~mtbf:1e9) ~checkpoint:3e6 ~recovery:1.
       ~downtime:0.
   in
+  let before = Gc.allocated_bytes () in
   let t = Dp_makespan.solve ~quantum:1. ~context:ctx ~work:8. ~initial_age:0. () in
   let m = Dp_makespan.expected_makespan t in
+  (* A dense y-triangle here would allocate about 1.7 GB: the solver's
+     memory must follow the states it reaches. *)
+  let allocated = Gc.allocated_bytes () -. before in
+  check Alcotest.bool
+    (Printf.sprintf "solve allocates %.0f bytes < 32 MB" allocated)
+    true (allocated < 32e6);
   check Alcotest.bool "finite makespan" true (Float.is_finite m);
   check Alcotest.bool "pays at least one checkpoint" true (m >= 3e6);
   let rec walk c acc steps =
@@ -430,6 +438,92 @@ let test_dpm_pack_boundary () =
     if chunk = 0. then acc else walk (Dp_makespan.advance_success c) (acc +. chunk) (steps + 1)
   in
   close ~tol:1e-9 "chunks tile the work" 8. (walk (Dp_makespan.start t) 0. 0)
+
+let test_dpm_c_above_mtbf () =
+  (* One processor whose checkpoint costs four MTBFs, at the default
+     quantum: success is unlikely but possible, so the makespan stays
+     finite and the plan still tiles the work. *)
+  let mtbf = 3600. in
+  let ctx =
+    Dp_context.create ~dist:(Exponential.of_mtbf ~mtbf) ~checkpoint:(4. *. mtbf) ~recovery:600.
+      ~downtime:60.
+  in
+  let work = 86400. in
+  let t = Dp_makespan.solve ~context:ctx ~work ~initial_age:0. () in
+  check Alcotest.bool "finite makespan" true (Float.is_finite (Dp_makespan.expected_makespan t));
+  let rec walk c acc steps =
+    if steps > 10_000 then Alcotest.fail "cursor does not terminate";
+    let chunk = Dp_makespan.next_chunk c in
+    if chunk = 0. then acc else walk (Dp_makespan.advance_success c) (acc +. chunk) (steps + 1)
+  in
+  close ~tol:1e-6 "chunks tile the work" work (walk (Dp_makespan.start t) 0. 0)
+
+(* Bit-for-bit pins of DPMakespan.  Each instance is solved at two
+   initial ages in different E(Tlost) age buckets; for each solve the
+   expected makespan is pinned as %h, and a digest covers a cursor walk
+   (every fourth move a failure) plus the cells-solved and E(Tlost)
+   cache counters, whose values depend on the lazy evaluation order. *)
+let dpm_solve_fingerprint ?quantum ?cap_states ~context ~work initial_age =
+  let was_enabled = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Metrics.reset ~prefix:"dp_makespan/" ();
+  let t = Dp_makespan.solve ?quantum ?cap_states ~context ~work ~initial_age () in
+  let makespan = Printf.sprintf "%h" (Dp_makespan.expected_makespan t) in
+  let b = Buffer.create 1024 in
+  let rec walk c k =
+    let chunk = Dp_makespan.next_chunk c in
+    Printf.bprintf b "%h;" chunk;
+    if chunk > 0. && k < 10_000 then
+      walk (if k mod 4 = 3 then Dp_makespan.advance_failure c else Dp_makespan.advance_success c)
+        (k + 1)
+  in
+  walk (Dp_makespan.start t) 0;
+  List.iter
+    (fun name ->
+      match Metrics.find ("dp_makespan/" ^ name) with
+      | Some (Metrics.Counter n) -> Printf.bprintf b "%s=%d;" name n
+      | _ -> Alcotest.failf "counter dp_makespan/%s missing" name)
+    [ "cells_solved"; "tlost_cache_hits"; "tlost_cache_misses" ];
+  Metrics.set_enabled was_enabled;
+  (makespan, Digest.to_hex (Digest.string (Buffer.contents b)))
+
+let dpm_golden =
+  let weibull ?(checkpoint = 600.) mtbf =
+    Dp_context.create ~dist:(Weibull.of_mtbf ~mtbf ~shape:0.7) ~checkpoint ~recovery:checkpoint
+      ~downtime:60.
+  in
+  let work = 3. *. 86400. in
+  (* (name, quantum, cap_states, context, work, [(initial_age, makespan, digest)]) *)
+  [
+    ("weibull 1h (c_u = 1)", None, Some 300, weibull 3600., work,
+      [ (60., "0x1.01f63822d5e1ep+19", "47187d722a062bd814db90b41ece0cbb");
+        (2e5, "0x1.fd1e573fe253bp+18", "aaa7130e8d34609e2008dbcdbd67806a") ] );
+    ("weibull 1d (c_u = 0)", None, Some 300, weibull 86400., work,
+      [ (60., "0x1.2155ad912c508p+18", "ef3fa7c49a6c0de114771253fc192bdb");
+        (2e5, "0x1.1d0ba4e36b72cp+18", "901faa249f658016a358fca13b9ef109") ] );
+    ("weibull 1w (c_u = 0)", None, Some 300, weibull 604800., work,
+      [ (60., "0x1.0c4c96a7eb3ep+18", "65a389f9ffb4eec4663f90229d23c43c");
+        (2e5, "0x1.09f6a79238f47p+18", "9527ed9f929685d4c20a0d9903e8ae87") ] );
+    ("C = MTBF (c_u = 2)", None, None, weibull 600., 14400.,
+      [ (60., "0x1.f6bd5c8ac0ebep+16", "85d755b20a441cf3aee35f5e0aff56a2");
+        (2e5, "0x1.ba741a0f3bf4dp+16", "a2e8b0527140ebddc926c84bcf193b3e") ] );
+    ("explicit quantum", Some 900., None, weibull 86400., 86400.,
+      [ (60., "0x1.85a13cd2b614ap+16", "8442aefe82d3678862a32277b76af95f");
+        (2e5, "0x1.79f412d42afe8p+16", "0e6fb16f6366ac80733e67837b254c8f") ] );
+  ]
+
+let test_dpm_golden () =
+  List.iter
+    (fun (name, quantum, cap_states, context, work, pins) ->
+      List.iter
+        (fun (initial_age, expected_makespan, expected_digest) ->
+          let makespan, digest =
+            dpm_solve_fingerprint ?quantum ?cap_states ~context ~work initial_age
+          in
+          check Alcotest.string (name ^ ": makespan") expected_makespan makespan;
+          check Alcotest.string (name ^ ": walk and counters") expected_digest digest)
+        pins)
+    dpm_golden
 
 let test_dpm_pack_overflow_rejected () =
   (* Instances whose makespan coordinate cannot fit the 31-bit field
@@ -664,6 +758,8 @@ let () =
           Alcotest.test_case "explicit quantum" `Quick test_dpm_explicit_quantum;
           Alcotest.test_case "pack boundary (y > 2^24)" `Quick test_dpm_pack_boundary;
           Alcotest.test_case "pack overflow rejected" `Quick test_dpm_pack_overflow_rejected;
+          Alcotest.test_case "checkpoint above MTBF" `Quick test_dpm_c_above_mtbf;
+          Alcotest.test_case "golden bits" `Quick test_dpm_golden;
           Alcotest.test_case "invalid args" `Quick test_dpm_invalid;
         ] );
       ("properties", core_qcheck);
