@@ -423,67 +423,54 @@ let reap_claims ?(all = false) t =
          else n)
        0
 
-(* -- entry points ------------------------------------------------------------ *)
+(* -- entry points --------------------------------------------------------------
+
+   One driver under every entry point: [compute ~stripe ~first ~len]
+   for each stripe of [Evaluation.map_stripes].  With a store each
+   stripe is one unit under the [kind]-tagged key; [decode ~len]
+   accepts only a payload that parses and has the stripe's shape, so a
+   unit of the wrong shape counts as invalidated and is recomputed;
+   [placeholder ~len] stands in for a unit another worker holds. *)
+
+let map_units ?store ~kind ~experiment ~scenario ~policy_names ~replicates ~params ~encode
+    ~decode ~placeholder compute =
+  let key =
+    Option.map
+      (fun store ->
+        let fields = fingerprint ~kind ~experiment ~scenario ~policy_names ~replicates ~params in
+        (store, fields, digest_of fields))
+      store
+  in
+  Evaluation.map_stripes ~replicates (fun ~stripe ~first ~len ->
+      let compute () = compute ~stripe ~first ~len in
+      match key with
+      | None -> compute ()
+      | Some (store, fields, digest) -> (
+          let path = unit_path store ~experiment ~digest ~stripe in
+          match
+            load_or_compute_opt ~path ~digest ~stripe ~fields ~decode:(decode ~len) ~encode
+              compute
+          with
+          | Some v -> v
+          | None -> placeholder ~len))
 
 let degradation_table ?store ?(params = []) ~experiment ~scenario ~policies ~replicates () =
-  match store with
-  | None -> Evaluation.degradation_table ~scenario ~policies ~replicates
-  | Some store ->
-      let policy_names = List.map (fun p -> p.Policy.name) policies in
-      let fields =
-        fingerprint ~kind:"table" ~experiment ~scenario ~policy_names ~replicates ~params
-      in
-      let digest = digest_of fields in
-      let names = Array.of_list policy_names in
-      let partials =
-        Domain_pool.parallel_init (Evaluation.stripe_count ~replicates) (fun stripe ->
-            let path = unit_path store ~experiment ~digest ~stripe in
-            match
-              load_or_compute_opt ~path ~digest ~stripe ~fields
-                ~decode:Evaluation.deserialize_partial
-                ~encode:Evaluation.serialize_partial (fun () ->
-                  Evaluation.stripe_partial ~scenario ~policies ~replicates ~stripe)
-            with
-            | Some p -> p
-            | None -> Evaluation.empty_partial ~policy_names:names)
-      in
-      Evaluation.table_of_partials (Array.to_list partials)
-
-let floats_format = "ckpt-floats/1"
-
-let encode_floats arr =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (Printf.sprintf "%s %d\n" floats_format (Array.length arr));
-  Array.iter (fun x -> Buffer.add_string buf (hex x ^ "\n")) arr;
-  Buffer.contents buf
-
-let decode_floats payload =
-  match String.split_on_char '\n' payload with
-  | hd :: rest when String.starts_with ~prefix:(floats_format ^ " ") hd -> (
-      let n =
-        int_of_string_opt
-          (String.sub hd (String.length floats_format + 1)
-             (String.length hd - String.length floats_format - 1))
-      in
-      match n with
-      | None -> None
-      | Some n ->
-          let rest = List.filter (fun l -> String.trim l <> "") rest in
-          if List.length rest <> n then None
-          else begin
-            let vals = List.map float_of_string_opt rest in
-            if List.exists Option.is_none vals then None
-            else Some (Array.of_list (List.map Option.get vals))
-          end)
-  | _ -> None
+  let policy_names = List.map (fun p -> p.Policy.name) policies in
+  let names = Array.of_list policy_names in
+  map_units ?store ~kind:"table" ~experiment ~scenario ~policy_names ~replicates ~params
+    ~encode:Evaluation.serialize_partial
+    ~decode:(fun ~len -> Evaluation.deserialize_partial ~policy_names:names ~replicates:len)
+    ~placeholder:(fun ~len:_ -> Evaluation.empty_partial ~policy_names:names)
+    (fun ~stripe ~first:_ ~len:_ ->
+      Evaluation.stripe_partial ~scenario ~policies ~replicates ~stripe)
+  |> Array.to_list |> Evaluation.table_of_partials
 
 let vectors_format = "ckpt-vectors/1"
 
 let encode_vectors rows =
   let buf = Buffer.create 256 in
-  let width = if Array.length rows = 0 then 0 else Array.length rows.(0) in
   Buffer.add_string buf
-    (Printf.sprintf "%s %d %d\n" vectors_format (Array.length rows) width);
+    (Printf.sprintf "%s %d %d\n" vectors_format (Array.length rows) (Array.length rows.(0)));
   Array.iter
     (fun row ->
       Array.iteri
@@ -495,97 +482,30 @@ let encode_vectors rows =
     rows;
   Buffer.contents buf
 
-let decode_vectors payload =
-  match String.split_on_char '\n' payload with
-  | hd :: rest when String.starts_with ~prefix:(vectors_format ^ " ") hd -> (
-      match String.split_on_char ' ' hd with
-      | [ _; n; w ] -> (
-          match (int_of_string_opt n, int_of_string_opt w) with
-          | Some n, Some w ->
-              let rest = List.filter (fun l -> String.trim l <> "") rest in
-              if List.length rest <> n then None
-              else begin
-                let parse line =
-                  let cells =
-                    String.split_on_char ' ' line |> List.filter (fun c -> c <> "")
-                  in
-                  if List.length cells <> w then None
-                  else begin
-                    let vals = List.map float_of_string_opt cells in
-                    if List.exists Option.is_none vals then None
-                    else Some (Array.of_list (List.map Option.get vals))
-                  end
-                in
-                let rows = List.map parse rest in
-                if List.exists Option.is_none rows then None
-                else Some (Array.of_list (List.map Option.get rows))
-              end
-          | _ -> None)
-      | _ -> None)
+(* [None] unless the payload is exactly [len] rows of [width] floats. *)
+let decode_vectors ~len ~width payload =
+  let all_some l =
+    if List.exists Option.is_none l then None else Some (Array.of_list (List.map Option.get l))
+  in
+  let parse line =
+    let cells = String.split_on_char ' ' line |> List.filter (fun c -> c <> "") in
+    if List.length cells <> width then None else all_some (List.map float_of_string_opt cells)
+  in
+  match List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' payload) with
+  | hd :: rows
+    when hd = Printf.sprintf "%s %d %d" vectors_format len width && List.length rows = len ->
+      all_some (List.map parse rows)
   | _ -> None
 
 let vectors ?store ?(params = []) ~experiment ~scenario ~replicates ~width ~f () =
-  if replicates <= 0 then invalid_arg "Sweep_store.vectors: replicates must be positive";
   if width <= 0 then invalid_arg "Sweep_store.vectors: width must be positive";
-  let sz = Evaluation.stripe_size () in
-  let stripe_arrays =
-    Domain_pool.parallel_init (Evaluation.stripe_count ~replicates) (fun stripe ->
-        let first = stripe * sz in
-        let len = min sz (replicates - first) in
-        let compute () =
-          Domain_pool.parallel_init len (fun i ->
-              let row = f (first + i) in
-              if Array.length row <> width then
-                invalid_arg "Sweep_store.vectors: row width mismatch";
-              row)
-        in
-        match store with
-        | None -> compute ()
-        | Some store ->
-            let fields =
-              fingerprint ~kind:"vectors" ~experiment ~scenario ~policy_names:[]
-                ~replicates
-                ~params:(("width", string_of_int width) :: params)
-            in
-            let digest = digest_of fields in
-            let path = unit_path store ~experiment ~digest ~stripe in
-            let decode payload =
-              match decode_vectors payload with
-              | Some rows when Array.for_all (fun r -> Array.length r = width) rows ->
-                  Some rows
-              | _ -> None
-            in
-            (match
-               load_or_compute_opt ~path ~digest ~stripe ~fields ~decode
-                 ~encode:encode_vectors compute
-             with
-            | Some rows -> rows
-            | None -> Array.init len (fun _ -> Array.make width 0.)))
-  in
-  Array.concat (Array.to_list stripe_arrays)
-
-let floats ?store ?(params = []) ~experiment ~scenario ~replicates ~f () =
-  if replicates <= 0 then invalid_arg "Sweep_store.floats: replicates must be positive";
-  let sz = Evaluation.stripe_size () in
-  let stripe_arrays =
-    Domain_pool.parallel_init (Evaluation.stripe_count ~replicates) (fun stripe ->
-        let first = stripe * sz in
-        let len = min sz (replicates - first) in
-        let compute () = Domain_pool.parallel_init len (fun i -> f (first + i)) in
-        match store with
-        | None -> compute ()
-        | Some store ->
-            let fields =
-              fingerprint ~kind:"floats" ~experiment ~scenario ~policy_names:[]
-                ~replicates ~params
-            in
-            let digest = digest_of fields in
-            let path = unit_path store ~experiment ~digest ~stripe in
-            (match
-               load_or_compute_opt ~path ~digest ~stripe ~fields ~decode:decode_floats
-                 ~encode:encode_floats compute
-             with
-            | Some arr -> arr
-            | None -> Array.make len 0.))
-  in
-  Array.concat (Array.to_list stripe_arrays)
+  map_units ?store ~kind:"vectors" ~experiment ~scenario ~policy_names:[] ~replicates
+    ~params:(("width", string_of_int width) :: params)
+    ~encode:encode_vectors ~decode:(decode_vectors ~width)
+    ~placeholder:(fun ~len -> Array.init len (fun _ -> Array.make width 0.))
+    (fun ~stripe:_ ~first ~len ->
+      Domain_pool.parallel_init len (fun i ->
+          let row = f (first + i) in
+          if Array.length row <> width then invalid_arg "Sweep_store.vectors: row width mismatch";
+          row))
+  |> Array.to_list |> Array.concat

@@ -14,7 +14,10 @@
     key, so stale units are simply never consulted (and two concurrent
     sweeps with different parameters can share a directory without
     collision).  A unit file that exists but fails its header or
-    payload check is counted as {e invalidated}, recomputed, and
+    payload check — the payload must parse and fit its stripe: the
+    expected roster and replicate count for a table, exactly the
+    stripe's rows of the expected width for {!vectors}; units carry no
+    checksum — is counted as {e invalidated}, recomputed, and
     overwritten.
 
     Point the store at a directory with [CKPT_SWEEP_DIR=<dir>] (or
@@ -140,21 +143,6 @@ val degradation_table :
     [params] are extra key/value pairs folded into the unit key and
     recorded in each unit's provenance sidecar. *)
 
-val floats :
-  ?store:t ->
-  ?params:(string * string) list ->
-  experiment:string ->
-  scenario:Ckpt_simulator.Scenario.t ->
-  replicates:int ->
-  f:(int -> float) ->
-  unit ->
-  float array
-(** [Array.init replicates f] evaluated stripe-parallel and, with a
-    [store], checkpointed per stripe — for studies whose unit of work
-    is a per-replicate scalar rather than a policy table.  [f] must be
-    a pure function of the replicate index (plus the scenario, which
-    keys the store). *)
-
 val vectors :
   ?store:t ->
   ?params:(string * string) list ->
@@ -165,11 +153,14 @@ val vectors :
   f:(int -> float array) ->
   unit ->
   float array array
-(** Like {!floats} but each replicate yields a fixed-width row of
-    floats (e.g. a waste decomposition, {!Spares}); [width] is folded
-    into the unit key and every row — computed or loaded — is checked
-    against it.  Rows round-trip the store bit-exactly (hex floats;
-    NaN/inf cells included, so a row of NaNs can mark a failed
-    replicate).
+(** [Array.init replicates f] evaluated stripe-parallel and, with a
+    [store], checkpointed per stripe — for studies whose unit of work
+    is a fixed-width row of floats per replicate rather than a policy
+    table (e.g. a waste decomposition, {!Spares}).  [f] must be a pure
+    function of the replicate index (plus the scenario, which keys the
+    store).  [width] is folded into the unit key; a computed row must
+    have it, and a loaded unit must hold exactly its stripe's rows of
+    it.  Rows round-trip the store bit-exactly (hex floats; NaN/inf
+    cells included, so a row of NaNs can mark a failed replicate).
     @raise Invalid_argument if [replicates <= 0], [width <= 0], or [f]
     returns a row of a different width. *)

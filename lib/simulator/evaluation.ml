@@ -298,6 +298,39 @@ let stripe_bounds ~replicates ~stripe =
   if stripe < 0 || first >= replicates then invalid_arg "Evaluation.stripe_bounds: no such stripe";
   (first, min sz (replicates - first))
 
+(* Replicate progress under CKPT_VERBOSE=1: one stderr line per
+   finished stripe, under one lock since stripes finish on any domain. *)
+let progress_lock = Mutex.create ()
+
+let progress finished ~len ~total =
+  Mutex.protect progress_lock (fun () ->
+      Printf.eprintf "[eval] %d/%d replicates\n%!" (len + Atomic.fetch_and_add finished len) total)
+
+(* The one stripe fan-out.  In the domain pool it composes with a
+   study's own configuration fan-out (idle domains help with the
+   stripes of busy ones); the stripe is the unit of parallel work
+   because the engine amortizes across its replicates.  Results come
+   back in stripe order, so any reduce over them is independent of
+   the domain count. *)
+let map_stripes ~replicates f =
+  let count = stripe_count ~replicates in
+  if Tracer.enabled () then Trace_export.ensure_at_exit ();
+  (* Long fan-outs are exactly what the periodic sampler exists for;
+     the call is a no-op unless CKPT_METRICS_INTERVAL/CKPT_METRICS_OUT
+     is set. *)
+  Metrics_export.ensure_sampler ();
+  (* Only a top-level fan-out reports progress: tables nested in a
+     study's own fan-out run several at once. *)
+  let finished =
+    if Span.verbose () && not (Domain_pool.in_parallel_region ()) then Some (Atomic.make 0)
+    else None
+  in
+  Domain_pool.parallel_init count (fun stripe ->
+      let first, len = stripe_bounds ~replicates ~stripe in
+      let r = f ~stripe ~first ~len in
+      Option.iter (fun finished -> progress finished ~len ~total:replicates) finished;
+      r)
+
 type partial = {
   p_policies : string array;  (* policy names, input order *)
   p_accs : accumulator array;
@@ -306,19 +339,20 @@ type partial = {
   p_replicates : int;
 }
 
-(* Merge the outcomes of replicates [first, first + len) in replicate
-   order — the canonical within-stripe reduction. *)
-let partial_of_outcomes ~policy_names outcomes ~first ~len =
+(* Merge a stripe's replicate outcomes in replicate order — the
+   canonical within-stripe reduction. *)
+let partial_of_outcomes ~policy_names outcomes =
   let accs = Array.map (fun _ -> fresh_accumulator ()) policy_names in
   let lb = fresh_accumulator () in
   let usable = ref 0 in
-  for i = first to first + len - 1 do
-    let o = outcomes.(i) in
-    if o.rep_usable then incr usable;
-    Array.iteri (fun j rep -> merge_into accs.(j) rep) o.rep_accs;
-    merge_into lb o.rep_lb
-  done;
-  { p_policies = policy_names; p_accs = accs; p_lb = lb; p_usable = !usable; p_replicates = len }
+  Array.iter
+    (fun o ->
+      if o.rep_usable then incr usable;
+      Array.iteri (fun j rep -> merge_into accs.(j) rep) o.rep_accs;
+      merge_into lb o.rep_lb)
+    outcomes;
+  { p_policies = policy_names; p_accs = accs; p_lb = lb; p_usable = !usable;
+    p_replicates = Array.length outcomes }
 
 (* A merge-neutral partial: zero replicates, fresh accumulators, the
    given roster.  Sweep workers substitute it for units another worker
@@ -326,7 +360,7 @@ let partial_of_outcomes ~policy_names outcomes ~first ~len =
    parent's canonical pass renders output), so the placeholder merely
    keeps the roster checks in [table_of_partials] satisfied. *)
 let empty_partial ~policy_names =
-  partial_of_outcomes ~policy_names [||] ~first:0 ~len:0
+  partial_of_outcomes ~policy_names [||]
 
 let stripe_partial ~scenario ~policies ~replicates ~stripe =
   if replicates <= 0 then invalid_arg "Evaluation.stripe_partial: replicates must be positive";
@@ -334,8 +368,8 @@ let stripe_partial ~scenario ~policies ~replicates ~stripe =
   let first, len = stripe_bounds ~replicates ~stripe in
   let policy_array = Array.of_list policies in
   let names = Array.map (fun p -> p.Policy.name) policy_array in
-  let outcomes = run_replicate_stripe ~scenario ~policies:policy_array ~first ~len in
-  partial_of_outcomes ~policy_names:names outcomes ~first:0 ~len
+  partial_of_outcomes ~policy_names:names
+    (run_replicate_stripe ~scenario ~policies:policy_array ~first ~len)
 
 let table_of_partials partials =
   match partials with
@@ -365,6 +399,20 @@ let table_of_partials partials =
         replicates = !replicates;
         usable_replicates = !usable;
       }
+
+(* Each stripe merges its replicate outcomes in order inside its task,
+   then the partials merge in stripe order: the same tree the sweep
+   store persists, so a table assembled from checkpointed stripe
+   partials is bit-identical to this one. *)
+let degradation_table ~scenario ~policies ~replicates =
+  if replicates <= 0 then invalid_arg "Evaluation.degradation_table: replicates must be positive";
+  if policies = [] then invalid_arg "Evaluation.degradation_table: no policies";
+  let partials =
+    map_stripes ~replicates (fun ~stripe ~first:_ ~len:_ ->
+        stripe_partial ~scenario ~policies ~replicates ~stripe)
+  in
+  Span.time ~layer:"simulator.reduce" "degradation_table" (fun () ->
+      table_of_partials (Array.to_list partials))
 
 (* -- persistence of partials -------------------------------------------------
 
@@ -438,104 +486,36 @@ let serialize_partial p =
     p.p_accs;
   Buffer.contents buf
 
-let deserialize_partial contents =
+let deserialize_partial ~policy_names ~replicates contents =
   let ( let* ) = Option.bind in
-  let tokens_of line = Array.of_list (String.split_on_char ' ' (String.trim line)) in
-  let acc_of line =
-    deserialize_accumulator (Array.sub (tokens_of line) 1 (max 0 (Array.length (tokens_of line) - 1)))
-  in
-  let int_field prefix line =
-    if String.starts_with ~prefix:(prefix ^ " ") line then
-      int_of_string_opt (String.sub line (String.length prefix + 1)
-                           (String.length line - String.length prefix - 1))
-    else None
+  let acc_of tag line =
+    match String.split_on_char ' ' (String.trim line) with
+    | t :: tokens when t = tag -> deserialize_accumulator (Array.of_list tokens)
+    | _ -> None
   in
   match String.split_on_char '\n' contents with
-  | format :: policies :: replicates :: usable :: lb :: accs
-    when format = partial_format && String.starts_with ~prefix:"policies\t" policies ->
-      let names =
-        Array.of_list
-          (String.split_on_char '\t'
-             (String.sub policies 9 (String.length policies - 9)))
-      in
-      let* p_replicates = int_field "replicates" replicates in
-      let* p_usable = int_field "usable" usable in
-      let* p_lb = if String.starts_with ~prefix:"lb " lb then acc_of lb else None in
-      let accs = List.filter (fun l -> String.trim l <> "") accs in
-      if List.length accs <> Array.length names then None
-      else begin
-        let parsed =
-          List.map
-            (fun l -> if String.starts_with ~prefix:"acc " l then acc_of l else None)
-            accs
-        in
-        if List.exists Option.is_none parsed then None
-        else
-          Some
-            {
-              p_policies = names;
-              p_accs = Array.of_list (List.map Option.get parsed);
-              p_lb;
-              p_usable;
-              p_replicates;
-            }
-      end
+  | format :: roster :: reps :: usable :: lb :: accs
+    when format = partial_format
+         && roster = String.concat "\t" ("policies" :: Array.to_list policy_names)
+         && reps = Printf.sprintf "replicates %d" replicates
+         && String.starts_with ~prefix:"usable " usable ->
+      let* p_usable = int_of_string_opt (String.sub usable 7 (String.length usable - 7)) in
+      let* p_lb = acc_of "lb" lb in
+      let accs = List.filter (fun l -> String.trim l <> "") accs |> List.map (acc_of "acc") in
+      if p_usable < 0 || p_usable > replicates
+         || List.length accs <> Array.length policy_names
+         || List.exists Option.is_none accs
+      then None
+      else
+        Some
+          {
+            p_policies = policy_names;
+            p_accs = Array.of_list (List.map Option.get accs);
+            p_lb;
+            p_usable;
+            p_replicates = replicates;
+          }
   | _ -> None
-
-(* Replicate progress under CKPT_VERBOSE=1: one stderr line per
-   finished stripe, under one lock since stripes finish on any domain. *)
-let progress_lock = Mutex.create ()
-
-let progress finished ~len ~total =
-  Mutex.protect progress_lock (fun () ->
-      Printf.eprintf "[eval] degradation_table: %d/%d replicates\n%!"
-        (len + Atomic.fetch_and_add finished len)
-        total)
-
-let degradation_table ~scenario ~policies ~replicates =
-  if replicates <= 0 then invalid_arg "Evaluation.degradation_table: replicates must be positive";
-  if policies = [] then invalid_arg "Evaluation.degradation_table: no policies";
-  if Tracer.enabled () then Trace_export.ensure_at_exit ();
-  (* Long tables are exactly what the periodic sampler exists for; the
-     call is a no-op unless CKPT_METRICS_INTERVAL/CKPT_METRICS_OUT is
-     set. *)
-  Metrics_export.ensure_sampler ();
-  let policy_array = Array.of_list policies in
-  (* Only a top-level table reports progress: tables nested in a
-     study's own fan-out run several at once. *)
-  let finished =
-    if Span.verbose () && not (Domain_pool.in_parallel_region ()) then Some (Atomic.make 0)
-    else None
-  in
-  (* Fan the stripes out — in the domain pool this composes with a
-     study's own configuration fan-out (idle domains help with the
-     stripes of busy ones) — then reduce serially in replicate order:
-     the merge sequence — hence the table — is bit-for-bit independent
-     of the domain count.  The stripe is the
-     unit of parallel work because the engine amortizes across its
-     replicates; flattening in stripe order preserves replicate
-     order. *)
-  let sz = stripe_size () in
-  let outcomes =
-    Domain_pool.parallel_init (stripe_count ~replicates) (fun stripe ->
-        let first = stripe * sz in
-        let len = min sz (replicates - first) in
-        let os = run_replicate_stripe ~scenario ~policies:policy_array ~first ~len in
-        Option.iter (fun finished -> progress finished ~len ~total:replicates) finished;
-        os)
-    |> Array.to_list |> Array.concat
-  in
-  (* Reduce through the same stripe structure the sweep store persists
-     (within-stripe in replicate order, then across stripes in stripe
-     order), so a table assembled from checkpointed stripe partials is
-     bit-identical to this one. *)
-  Span.time ~layer:"simulator.reduce" "degradation_table" (fun () ->
-      let names = Array.map (fun p -> p.Policy.name) policy_array in
-      table_of_partials
-        (List.init (stripe_count ~replicates) (fun stripe ->
-             let first = stripe * sz in
-             partial_of_outcomes ~policy_names:names outcomes ~first
-               ~len:(min sz (replicates - first)))))
 
 (* The Welford fold below is kept in the exact shape (and order) of
    the original [average_makespan], so the mean this returns is

@@ -6,16 +6,14 @@
     omniscient LowerBound is excluded from the minimum but reported,
     normalized, as its own row); average the per-trace degradations.
 
-    Replicate stripes are evaluated in parallel over OCaml 5 domains
-    ([CKPT_DOMAINS] controls the fan-out; nested inside a study that
-    already parallelizes, the stripes run inline).  Each replicate
-    accumulates into its own state and the per-replicate accumulators
-    are merged serially in replicate order ({!Ckpt_numerics.Summary.merge}),
-    so the table is bit-for-bit identical for every domain count.
-    Trace generation, each policy's stripe pass and the reduce are
-    recorded as {!Ckpt_telemetry.Span}s ([failures.trace_gen],
-    [simulator.stripe], [simulator.reduce]); [CKPT_VERBOSE=1] also
-    prints a top-level table's replicate progress on stderr.
+    Replicate stripes fan out over OCaml 5 domains through
+    {!map_stripes} ([CKPT_DOMAINS] sets the width).  Each replicate
+    accumulates into its own state and the accumulators merge serially
+    in replicate order ({!Ckpt_numerics.Summary.merge}), so the table is
+    bit-for-bit identical for every domain count.  Trace generation,
+    each policy's stripe pass and the reduce are recorded as
+    {!Ckpt_telemetry.Span}s ([failures.trace_gen], [simulator.stripe],
+    [simulator.reduce]).
 
     Each stripe of replicates (see {!stripe_size}) runs through
     {!Engine.run_stripe} — one lockstep pass per policy over the whole
@@ -111,12 +109,19 @@ val stripe_bounds : replicates:int -> stripe:int -> int * int
 (** [(first, len)] of stripe [stripe] at the current width — the
     replicate indices covered are [first, first + len).  This is the
     unit-granularity contract shared by the compute path
-    ({!stripe_partial}) and the distribution substrate
-    ({!Ckpt_experiments.Sweep_store}): a unit is fully described by
-    (scenario, policies, stripe index), independent of which process
-    computes it.
+    ({!stripe_partial}) and the sweep store
+    ({!Ckpt_experiments.Sweep_store}).
     @raise Invalid_argument on an out-of-range stripe or
     [replicates <= 0]. *)
+
+val map_stripes : replicates:int -> (stripe:int -> first:int -> len:int -> 'a) -> 'a array
+(** [f ~stripe ~first ~len] for every stripe (bounds as in
+    {!stripe_bounds}), run in the domain pool, results in stripe order.
+    The one stripe fan-out: {!degradation_table} and every
+    {!Ckpt_experiments.Sweep_store} entry point go through it, so each
+    arms the [CKPT_TRACE_OUT] export and the metrics sampler, and under
+    [CKPT_VERBOSE=1] a top-level call prints replicate progress.
+    @raise Invalid_argument if [replicates <= 0]. *)
 
 val empty_partial : policy_names:string array -> partial
 (** A merge-neutral placeholder with the given roster: zero replicates,
@@ -133,8 +138,8 @@ val stripe_partial :
   partial
 (** Evaluate the replicates of stripe [stripe] (indices
     [stripe * width, min ((stripe + 1) * width, replicates))) and merge
-    them in replicate order.  The fan-out and determinism guarantees of
-    {!degradation_table} apply.
+    them in replicate order: one stripe ({!map_stripes} fans stripes
+    out).  The determinism guarantee of {!degradation_table} applies.
     @raise Invalid_argument on an out-of-range stripe, [replicates <= 0]
     or [policies = []]. *)
 
@@ -148,9 +153,13 @@ val serialize_partial : partial -> string
 (** Text encoding (hex floats) that {!deserialize_partial} inverts bit
     for bit. *)
 
-val deserialize_partial : string -> partial option
-(** [None] on malformed input — a torn or corrupted checkpoint reads as
-    "absent", never crashes and never poisons a table. *)
+val deserialize_partial :
+  policy_names:string array -> replicates:int -> string -> partial option
+(** [None] on malformed input and on a partial of another shape: a
+    roster other than [policy_names], a replicate count other than
+    [replicates], or more usable replicates than that.  A torn or
+    corrupted checkpoint reads as "absent", never crashes and never
+    poisons a table. *)
 
 val average_makespan :
   scenario:Scenario.t -> policy:Ckpt_policies.Policy.t -> replicates:int -> float option

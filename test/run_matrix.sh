@@ -17,24 +17,26 @@ for domains in 1 2 4; do
 done
 
 # -- kill-and-resume smoke test ----------------------------------------------
-# Run the small sweep-smoke grid against a checkpoint store, SIGKILL it
-# partway through, resume it to completion, and require the resumed
-# tables to be byte-identical to an uninterrupted run's.  A third run
-# must skip every unit (nothing left to compute).
+# Run the small sweep-smoke grid (table units) and the spares study
+# (vectors units) against a checkpoint store, SIGKILL it partway
+# through, resume it to completion, and require the resumed CSVs to be
+# byte-identical to an uninterrupted run's.  A third run must skip
+# every unit (nothing left to compute).
 echo "== sweep kill-and-resume smoke =="
 dune build bin/ckpt.exe
 ckpt=_build/default/bin/ckpt.exe
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
 export CKPT_TRACES=48 CKPT_SWEEP_STRIPE=4
+ids="sweep-smoke spares"
 
 echo "-- reference (uninterrupted) run"
 CKPT_RESULTS_DIR="$smoke/ref" \
-  "$ckpt" sweep --resume "$smoke/ref_store" sweep-smoke > "$smoke/ref.log"
+  "$ckpt" sweep --resume "$smoke/ref_store" $ids > "$smoke/ref.log"
 
 echo "-- interrupted run (SIGKILL mid-sweep)"
 CKPT_RESULTS_DIR="$smoke/out" \
-  "$ckpt" sweep --resume "$smoke/out_store" sweep-smoke > "$smoke/killed.log" 2>&1 &
+  "$ckpt" sweep --resume "$smoke/out_store" $ids > "$smoke/killed.log" 2>&1 &
 victim=$!
 sleep 1.5
 kill -KILL "$victim" 2>/dev/null || true  # may have already finished
@@ -42,7 +44,7 @@ wait "$victim" 2>/dev/null || true
 
 echo "-- resumed run"
 CKPT_RESULTS_DIR="$smoke/out" \
-  "$ckpt" sweep --resume "$smoke/out_store" sweep-smoke > "$smoke/resumed.log"
+  "$ckpt" sweep --resume "$smoke/out_store" $ids > "$smoke/resumed.log"
 
 # Compare only the CSV artifacts: sidecars record timestamps and the
 # exact command line, which legitimately differ between runs.
@@ -56,7 +58,7 @@ done
 
 echo "-- all-skip run"
 CKPT_RESULTS_DIR="$smoke/out" \
-  "$ckpt" sweep --resume "$smoke/out_store" sweep-smoke > "$smoke/skip.log"
+  "$ckpt" sweep --resume "$smoke/out_store" $ids > "$smoke/skip.log"
 if ! grep -q ", 0 computed" "$smoke/skip.log"; then
   echo "FAIL: third sweep run recomputed units it should have skipped" >&2
   tail -3 "$smoke/skip.log" >&2
@@ -64,15 +66,17 @@ if ! grep -q ", 0 computed" "$smoke/skip.log"; then
 fi
 
 # -- multi-process worker smoke ------------------------------------------------
-# A 2-worker sweep must produce byte-identical CSVs; a SIGKILLed worker
-# must neither wedge the sweep (its claims are reaped) nor corrupt the
-# store (partial writes fail the checksum and are recomputed).  An
+# The same two studies, so table and vectors units both go through
+# claims and busy-unit placeholders.  A 2-worker sweep must produce
+# byte-identical CSVs; a SIGKILLed worker must neither wedge the sweep
+# (its claims are reaped) nor corrupt the store (unit writes are atomic,
+# and a unit failing its header or payload check is recomputed).  An
 # uninterrupted 4-worker sweep must match the serial bytes too.
 echo "== sweep worker-mode smoke =="
 
 echo "-- 2-worker run, one worker SIGKILLed mid-sweep"
 CKPT_RESULTS_DIR="$smoke/w2" \
-  "$ckpt" sweep --resume "$smoke/w2_store" --workers 2 sweep-smoke \
+  "$ckpt" sweep --resume "$smoke/w2_store" --workers 2 $ids \
   > "$smoke/w2.log" 2>&1 &
 parent=$!
 sleep 1.0
@@ -85,7 +89,7 @@ wait "$parent" 2>/dev/null || true
 
 echo "-- resume with 2 workers"
 CKPT_RESULTS_DIR="$smoke/w2" \
-  "$ckpt" sweep --resume "$smoke/w2_store" --workers 2 sweep-smoke \
+  "$ckpt" sweep --resume "$smoke/w2_store" --workers 2 $ids \
   > "$smoke/w2_resume.log"
 
 leftover=$(find "$smoke/w2_store" -name '*.claim' | wc -l)
@@ -104,7 +108,7 @@ done
 
 echo "-- uninterrupted 4-worker run"
 CKPT_RESULTS_DIR="$smoke/w4" \
-  "$ckpt" sweep --resume "$smoke/w4_store" --workers 4 sweep-smoke > "$smoke/w4.log"
+  "$ckpt" sweep --resume "$smoke/w4_store" --workers 4 $ids > "$smoke/w4.log"
 
 for ref_csv in "$smoke"/ref/*.csv; do
   w4_csv="$smoke/w4/$(basename "$ref_csv")"

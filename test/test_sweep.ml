@@ -112,16 +112,21 @@ let eval_scenario ?(seed = 0x5EEDL) () =
 
 let policies job = [ Ckpt_policies.Young.policy job; Ckpt_policies.Optexp.policy job ]
 
+let policy_names job =
+  Array.of_list (List.map (fun p -> p.Ckpt_policies.Policy.name) (policies job))
+
 let test_partial_roundtrip () =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
       let scenario = eval_scenario () in
       let policies = policies scenario.Scenario.job in
+      let policy_names = policy_names scenario.Scenario.job in
       let replicates = 6 in
       check Alcotest.int "stripe count" 3 (Evaluation.stripe_count ~replicates);
+      let decode = Evaluation.deserialize_partial ~policy_names ~replicates:2 in
       let partials =
         List.init 3 (fun stripe ->
             let p = Evaluation.stripe_partial ~scenario ~policies ~replicates ~stripe in
-            match Evaluation.deserialize_partial (Evaluation.serialize_partial p) with
+            match decode (Evaluation.serialize_partial p) with
             | None -> Alcotest.fail "partial did not round-trip"
             | Some p' -> p')
       in
@@ -129,7 +134,19 @@ let test_partial_roundtrip () =
         (Evaluation.degradation_table ~scenario ~policies ~replicates)
         (Evaluation.table_of_partials partials);
       check Alcotest.(option reject) "corrupt partial rejected" None
-        (Option.map ignore (Evaluation.deserialize_partial "ckpt-eval-partial/1\ngarbage")))
+        (Option.map ignore (decode "ckpt-eval-partial/1\ngarbage"));
+      (* A partial that parses but does not fit the stripe is rejected
+         too: another replicate count, another roster. *)
+      let encoded =
+        Evaluation.serialize_partial
+          (Evaluation.stripe_partial ~scenario ~policies ~replicates ~stripe:0)
+      in
+      check Alcotest.(option reject) "other replicate count rejected" None
+        (Option.map ignore (Evaluation.deserialize_partial ~policy_names ~replicates:3 encoded));
+      check Alcotest.(option reject) "other roster rejected" None
+        (Option.map ignore
+           (Evaluation.deserialize_partial ~policy_names:(Array.sub policy_names 0 1)
+              ~replicates:2 encoded)))
 
 (* -- store resume semantics -------------------------------------------------- *)
 
@@ -244,60 +261,152 @@ let prop_prefix_resume =
           let resumed = run_store ~dir ~replicates:6 () in
           fresh = resumed))
 
-let test_floats_resume () =
-  with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
-      let dir = fresh_dir () in
-      let scenario = eval_scenario () in
-      let f replicate = Float.of_int replicate *. 1.5 in
-      let run () =
-        Sweep_store.floats
-          ~store:(Sweep_store.create ~dir)
-          ~experiment:"floats_test" ~scenario ~replicates:5 ~f ()
-      in
-      let fresh, s1 = stats_since run in
-      check
-        Alcotest.(array (float 0.))
-        "floats == Array.init replicates f" (Array.init 5 f) fresh;
-      check Alcotest.int "three stripes computed" 3 s1.Sweep_store.computed;
-      let resumed, s2 = stats_since run in
-      check Alcotest.(array (float 0.)) "resumed floats identical" fresh resumed;
-      check Alcotest.int "all stripes skipped" 3 s2.Sweep_store.skipped;
-      check Alcotest.int "nothing recomputed" 0 s2.Sweep_store.computed)
+(* Row 3 is all-NaN — the "failed replicate" marker must survive the
+   hex round trip through the store. *)
+let vector_row replicate =
+  if replicate = 3 then Array.make 4 nan
+  else Array.init 4 (fun i -> float_of_int ((replicate * 4) + i) *. 0.5)
+
+let run_vectors ?(width = 4) ~dir () =
+  Sweep_store.vectors
+    ~store:(Sweep_store.create ~dir)
+    ~experiment:"vectors_test" ~scenario:(eval_scenario ()) ~replicates:5 ~width
+    ~f:(fun r -> Array.sub (vector_row r) 0 width)
+    ()
 
 let test_vectors_resume () =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
       let dir = fresh_dir () in
-      let scenario = eval_scenario () in
-      (* Row 3 is all-NaN — the "failed replicate" marker must survive
-         the hex round trip through the store. *)
-      let f replicate =
-        if replicate = 3 then Array.make 4 nan
-        else Array.init 4 (fun i -> float_of_int ((replicate * 4) + i) *. 0.5)
-      in
-      let run () =
-        Sweep_store.vectors
-          ~store:(Sweep_store.create ~dir)
-          ~experiment:"vectors_test" ~scenario ~replicates:5 ~width:4 ~f ()
-      in
-      let fresh, s1 = stats_since run in
+      let fresh, s1 = stats_since (run_vectors ~dir) in
       check Alcotest.bool "vectors == Array.init replicates f" true
-        (compare (Array.init 5 f) fresh = 0);
+        (compare (Array.init 5 vector_row) fresh = 0);
       check Alcotest.int "three stripes computed" 3 s1.Sweep_store.computed;
-      let resumed, s2 = stats_since run in
+      let resumed, s2 = stats_since (run_vectors ~dir) in
       check Alcotest.bool "resumed vectors bit-identical" true (compare fresh resumed = 0);
       check Alcotest.int "all stripes skipped" 3 s2.Sweep_store.skipped;
-      (* Same scenario and replicates under a different kind must not
-         collide with the floats units. *)
-      let floats, s3 =
-        stats_since (fun () ->
-            Sweep_store.floats
-              ~store:(Sweep_store.create ~dir)
-              ~experiment:"vectors_test" ~scenario ~replicates:5
-              ~f:(fun r -> float_of_int r)
-              ())
-      in
-      check Alcotest.int "distinct kind computes afresh" 3 s3.Sweep_store.computed;
-      check Alcotest.(array (float 0.)) "floats unaffected" (Array.init 5 float_of_int) floats)
+      (* The width is part of the key: narrower rows never load the
+         wider units. *)
+      let narrow, s3 = stats_since (run_vectors ~width:2 ~dir) in
+      check Alcotest.int "another width computes afresh" 3 s3.Sweep_store.computed;
+      check Alcotest.int "narrow rows" 2 (Array.length narrow.(0)))
+
+(* Rewrite the first unit file of [dir] whose name starts with [prefix]
+   through [edit], which maps its lines to new lines. *)
+let edit_unit ~dir ~prefix edit =
+  match List.filter (String.starts_with ~prefix) (unit_files dir) with
+  | name :: _ ->
+      let path = Filename.concat dir name in
+      let lines = String.split_on_char '\n' (Option.get (Atomic_file.read path)) in
+      Atomic_file.write ~path (String.concat "\n" (edit lines))
+  | [] -> Alcotest.fail "no unit files"
+
+(* A unit whose header and payload parse but whose shape does not fit
+   its stripe must read as invalidated, not be merged. *)
+let test_table_shape_checked () =
+  with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
+      let dir = fresh_dir () in
+      let fresh = run_store ~dir ~replicates:6 () in
+      (* Rename one policy in the roster line. *)
+      edit_unit ~dir ~prefix:"unit_test" (function
+        | header :: format :: roster :: rest ->
+            check Alcotest.string "roster line" "policies\tYoung\tOptExp" roster;
+            header :: format :: "policies\tYounq\tOptExp" :: rest
+        | _ -> Alcotest.fail "unexpected unit layout");
+      let recovered, s = stats_since (fun () -> run_store ~dir ~replicates:6 ()) in
+      Alcotest.(check bool) "recomputed to the fresh table" true (fresh = recovered);
+      check Alcotest.int "foreign roster invalidated" 1 s.Sweep_store.invalidated;
+      check Alcotest.int "and recomputed" 1 s.Sweep_store.computed)
+
+let test_vectors_shape_checked () =
+  with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
+      let dir = fresh_dir () in
+      let fresh = run_vectors ~dir () in
+      (* Drop the stripe's last row and edit the row count to match. *)
+      edit_unit ~dir ~prefix:"vectors_test" (function
+        | header :: format :: row :: _ ->
+            check Alcotest.string "row count line" "ckpt-vectors/1 2 4" format;
+            [ header; "ckpt-vectors/1 1 4"; row; "" ]
+        | _ -> Alcotest.fail "unexpected unit layout");
+      let recovered, s = stats_since (run_vectors ~dir) in
+      check Alcotest.bool "recomputed to the fresh rows" true (compare fresh recovered = 0);
+      check Alcotest.int "short unit invalidated" 1 s.Sweep_store.invalidated;
+      check Alcotest.int "and recomputed" 1 s.Sweep_store.computed)
+
+(* Unit names and bytes of a fixed table and vectors sweep: a store
+   filled by an earlier build resumes with nothing recomputed only
+   while these hold. *)
+let test_store_keys_pinned () =
+  with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
+      let dir = fresh_dir () in
+      let store = Sweep_store.create ~dir in
+      let scenario = eval_scenario () in
+      ignore
+        (Sweep_store.degradation_table ~store ~params:[ ("point", "a") ] ~experiment:"pin_table"
+           ~scenario ~policies:(policies scenario.Scenario.job) ~replicates:5 ());
+      ignore
+        (Sweep_store.vectors ~store ~experiment:"pin_vectors" ~scenario ~replicates:5 ~width:4
+           ~f:vector_row ());
+      check
+        Alcotest.(list (pair string string))
+        "unit names and MD5s"
+        [
+          ("pin_table-ea1354fec0adab7852bc1c66b0ad7697.stripe000.part", "467f107e94d9f7b7548c79d731b5e5e5");
+          ("pin_table-ea1354fec0adab7852bc1c66b0ad7697.stripe001.part", "8e104423aa03a542017c2cc4c6adabce");
+          ("pin_table-ea1354fec0adab7852bc1c66b0ad7697.stripe002.part", "a93e630cc0f30eca51da01a429e0fd35");
+          ("pin_vectors-b7e7ca4cbc8c77559925d5e984982c67.stripe000.part", "23f0f3385ed5eb6db07eb670414a3f31");
+          ("pin_vectors-b7e7ca4cbc8c77559925d5e984982c67.stripe001.part", "9be67bb08118c07e92e5a33a39ee07ba");
+          ("pin_vectors-b7e7ca4cbc8c77559925d5e984982c67.stripe002.part", "111b2dc61ba08d81b896b9cb976eef54");
+        ]
+        (List.map
+           (fun f -> (f, Digest.to_hex (Digest.file (Filename.concat dir f))))
+           (unit_files dir)))
+
+(* Units carry no payload checksum, so a flipped hex digit can still
+   decode to a valid number: what must hold after any truncation or
+   single-byte substitution of a unit is no exception and a result of
+   the right shape. *)
+let prop_damaged_unit_shape =
+  let filled = Hashtbl.create 2 in
+  let store_of ~table =
+    match Hashtbl.find_opt filled table with
+    | Some dir -> dir
+    | None ->
+        let dir = fresh_dir () in
+        if table then ignore (run_store ~dir ~replicates:5 ()) else ignore (run_vectors ~dir ());
+        Hashtbl.replace filled table dir;
+        dir
+  in
+  QCheck2.Test.make ~name:"a truncated or substituted unit never raises and keeps its shape"
+    ~count:500
+    QCheck2.Gen.(
+      quad bool (int_range 0 2) (float_bound_exclusive 1.) (opt (int_range 1 255)))
+    (fun (table, unit, at, substitute) ->
+      with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
+          let dir = store_of ~table in
+          let path = Filename.concat dir (List.nth (unit_files dir) unit) in
+          let pristine = Option.get (Atomic_file.read path) in
+          let pos = int_of_float (at *. float_of_int (String.length pristine)) in
+          Atomic_file.write ~path
+            (match substitute with
+            | None -> String.sub pristine 0 pos
+            | Some d ->
+                String.mapi
+                  (fun i c -> if i = pos then Char.chr ((Char.code c + d) mod 256) else c)
+                  pristine);
+          Fun.protect
+            ~finally:(fun () -> Atomic_file.write ~path pristine)
+            (fun () ->
+              if table then begin
+                let t = run_store ~dir ~replicates:5 () in
+                t.Evaluation.replicates = 5
+                && t.Evaluation.usable_replicates <= 5
+                && List.map (fun r -> r.Evaluation.policy_name) t.Evaluation.results
+                   = Array.to_list (policy_names (eval_scenario ()).Scenario.job)
+              end
+              else begin
+                let rows = run_vectors ~dir () in
+                Array.length rows = 5 && Array.for_all (fun r -> Array.length r = 4) rows
+              end)))
 
 (* -- claim protocol and worker mode ------------------------------------------ *)
 
@@ -417,8 +526,8 @@ let test_worker_mode_reaps_dead_claims () =
       | missing :: corrupt :: _ ->
           (* Unit 0: a worker died before persisting — no result, dead
              claim.  Unit 1: it died mid-write badly enough to corrupt
-             the file (simulated), dead claim on top — the checksum
-             path must still invalidate it under re-claim. *)
+             the file (simulated), dead claim on top — the header check
+             must still invalidate it under re-claim. *)
           Atomic_file.remove missing.Sweep_store.u_path;
           Sweep_store.Claim.write
             ~path:(Sweep_store.Claim.path missing.Sweep_store.u_path)
@@ -433,7 +542,7 @@ let test_worker_mode_reaps_dead_claims () =
           let t, s = stats_since (fun () -> run_store ~dir ~replicates:6 ()) in
           check Alcotest.int "both dead claims reaped" 2 s.Sweep_store.reaped;
           check Alcotest.int "both units recomputed" 2 s.Sweep_store.computed;
-          check Alcotest.int "corrupt unit invalidated by checksum" 1
+          check Alcotest.int "corrupt unit invalidated by its header" 1
             s.Sweep_store.invalidated;
           check Alcotest.int "no unit left busy" 0 s.Sweep_store.busy;
           Alcotest.(check bool) "recovered table == reference" true
@@ -507,8 +616,11 @@ let () =
           Alcotest.test_case "changed params change keys" `Quick test_changed_params_invalidate;
           Alcotest.test_case "stripe width changes keys" `Quick test_stripe_size_changes_keys;
           QCheck_alcotest.to_alcotest prop_prefix_resume;
-          Alcotest.test_case "floats resume" `Quick test_floats_resume;
           Alcotest.test_case "vectors resume" `Quick test_vectors_resume;
+          Alcotest.test_case "table unit shape checked" `Quick test_table_shape_checked;
+          Alcotest.test_case "vectors unit shape checked" `Quick test_vectors_shape_checked;
+          Alcotest.test_case "store keys pinned" `Quick test_store_keys_pinned;
+          QCheck_alcotest.to_alcotest prop_damaged_unit_shape;
         ] );
       ( "claims",
         [
