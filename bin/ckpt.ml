@@ -372,7 +372,7 @@ let trace_cmd =
     match out with
     | None -> ()
     | Some path ->
-        T.Trace_export.write ~path [ buf ];
+        T.Tracer.write ~path buf;
         T.Provenance.write_sidecar
           ~extra:
             [
@@ -735,10 +735,9 @@ let sweep_cmd =
     term
 
 let () =
-  (* Arm the periodic metrics sampler / exit-time exposition when
-     CKPT_METRICS_INTERVAL or CKPT_METRICS_OUT asks for it; a no-op
-     otherwise. *)
-  T.Metrics_export.ensure_sampler ();
+  (* The one arming site of the exit-time OpenMetrics textfile; a
+     no-op unless CKPT_METRICS_OUT is set. *)
+  T.Metrics_export.ensure_at_exit ();
   let doc = "Checkpointing strategies for parallel jobs (Bougeret et al., SC'11 reproduction)" in
   let info = Cmd.info "ckpt" ~version:"1.0.0" ~doc in
   exit

@@ -100,7 +100,6 @@ module Telemetry = struct
   module Metrics = Ckpt_telemetry.Metrics
   module Metrics_export = Ckpt_telemetry.Metrics_export
   module Tracer = Ckpt_telemetry.Tracer
-  module Trace_export = Ckpt_telemetry.Trace_export
   module Span = Ckpt_telemetry.Span
   module Provenance = Ckpt_telemetry.Provenance
   module Json = Ckpt_telemetry.Json

@@ -2,10 +2,7 @@ module Policy = Ckpt_policies.Policy
 module Summary = Ckpt_numerics.Summary
 module Domain_pool = Ckpt_parallel.Domain_pool
 module Metrics = Ckpt_telemetry.Metrics
-module Metrics_export = Ckpt_telemetry.Metrics_export
 module Span = Ckpt_telemetry.Span
-module Tracer = Ckpt_telemetry.Tracer
-module Trace_export = Ckpt_telemetry.Trace_export
 
 let trace_gen_seconds = Metrics.histogram "eval/trace_gen_seconds"
 let replicates_run = Metrics.counter "eval/replicates"
@@ -196,14 +193,9 @@ type replicate_outcome = {
 (* Generates a stripe's trace sets, computes each slot's initial
    lifetime template once (shared by every policy's pass), steps every
    policy over the whole stripe, then reassembles per-replicate
-   outcomes in canonical slot order.  Under tracing, every run gets its
-   own [rep<r>/<policy>] buffer, registered once the run is over. *)
+   outcomes in canonical slot order. *)
 let run_replicate_stripe ~scenario ~policies ~first ~len =
   let metered = Metrics.enabled () in
-  let tracing = Tracer.enabled () in
-  let buffer ~slot name =
-    Tracer.create_buffer ~name:(Printf.sprintf "rep%d/%s" (first + slot) name) ()
-  in
   let traces, initial_births =
     Span.time ~layer:"failures.trace_gen" "Scenario.traces" (fun () ->
         let traces =
@@ -224,13 +216,7 @@ let run_replicate_stripe ~scenario ~policies ~first ~len =
     Array.map
       (fun policy ->
         Span.time ~layer:"simulator.stripe" policy.Policy.name (fun () ->
-            let trace =
-              if tracing then Some (Array.init len (fun slot -> buffer ~slot policy.Policy.name))
-              else None
-            in
-            let runs = Engine.run_stripe ?trace ~initial_births ~scenario ~traces ~policy () in
-            Option.iter (Array.iter Tracer.register) trace;
-            runs))
+            Engine.run_stripe ~initial_births ~scenario ~traces ~policy ()))
       policies
   in
   Array.init len (fun i ->
@@ -254,10 +240,7 @@ let run_replicate_stripe ~scenario ~policies ~first ~len =
           policy_runs;
         let lb =
           Span.time ~layer:"simulator.stripe" "LowerBound" (fun () ->
-              let trace = if tracing then Some (buffer ~slot:i "LowerBound") else None in
-              let lb = Engine.lower_bound ?trace ~scenario ~traces:traces.(i) () in
-              Option.iter Tracer.register trace;
-              lb)
+              Engine.lower_bound ~scenario ~traces:traces.(i) ())
         in
         record rep_lb ~degradation:(lb.Engine.makespan /. best) lb
       end;
@@ -314,11 +297,6 @@ let progress finished ~len ~total =
    the domain count. *)
 let map_stripes ~replicates f =
   let count = stripe_count ~replicates in
-  if Tracer.enabled () then Trace_export.ensure_at_exit ();
-  (* Long fan-outs are exactly what the periodic sampler exists for;
-     the call is a no-op unless CKPT_METRICS_INTERVAL/CKPT_METRICS_OUT
-     is set. *)
-  Metrics_export.ensure_sampler ();
   (* Only a top-level fan-out reports progress: tables nested in a
      study's own fan-out run several at once. *)
   let finished =
@@ -371,34 +349,37 @@ let stripe_partial ~scenario ~policies ~replicates ~stripe =
   partial_of_outcomes ~policy_names:names
     (run_replicate_stripe ~scenario ~policies:policy_array ~first ~len)
 
+(* The cross-stripe merge, attributed here once for both the computed
+   and the stored path. *)
 let table_of_partials partials =
-  match partials with
-  | [] -> invalid_arg "Evaluation.table_of_partials: no partials"
-  | head :: _ ->
-      List.iter
-        (fun p ->
-          if p.p_policies <> head.p_policies then
-            invalid_arg "Evaluation.table_of_partials: mismatched policy rosters")
-        partials;
-      let accs = Array.map (fun _ -> fresh_accumulator ()) head.p_policies in
-      let lb_acc = fresh_accumulator () in
-      let usable = ref 0 in
-      let replicates = ref 0 in
-      List.iter
-        (fun p ->
-          usable := !usable + p.p_usable;
-          replicates := !replicates + p.p_replicates;
-          Array.iteri (fun i a -> merge_into accs.(i) a) p.p_accs;
-          merge_into lb_acc p.p_lb)
-        partials;
-      {
-        lower_bound = result_of_accumulator "LowerBound" lb_acc;
-        results =
-          Array.to_list
-            (Array.mapi (fun i name -> result_of_accumulator name accs.(i)) head.p_policies);
-        replicates = !replicates;
-        usable_replicates = !usable;
-      }
+  Span.time ~layer:"simulator.reduce" "table_of_partials" (fun () ->
+      match partials with
+      | [] -> invalid_arg "Evaluation.table_of_partials: no partials"
+      | head :: _ ->
+          List.iter
+            (fun p ->
+              if p.p_policies <> head.p_policies then
+                invalid_arg "Evaluation.table_of_partials: mismatched policy rosters")
+            partials;
+          let accs = Array.map (fun _ -> fresh_accumulator ()) head.p_policies in
+          let lb_acc = fresh_accumulator () in
+          let usable = ref 0 in
+          let replicates = ref 0 in
+          List.iter
+            (fun p ->
+              usable := !usable + p.p_usable;
+              replicates := !replicates + p.p_replicates;
+              Array.iteri (fun i a -> merge_into accs.(i) a) p.p_accs;
+              merge_into lb_acc p.p_lb)
+            partials;
+          {
+            lower_bound = result_of_accumulator "LowerBound" lb_acc;
+            results =
+              Array.to_list
+                (Array.mapi (fun i name -> result_of_accumulator name accs.(i)) head.p_policies);
+            replicates = !replicates;
+            usable_replicates = !usable;
+          })
 
 (* Each stripe merges its replicate outcomes in order inside its task,
    then the partials merge in stripe order: the same tree the sweep
@@ -411,8 +392,7 @@ let degradation_table ~scenario ~policies ~replicates =
     map_stripes ~replicates (fun ~stripe ~first:_ ~len:_ ->
         stripe_partial ~scenario ~policies ~replicates ~stripe)
   in
-  Span.time ~layer:"simulator.reduce" "degradation_table" (fun () ->
-      table_of_partials (Array.to_list partials))
+  table_of_partials (Array.to_list partials)
 
 (* -- persistence of partials -------------------------------------------------
 

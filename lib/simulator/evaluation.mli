@@ -18,9 +18,10 @@
     Each stripe of replicates (see {!stripe_size}) runs through
     {!Engine.run_stripe} — one lockstep pass per policy over the whole
     stripe, the stripe being the unit of parallel work — and each
-    slot's outcome is exactly that replicate's execution alone.  Under
-    tracing ([CKPT_TRACE_OUT]) every run records into its own
-    [rep<r>/<policy>] (and [rep<r>/LowerBound]) buffer. *)
+    slot's outcome is exactly that replicate's execution alone.  No
+    evaluation records a simulated-time trace: [ckpt trace] and
+    [ckpt explain] replay one (policy, replicate) into a
+    {!Ckpt_telemetry.Tracer} buffer instead. *)
 
 (** Distributional view of a policy's completed runs, derived from the
     exact {!Ckpt_numerics.Summary.Vector} accumulator: makespan
@@ -118,8 +119,7 @@ val map_stripes : replicates:int -> (stripe:int -> first:int -> len:int -> 'a) -
 (** [f ~stripe ~first ~len] for every stripe (bounds as in
     {!stripe_bounds}), run in the domain pool, results in stripe order.
     The one stripe fan-out: {!degradation_table} and every
-    {!Ckpt_experiments.Sweep_store} entry point go through it, so each
-    arms the [CKPT_TRACE_OUT] export and the metrics sampler, and under
+    {!Ckpt_experiments.Sweep_store} entry point go through it.  Under
     [CKPT_VERBOSE=1] a top-level call prints replicate progress.
     @raise Invalid_argument if [replicates <= 0]. *)
 
@@ -145,7 +145,9 @@ val stripe_partial :
 
 val table_of_partials : partial list -> table
 (** Merge stripe partials {e in the order given} — pass them in stripe
-    order to reproduce {!degradation_table} bit for bit.
+    order to reproduce {!degradation_table} bit for bit.  The merge is
+    one [simulator.reduce] span, whether the partials were computed or
+    loaded from a sweep store.
     @raise Invalid_argument on an empty list or mismatched policy
     rosters. *)
 

@@ -7,9 +7,9 @@ type cache
     Trace sets are pure functions of the scenario and the replicate
     index; the cache only saves regeneration work — the period
     search's tuning sets, policy sweeps re-running the same
-    replicates — and never changes results.  Capacity comes from the
-    [CKPT_TRACE_CACHE] environment variable (default 64 sets;
-    0 disables caching).  Safe to share across domains. *)
+    replicates — and never changes results.  It holds 64 sets, in
+    16 separately locked stripes of 4 (replicate mod 16).  Safe to
+    share across domains. *)
 
 type t = {
   job : Ckpt_policies.Job.t;

@@ -302,3 +302,42 @@ let to_string ?(pretty = false) j =
   let buf = Buffer.create 256 in
   write buf ~indent:pretty ~level:0 j;
   Buffer.contents buf
+
+(* -- Chrome trace_event documents -------------------------------------------- *)
+
+type chrome_event = {
+  ev_name : string;
+  ev_cat : string;
+  ts : float;
+  dur : float option;
+  args : (string * t) list;
+}
+
+let chrome_trace threads =
+  let micros s = Printf.sprintf "%.3f" (s *. 1e6) in
+  let buf = Buffer.create 4096 in
+  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
+  let sep = ref "\n" in
+  let emit s =
+    Buffer.add_string buf !sep;
+    Buffer.add_string buf s;
+    sep := ",\n"
+  in
+  List.iteri
+    (fun tid (name, events) ->
+      emit
+        (Printf.sprintf {|{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":"%s"}}|}
+           tid (escape name));
+      List.iter
+        (fun e ->
+          emit
+            (Printf.sprintf {|{"name":"%s","cat":"%s","pid":0,"tid":%d,"ts":%s,%s%s}|}
+               (escape e.ev_name) (escape e.ev_cat) tid (micros e.ts)
+               (match e.dur with
+               | Some d -> Printf.sprintf {|"ph":"X","dur":%s|} (micros d)
+               | None -> {|"ph":"i","s":"t"|})
+               (if e.args = [] then "" else ",\"args\":" ^ to_string (Obj e.args))))
+        events)
+    threads;
+  Buffer.add_string buf "\n]}\n";
+  Buffer.contents buf

@@ -1,10 +1,10 @@
 (** Minimal self-contained JSON reader/writer.
 
     Used to read sweep workers' stats files and the end-to-end
-    benchmark's records, by the metrics sampler to append JSONL
-    time-series, and to validate Chrome trace_event exports.  Numbers are represented as
-    floats — every JSON producer in this repository emits numbers
-    that fit. *)
+    benchmark's records, to render and validate Chrome trace_event
+    exports, and to write the simulated-time JSONL trace.  Numbers are
+    represented as floats — every JSON producer in this repository
+    emits numbers that fit. *)
 
 type t =
   | Null
@@ -34,3 +34,21 @@ val escape : string -> string
 val to_string : ?pretty:bool -> t -> string
 (** Serialize.  [~pretty:true] uses two-space indentation.  Non-finite
     numbers render as [null] (JSON has no NaN/infinity). *)
+
+(** {1 Chrome trace_event} *)
+
+type chrome_event = {
+  ev_name : string;
+  ev_cat : string;
+  ts : float;  (** seconds from the trace's origin *)
+  dur : float option;  (** seconds; [None] is an instant *)
+  args : (string * t) list;  (** omitted when empty *)
+}
+
+val chrome_trace : (string * chrome_event list) list -> string
+(** The one Chrome trace_event renderer, loadable in [chrome://tracing]
+    and Perfetto: each [(name, events)] becomes thread [tid] = its
+    position, introduced by a [thread_name] record; an event with a
+    duration is a complete ([ph:"X"]) event, one without an instant
+    ([ph:"i"]).  Times are written in microseconds with three
+    decimals. *)

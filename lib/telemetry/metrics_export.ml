@@ -1,23 +1,10 @@
-(* Live exposition of the metrics registry.
+(* OpenMetrics exposition of the metrics registry.
 
-   Two outputs, sharing one sampling path:
-
-   - an OpenMetrics/Prometheus textfile, atomically replaced on every
-     sample via [Ckpt_store.Atomic_file] so a scraper (node_exporter's
-     textfile collector, or a human with cat) never sees a torn file;
-   - a JSONL time-series, one snapshot object appended per sample, for
-     after-the-fact trajectory plots of a long sweep.
-
-   Off by default.  CKPT_METRICS_INTERVAL=<seconds> starts a sampler
-   thread (and implies CKPT_METRICS=1 and span recording — asking for
-   periodic samples of a disabled registry would be useless);
-   CKPT_METRICS_OUT names the textfile (default "metrics.prom"; the
-   JSONL series goes to the same path + ".jsonl").  CKPT_METRICS_OUT
-   without an interval publishes one final snapshot at exit.
-
-   The sampler is a [Thread] rather than a [Domain]: it spends its
-   life in [Thread.delay] and brief registry reads, so it must not
-   occupy one of the few cores the worker domains are sized to. *)
+   Off by default.  CKPT_METRICS_OUT=<path> publishes one final
+   snapshot of the registry and the span totals at exit, as an
+   OpenMetrics/Prometheus textfile written atomically via
+   [Ckpt_store.Atomic_file], so a scraper (node_exporter's textfile
+   collector, or a human with cat) never sees a torn file. *)
 
 module Atomic_file = Ckpt_store.Atomic_file
 
@@ -96,47 +83,6 @@ let openmetrics ?(spans = []) snap =
   Buffer.add_string buf "# EOF\n";
   Buffer.contents buf
 
-(* -- JSONL time-series ------------------------------------------------------ *)
-
-let json_of_value = function
-  | Metrics.Counter n -> Json.Obj [ ("type", Json.Str "counter"); ("value", Json.Num (float_of_int n)) ]
-  | Metrics.Gauge v -> Json.Obj [ ("type", Json.Str "gauge"); ("value", Json.Num v) ]
-  | Metrics.Histogram h ->
-      Json.Obj
-        ([
-           ("type", Json.Str "histogram");
-           ("count", Json.Num (float_of_int h.Metrics.count));
-           ("sum", Json.Num h.Metrics.sum);
-         ]
-        @
-        if h.Metrics.count = 0 then []
-        else
-          [
-            ("min", Json.Num h.Metrics.min_v);
-            ("max", Json.Num h.Metrics.max_v);
-            ("p50", Json.Num (Metrics.histogram_quantile h 0.5));
-            ("p90", Json.Num (Metrics.histogram_quantile h 0.9));
-            ("p99", Json.Num (Metrics.histogram_quantile h 0.99));
-          ])
-
-let json_of_span (t : Span.total) =
-  Json.Obj
-    [
-      ("layer", Json.Str t.layer);
-      ("name", Json.Str t.name);
-      ("seconds", Json.Num t.seconds);
-      ("count", Json.Num (float_of_int t.count));
-    ]
-
-let jsonl_sample ?(spans = []) ~ts snap =
-  Json.to_string
-    (Json.Obj
-       [
-         ("ts", Json.Num ts);
-         ("metrics", Json.Obj (List.map (fun (name, v) -> (name, json_of_value v)) snap));
-         ("spans", Json.Arr (List.map json_of_span spans));
-       ])
-
 (* -- publication ------------------------------------------------------------ *)
 
 let out_path () =
@@ -144,68 +90,19 @@ let out_path () =
   | Some p when p <> "" -> p
   | _ -> "metrics.prom"
 
-let series_path () = out_path () ^ ".jsonl"
-
-let interval () =
-  Provenance.env_float "CKPT_METRICS_INTERVAL" ~want:"a positive number of seconds"
-    ~valid:(fun dt -> dt > 0. && Float.is_finite dt)
-
-(* Serialize concurrent publishers (the sampler thread and the at_exit
-   final flush can overlap). *)
-let publish_lock = Mutex.create ()
-
 let publish () =
   try
-    let snap = Metrics.snapshot () in
-    let spans = Span.merge (Span.tracks ()) in
-    let ts = Unix.gettimeofday () in
-    Mutex.lock publish_lock;
-    Fun.protect
-      ~finally:(fun () -> Mutex.unlock publish_lock)
-      (fun () ->
-        (* The textfile is replaced atomically; the series is a plain
-           append (one line per sample — a crash can at worst truncate
-           the final line, which readers skip). *)
-        Atomic_file.write ~fsync:false ~path:(out_path ()) (openmetrics ~spans snap);
-        let oc = open_out_gen [ Open_append; Open_creat ] 0o644 (series_path ()) in
-        Fun.protect
-          ~finally:(fun () -> close_out oc)
-          (fun () ->
-            output_string oc (jsonl_sample ~spans ~ts snap);
-            output_char oc '\n'))
+    Atomic_file.write ~fsync:false ~path:(out_path ())
+      (openmetrics ~spans:(Span.merge (Span.tracks ())) (Metrics.snapshot ()))
   with exn ->
-    (* The sampler must never take the process down. *)
+    (* Runs at exit: report, never take the process down. *)
     Printf.eprintf "[metrics] publish failed: %s\n%!" (Printexc.to_string exn)
 
-(* -- sampler lifecycle ------------------------------------------------------ *)
+let armed = Atomic.make false
 
-let started = Atomic.make false
-let stop_requested = Atomic.make false
-
-let sampler_loop dt =
-  while not (Atomic.get stop_requested) do
-    Thread.delay dt;
-    if not (Atomic.get stop_requested) then publish ()
-  done
-
-let ensure_sampler () =
-  if not (Atomic.exchange started true) then begin
-    match interval () with
-    | Some dt ->
-        Metrics.set_enabled true;
-        Span.set_enabled true;
-        at_exit (fun () ->
-            Atomic.set stop_requested true;
-            publish ());
-        ignore (Thread.create sampler_loop dt)
-    | None ->
-        (* No periodic sampling, but an explicit output request still
-           gets a final snapshot at exit. *)
-        if Sys.getenv_opt "CKPT_METRICS_OUT" <> None then begin
-          Metrics.set_enabled true;
-          Span.set_enabled true;
-          at_exit publish
-        end
+let ensure_at_exit () =
+  if Sys.getenv_opt "CKPT_METRICS_OUT" <> None && not (Atomic.exchange armed true) then begin
+    Metrics.set_enabled true;
+    Span.set_enabled true;
+    at_exit publish
   end
-
-let stop () = Atomic.set stop_requested true

@@ -312,35 +312,21 @@ let chrome rings =
       (fun acc (_, sps) -> List.fold_left (fun a s -> Float.min a s.sp_t0) acc sps)
       infinity rings
   in
-  let micros t = Printf.sprintf "%.3f" (t *. 1e6) in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
-  let sep = ref "\n" in
-  let emit s =
-    Buffer.add_string buf !sep;
-    Buffer.add_string buf s;
-    sep := ",\n"
-  in
-  List.iteri
-    (fun tid (name, sps) ->
-      emit
-        (Printf.sprintf
-           {|{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":"%s"}}|} tid
-           (Json.escape name));
-      List.iter
-        (fun s ->
-          let common =
-            Printf.sprintf {|"name":"%s","cat":"%s","pid":0,"tid":%d,"ts":%s|}
-              (Json.escape s.sp_name) (Json.escape s.sp_layer) tid
-              (micros (s.sp_t0 -. epoch))
-          in
-          if s.sp_t1 > s.sp_t0 then
-            emit (Printf.sprintf {|{%s,"ph":"X","dur":%s}|} common (micros (s.sp_t1 -. s.sp_t0)))
-          else emit (Printf.sprintf {|{%s,"ph":"i","s":"t"}|} common))
-        sps)
-    rings;
-  Buffer.add_string buf "\n]}\n";
-  Buffer.contents buf
+  Json.chrome_trace
+    (List.map
+       (fun (name, sps) ->
+         ( name,
+           List.map
+             (fun s ->
+               {
+                 Json.ev_name = s.sp_name;
+                 ev_cat = s.sp_layer;
+                 ts = s.sp_t0 -. epoch;
+                 dur = (if s.sp_t1 > s.sp_t0 then Some (s.sp_t1 -. s.sp_t0) else None);
+                 args = [];
+               })
+             sps ))
+       rings)
 
 let write_chrome ~path = Ckpt_store.Atomic_file.write ~fsync:false ~path (chrome (recent ()))
 

@@ -15,8 +15,8 @@
     which exports read; overwritten spans are counted as drops.
 
     Recording is on while a consumer is live: [CKPT_VERBOSE=1],
-    [CKPT_METRICS=1], an export path ([CKPT_SPANS_OUT], or the metrics
-    sampler's), or {!set_enabled}.  When it is off, every call site
+    [CKPT_METRICS=1], an export path ([CKPT_SPANS_OUT] or
+    [CKPT_METRICS_OUT]), or {!set_enabled}.  When it is off, every call site
     costs one [Atomic.get].
 
     Timestamps come from [Unix.gettimeofday], clamped monotone within
@@ -53,8 +53,8 @@ val name_track : string -> unit
 
 (** {1 Reading}
 
-    Readers may run while domains record (the metrics sampler does),
-    but see exact figures only once the recording domains are quiet. *)
+    Readers may run while domains record, but see exact figures only
+    once the recording domains are quiet. *)
 
 type total = {
   layer : string;
@@ -109,11 +109,15 @@ type span = { sp_layer : string; sp_name : string; sp_t0 : float; sp_t1 : float 
 val recent : unit -> (string * span list) list
 (** Each track's retained spans, oldest first, by track name. *)
 
+val chrome : (string * span list) list -> string
+(** Chrome trace_event JSON ({!Json.chrome_trace}) of named rings: one
+    thread per ring, the layer as category, [ph:"X"] spans and
+    [ph:"i"] instants ([sp_t0 = sp_t1]), timestamps rebased to the
+    earliest span. *)
+
 val write_chrome : path:string -> unit
-(** Chrome trace_event JSON of every track's ring: one named thread per
-    track, the layer as category, [ph:"X"] spans and [ph:"i"] instants,
-    timestamps rebased to the earliest span.  [CKPT_SPANS_OUT=f] writes
-    [f] at exit. *)
+(** {!chrome} of every track's ring ({!recent}).  [CKPT_SPANS_OUT=f]
+    writes [f] at exit. *)
 
 val reset : unit -> unit
 (** Forget every track (tests). *)

@@ -20,11 +20,8 @@
    (asserted by test/test_simulator.ml).
 
    Tracing is off by default: the engine's fast path is one [match] on
-   an option per emission site.  Setting CKPT_TRACE_OUT=<path> arms it
-   globally — the evaluation harness then allocates a buffer per
-   (replicate, policy) run and the accumulated buffers are written to
-   <path> at process exit (Chrome trace_event JSON, or JSONL when the
-   path ends in .jsonl); see {!Trace_export}. *)
+   an option per emission site, and only a caller that hands the engine
+   a buffer ([ckpt trace], [ckpt explain], tests) records anything. *)
 
 type event =
   | Decision of { at : float; chunk : float; remaining : float }
@@ -38,29 +35,7 @@ type event =
   | Recovery_abort of { t0 : float; t1 : float }
   | Recovery_complete of { t0 : float; t1 : float; cost : float }
 
-(* -- global switches ------------------------------------------------------ *)
-
-let env_out_path =
-  match Sys.getenv_opt "CKPT_TRACE_OUT" with Some "" | None -> None | Some p -> Some p
-
-let out_path_ref = Atomic.make env_out_path
-let enabled_flag = Atomic.make (env_out_path <> None)
-
-let enabled () = Atomic.get enabled_flag
-let set_enabled b = Atomic.set enabled_flag b
-let out_path () = Atomic.get out_path_ref
-
-let set_out_path p =
-  Atomic.set out_path_ref p;
-  if p <> None then Atomic.set enabled_flag true
-
 (* -- ring buffers --------------------------------------------------------- *)
-
-let default_capacity = 65_536
-
-let env_capacity () =
-  Option.value ~default:default_capacity
-    (Provenance.env_int "CKPT_TRACE_CAP" ~want:"an integer >= 1" ~valid:(fun n -> n > 0))
 
 type buffer = {
   name : string;
@@ -73,16 +48,10 @@ type buffer = {
 
 let sentinel = Failure { at = nan; proc = -1 }
 
-let create_buffer ?capacity ~name () =
-  let capacity =
-    match capacity with
-    | Some c when c > 0 -> c
-    | Some _ -> invalid_arg "Tracer.create_buffer: capacity must be positive"
-    | None -> env_capacity ()
-  in
+let create_buffer ?(capacity = 65_536) ~name () =
+  if capacity <= 0 then invalid_arg "Tracer.create_buffer: capacity must be positive";
   { name; events = Array.make capacity sentinel; capacity; length = 0; head = 0; dropped = 0 }
 
-let name b = b.name
 let length b = b.length
 let dropped b = b.dropped
 
@@ -142,39 +111,6 @@ let totals b =
       | Recovery_complete { cost; _ } -> { t with recovery = t.recovery +. cost })
     zero_totals (to_list b)
 
-(* -- the sink: buffers accumulated for end-of-process export -------------- *)
-
-let default_max_buffers = 512
-
-let max_buffers () =
-  Option.value ~default:default_max_buffers
-    (Provenance.env_int "CKPT_TRACE_BUFFERS" ~want:"an integer >= 1" ~valid:(fun n -> n > 0))
-
-let sink_lock = Mutex.create ()
-let sink : buffer list ref = ref []
-let sink_length = ref 0
-let sink_rejected = ref 0
-
-let register b =
-  let max_buffers = max_buffers () in
-  Mutex.lock sink_lock;
-  if !sink_length < max_buffers then begin
-    sink := b :: !sink;
-    incr sink_length
-  end
-  else incr sink_rejected;
-  Mutex.unlock sink_lock
-
-let drain () =
-  Mutex.lock sink_lock;
-  let buffers = List.rev !sink in
-  let rejected = !sink_rejected in
-  sink := [];
-  sink_length := 0;
-  sink_rejected := 0;
-  Mutex.unlock sink_lock;
-  (buffers, rejected)
-
 (* -- rendering ------------------------------------------------------------ *)
 
 let pp_event fmt = function
@@ -206,3 +142,48 @@ let pp_timeline ?limit fmt b =
     "totals: work %.1f s, checkpoint %.1f s, waste %.1f s, recovery %.1f s, downtime %.1f s, \
      %d failures, %d chunks@."
     t.work t.checkpoint t.waste t.recovery t.downtime t.failures t.chunks
+
+(* -- export --------------------------------------------------------------- *)
+
+(* An event's export view: its JSONL kind, its Chrome name, its start,
+   its end ([None] for an instant) and its other fields. *)
+let view = function
+  | Decision { at; chunk; remaining } ->
+      ("decision", "decision", at, None, [ ("chunk", chunk); ("remaining", remaining) ])
+  | Chunk_start { at; work } -> ("chunk-start", "chunk-start", at, None, [ ("work", work) ])
+  | Chunk_commit { t0; t1; work } -> ("chunk-commit", "work", t0, Some t1, [ ("work", work) ])
+  | Checkpoint { t0; t1; cost } -> ("checkpoint", "checkpoint", t0, Some t1, [ ("cost", cost) ])
+  | Failure { at; proc } -> ("failure", "failure", at, None, [ ("proc", float_of_int proc) ])
+  | Waste { t0; t1 } -> ("waste", "waste", t0, Some t1, [])
+  | Downtime { t0; t1 } -> ("downtime", "downtime", t0, Some t1, [])
+  | Recovery_start { at } -> ("recovery-start", "recovery-start", at, None, [])
+  | Recovery_abort { t0; t1 } -> ("recovery-abort", "recovery-abort", t0, Some t1, [])
+  | Recovery_complete { t0; t1; cost } ->
+      ("recovery-complete", "recovery", t0, Some t1, [ ("cost", cost) ])
+
+let nums = List.map (fun (k, v) -> (k, Json.Num v))
+
+let jsonl_line ~buffer_name e =
+  let kind, _, t0, t1, fields = view e in
+  let times = match t1 with None -> [ ("at", t0) ] | Some t1 -> [ ("t0", t0); ("t1", t1) ] in
+  Json.to_string
+    (Json.Obj (("event", Json.Str kind) :: ("run", Json.Str buffer_name) :: nums (times @ fields)))
+
+(* The span name doubles as the category, so a trace can be checked
+   like a wall-clock span export. *)
+let chrome_event e =
+  let _, name, t0, t1, fields = view e in
+  {
+    Json.ev_name = name;
+    ev_cat = name;
+    ts = t0;
+    dur = Option.map (fun t1 -> t1 -. t0) t1;
+    args = nums fields;
+  }
+
+let write ~path b =
+  let events = to_list b in
+  Ckpt_store.Atomic_file.write ~fsync:false ~path
+    (if Filename.check_suffix path ".jsonl" then
+       String.concat "" (List.map (fun e -> jsonl_line ~buffer_name:b.name e ^ "\n") events)
+     else Json.chrome_trace [ (b.name, List.map chrome_event events) ])

@@ -9,11 +9,10 @@
     [Recovery_abort] spans plus [Recovery_complete] costs and stall
     time the [Downtime] spans.
 
-    Tracing is opt-in: {!enabled} reflects [CKPT_TRACE_OUT] (or
-    {!set_enabled}), and an engine run only emits when handed a
+    Tracing is opt-in: an engine run only emits when handed a
     {!buffer}.  Buffers are single-writer ring buffers — one per
-    execution — that overwrite their oldest events when full
-    (capacity [CKPT_TRACE_CAP], default 65536). *)
+    execution — that overwrite their oldest events when full.
+    {!write} is the one simulated-time export ([ckpt trace -o]). *)
 
 type event =
   | Decision of { at : float; chunk : float; remaining : float }
@@ -32,26 +31,17 @@ type event =
   | Recovery_abort of { t0 : float; t1 : float }  (** recovery struck by a failure. *)
   | Recovery_complete of { t0 : float; t1 : float; cost : float }
 
-(** {1 Global switch} *)
-
-val enabled : unit -> bool
-(** True iff [CKPT_TRACE_OUT] was set at startup or {!set_enabled}
-    was called. *)
-
-val set_enabled : bool -> unit
-val out_path : unit -> string option
-val set_out_path : string option -> unit
-(** Setting a path also enables tracing. *)
-
 (** {1 Ring buffers} *)
 
 type buffer
 
 val create_buffer : ?capacity:int -> name:string -> unit -> buffer
+(** [capacity] defaults to 65,536 events.
+    @raise Invalid_argument if [capacity <= 0]. *)
+
 val emit : buffer -> event -> unit
 (** Single-writer: a buffer belongs to the one engine run filling it. *)
 
-val name : buffer -> string
 val length : buffer -> int
 val dropped : buffer -> int
 (** Events overwritten after the ring filled (0 means {!to_list} is
@@ -81,20 +71,21 @@ val totals : buffer -> totals
     in the same order as the engine's accumulators: equal to
     [Engine.metrics] {e bitwise} when {!dropped} is 0. *)
 
-(** {1 Export sink}
-
-    The evaluation harness registers each run's buffer here; the
-    accumulated buffers are written to [CKPT_TRACE_OUT] at process
-    exit by {!Trace_export}.  At most [CKPT_TRACE_BUFFERS] (default
-    512) buffers are kept; later registrations are counted and
-    dropped. *)
-
-val register : buffer -> unit
-val drain : unit -> buffer list * int
-(** All registered buffers in registration order, plus the number of
-    rejected registrations; empties the sink. *)
-
 (** {1 Rendering} *)
 
 val pp_event : Format.formatter -> event -> unit
 val pp_timeline : ?limit:int -> Format.formatter -> buffer -> unit
+
+(** {1 Export} *)
+
+val write : path:string -> buffer -> unit
+(** Write the buffer's events to [path], atomically.  A [*.jsonl] path
+    gets one JSON object per event per line ({!jsonl_line}); any other
+    path gets Chrome trace_event JSON ({!Json.chrome_trace}): one
+    thread named after the buffer, spans as complete events, point
+    events as instants, each with its span name as category, in
+    simulated seconds exported as microseconds. *)
+
+val jsonl_line : buffer_name:string -> event -> string
+(** One event as a JSONL line:
+    [{"event":<kind>,"run":<buffer_name>,"at"|"t0","t1",<fields>...}]. *)

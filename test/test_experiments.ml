@@ -12,8 +12,6 @@ module Replication = Ckpt_experiments.Replication
 module P = Ckpt_platform
 module S = Ckpt_simulator
 module F = Ckpt_failures
-module Tracer = Ckpt_telemetry.Tracer
-module Metrics_export = Ckpt_telemetry.Metrics_export
 
 let check = Alcotest.check
 let close ?(tol = 1e-9) msg expected actual =
@@ -85,12 +83,6 @@ let test_config_malformed () =
   check Alcotest.string "well-formed values print nothing" "" printed;
   (* Every other numeric knob reads through the same warn-once reader:
      run each knob's reader with the knob malformed. *)
-  let job () =
-    Setup.scenario ~config:Config.quick
-      ~dist:(Setup.distribution Setup.Exponential ~mtbf:1e6)
-      ~preset:(P.Presets.petascale ()) ~workload_model:P.Workload.Embarrassingly_parallel
-      ~processors:16 ()
-  in
   List.iter
     (fun (knob, bad, read) ->
       let (), printed = with_env [ (knob, bad) ] (fun () -> capture_stderr read) in
@@ -99,18 +91,10 @@ let test_config_malformed () =
         true
         (contains_sub ~needle:(Printf.sprintf "ckpt: ignoring malformed %s=%S" knob bad) printed))
     [
-      ("CKPT_TRACE_CACHE", "lots", fun () -> ignore (job ()));
-      ("CKPT_TRACE_CAP", "0", fun () -> ignore (Tracer.create_buffer ~name:"knob" ()));
-      ( "CKPT_TRACE_BUFFERS",
-        "-1",
-        fun () ->
-          Tracer.register (Tracer.create_buffer ~capacity:1 ~name:"knob" ());
-          ignore (Tracer.drain ()) );
       ("CKPT_DP_CACHE_CAP", "big", fun () -> ignore (Ckpt_policies.Dp_policies.dp_cache_cap ()));
       ( "CKPT_SWEEP_CLAIM_TTL",
         "-5",
         fun () -> ignore (Ckpt_experiments.Sweep_store.Claim.ttl ()) );
-      ("CKPT_METRICS_INTERVAL", "soon", fun () -> ignore (Metrics_export.interval ()));
       ( "CKPT_SWEEP_WORKERS",
         "0",
         fun () -> ignore (Ckpt_experiments.Sweep_workers.default_workers ()) );

@@ -791,7 +791,7 @@ let test_traced_weibull_reconciles () =
             Fun.protect
               ~finally:(fun () -> Sys.remove path)
               (fun () ->
-                Ckpt_telemetry.Trace_export.write ~path [ buf ];
+                Tracer.write ~path buf;
                 let ic = open_in_bin path in
                 let body =
                   Fun.protect

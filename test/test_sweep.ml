@@ -21,7 +21,16 @@ let same_table msg a b =
 
 let dir_counter = ref 0
 
-let fresh_dir () =
+let rec remove_tree path =
+  match (Unix.lstat path).Unix.st_kind with
+  | Unix.S_DIR ->
+      Array.iter (fun f -> remove_tree (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+  | _ -> Sys.remove path
+
+(* [f dir] on a fresh temporary directory, removed with everything in
+   it afterwards, whatever [f] does. *)
+let with_dir f =
   incr dir_counter;
   let d =
     Filename.concat
@@ -29,7 +38,10 @@ let fresh_dir () =
       (Printf.sprintf "ckpt_sweep_test_%d_%d" (Unix.getpid ()) !dir_counter)
   in
   Atomic_file.mkdir_p d;
-  d
+  Fun.protect ~finally:(fun () -> remove_tree d) (fun () -> f d)
+
+(* A test case run in its own [with_dir] directory. *)
+let in_dir test () = with_dir test
 
 let with_env key value f =
   let previous = Sys.getenv_opt key in
@@ -39,8 +51,7 @@ let with_env key value f =
 
 (* -- Atomic_file ------------------------------------------------------------- *)
 
-let test_mkdir_p () =
-  let root = fresh_dir () in
+let test_mkdir_p root =
   let nested = Filename.concat (Filename.concat root "a/b") "c" in
   Atomic_file.mkdir_p nested;
   Alcotest.(check bool) "nested path exists" true (Sys.is_directory nested);
@@ -48,8 +59,7 @@ let test_mkdir_p () =
   Atomic_file.mkdir_p nested;
   Alcotest.(check bool) "still a directory" true (Sys.is_directory nested)
 
-let test_atomic_write () =
-  let root = fresh_dir () in
+let test_atomic_write root =
   let path = Filename.concat root "sub/dir/artifact.csv" in
   Atomic_file.write ~path "first\n";
   check Alcotest.(option string) "contents" (Some "first\n") (Atomic_file.read path);
@@ -62,8 +72,7 @@ let test_atomic_write () =
   in
   check Alcotest.(list string) "no tempfile left behind" [] leftovers
 
-let test_remove_idempotent () =
-  let root = fresh_dir () in
+let test_remove_idempotent root =
   let path = Filename.concat root "victim" in
   Atomic_file.write ~path "x";
   Atomic_file.remove path;
@@ -167,9 +176,8 @@ let stats_since f =
   let v = f () in
   (v, Sweep_store.stats ())
 
-let test_resume_bit_identical () =
+let test_resume_bit_identical dir =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
-      let dir = fresh_dir () in
       let replicates = 6 in
       let scenario = eval_scenario () in
       let plain =
@@ -196,9 +204,8 @@ let test_resume_bit_identical () =
       check Alcotest.int "only the lost unit recomputed" 1 s3.Sweep_store.computed;
       check Alcotest.int "the others skipped" 2 s3.Sweep_store.skipped)
 
-let test_invalidation_on_corruption () =
+let test_invalidation_on_corruption dir =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
-      let dir = fresh_dir () in
       let fresh, _ = stats_since (fun () -> run_store ~dir ~replicates:6 ()) in
       (match unit_files dir with
       | first :: _ ->
@@ -210,9 +217,8 @@ let test_invalidation_on_corruption () =
       check Alcotest.int "one unit recomputed" 1 s.Sweep_store.computed;
       check Alcotest.int "the others skipped" 2 s.Sweep_store.skipped)
 
-let test_changed_params_invalidate () =
+let test_changed_params_invalidate dir =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
-      let dir = fresh_dir () in
       let t1, _ = stats_since (fun () -> run_store ~dir ~replicates:6 ()) in
       let files1 = unit_files dir in
       (* A different seed must hash to different unit keys: nothing is
@@ -232,8 +238,7 @@ let test_changed_params_invalidate () =
       Alcotest.(check bool) "no cross-seed contamination" true (t1 = t1');
       check Alcotest.int "original fully skipped" 3 s'.Sweep_store.skipped)
 
-let test_stripe_size_changes_keys () =
-  let dir = fresh_dir () in
+let test_stripe_size_changes_keys dir =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
       ignore (run_store ~dir ~replicates:6 ()));
   let files2 = unit_files dir in
@@ -253,13 +258,14 @@ let prop_prefix_resume =
     QCheck2.Gen.(int_range 0 7)
     (fun mask ->
       with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
-          let dir = fresh_dir () in
-          let fresh = run_store ~dir ~replicates:6 () in
-          List.iteri
-            (fun i f -> if mask land (1 lsl i) <> 0 then Atomic_file.remove (Filename.concat dir f))
-            (unit_files dir);
-          let resumed = run_store ~dir ~replicates:6 () in
-          fresh = resumed))
+          with_dir (fun dir ->
+              let fresh = run_store ~dir ~replicates:6 () in
+              List.iteri
+                (fun i f ->
+                  if mask land (1 lsl i) <> 0 then Atomic_file.remove (Filename.concat dir f))
+                (unit_files dir);
+              let resumed = run_store ~dir ~replicates:6 () in
+              fresh = resumed)))
 
 (* Row 3 is all-NaN — the "failed replicate" marker must survive the
    hex round trip through the store. *)
@@ -274,9 +280,8 @@ let run_vectors ?(width = 4) ~dir () =
     ~f:(fun r -> Array.sub (vector_row r) 0 width)
     ()
 
-let test_vectors_resume () =
+let test_vectors_resume dir =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
-      let dir = fresh_dir () in
       let fresh, s1 = stats_since (run_vectors ~dir) in
       check Alcotest.bool "vectors == Array.init replicates f" true
         (compare (Array.init 5 vector_row) fresh = 0);
@@ -302,9 +307,8 @@ let edit_unit ~dir ~prefix edit =
 
 (* A unit whose header and payload parse but whose shape does not fit
    its stripe must read as invalidated, not be merged. *)
-let test_table_shape_checked () =
+let test_table_shape_checked dir =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
-      let dir = fresh_dir () in
       let fresh = run_store ~dir ~replicates:6 () in
       (* Rename one policy in the roster line. *)
       edit_unit ~dir ~prefix:"unit_test" (function
@@ -317,9 +321,8 @@ let test_table_shape_checked () =
       check Alcotest.int "foreign roster invalidated" 1 s.Sweep_store.invalidated;
       check Alcotest.int "and recomputed" 1 s.Sweep_store.computed)
 
-let test_vectors_shape_checked () =
+let test_vectors_shape_checked dir =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
-      let dir = fresh_dir () in
       let fresh = run_vectors ~dir () in
       (* Drop the stripe's last row and edit the row count to match. *)
       edit_unit ~dir ~prefix:"vectors_test" (function
@@ -335,9 +338,8 @@ let test_vectors_shape_checked () =
 (* Unit names and bytes of a fixed table and vectors sweep: a store
    filled by an earlier build resumes with nothing recomputed only
    while these hold. *)
-let test_store_keys_pinned () =
+let test_store_keys_pinned dir =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
-      let dir = fresh_dir () in
       let store = Sweep_store.create ~dir in
       let scenario = eval_scenario () in
       ignore
@@ -366,15 +368,23 @@ let test_store_keys_pinned () =
    single-byte substitution of a unit is no exception and a result of
    the right shape. *)
 let prop_damaged_unit_shape =
+  (* Each store is filled once; every case plants a copy of its files
+     in a directory of its own. *)
   let filled = Hashtbl.create 2 in
-  let store_of ~table =
+  let files_of ~table =
     match Hashtbl.find_opt filled table with
-    | Some dir -> dir
+    | Some files -> files
     | None ->
-        let dir = fresh_dir () in
-        if table then ignore (run_store ~dir ~replicates:5 ()) else ignore (run_vectors ~dir ());
-        Hashtbl.replace filled table dir;
-        dir
+        let files =
+          with_dir (fun dir ->
+              if table then ignore (run_store ~dir ~replicates:5 ())
+              else ignore (run_vectors ~dir ());
+              List.map
+                (fun f -> (f, Option.get (Atomic_file.read (Filename.concat dir f))))
+                (List.sort compare (Array.to_list (Sys.readdir dir))))
+        in
+        Hashtbl.replace filled table files;
+        files
   in
   QCheck2.Test.make ~name:"a truncated or substituted unit never raises and keeps its shape"
     ~count:500
@@ -382,20 +392,21 @@ let prop_damaged_unit_shape =
       quad bool (int_range 0 2) (float_bound_exclusive 1.) (opt (int_range 1 255)))
     (fun (table, unit, at, substitute) ->
       with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
-          let dir = store_of ~table in
-          let path = Filename.concat dir (List.nth (unit_files dir) unit) in
-          let pristine = Option.get (Atomic_file.read path) in
-          let pos = int_of_float (at *. float_of_int (String.length pristine)) in
-          Atomic_file.write ~path
-            (match substitute with
-            | None -> String.sub pristine 0 pos
-            | Some d ->
-                String.mapi
-                  (fun i c -> if i = pos then Char.chr ((Char.code c + d) mod 256) else c)
-                  pristine);
-          Fun.protect
-            ~finally:(fun () -> Atomic_file.write ~path pristine)
-            (fun () ->
+          let files = files_of ~table in
+          with_dir (fun dir ->
+              List.iter
+                (fun (f, body) -> Atomic_file.write ~fsync:false ~path:(Filename.concat dir f) body)
+                files;
+              let path = Filename.concat dir (List.nth (unit_files dir) unit) in
+              let pristine = Option.get (Atomic_file.read path) in
+              let pos = int_of_float (at *. float_of_int (String.length pristine)) in
+              Atomic_file.write ~path
+                (match substitute with
+                | None -> String.sub pristine 0 pos
+                | Some d ->
+                    String.mapi
+                      (fun i c -> if i = pos then Char.chr ((Char.code c + d) mod 256) else c)
+                      pristine);
               if table then begin
                 let t = run_store ~dir ~replicates:5 () in
                 t.Evaluation.replicates = 5
@@ -410,8 +421,7 @@ let prop_damaged_unit_shape =
 
 (* -- claim protocol and worker mode ------------------------------------------ *)
 
-let test_create_exclusive () =
-  let dir = fresh_dir () in
+let test_create_exclusive dir =
   let path = Filename.concat dir "unit.part.claim" in
   Alcotest.(check bool) "first create wins" true (Atomic_file.create_exclusive ~path "a");
   Alcotest.(check bool) "second create loses" false (Atomic_file.create_exclusive ~path "b");
@@ -426,8 +436,7 @@ let test_create_exclusive () =
     "mtime of missing file" None
     (Atomic_file.modification_time (Filename.concat dir "absent"))
 
-let test_claim_staleness () =
-  let dir = fresh_dir () in
+let test_claim_staleness dir =
   let host = Unix.gethostname () in
   let now = Unix.gettimeofday () in
   let claim name ~pid ~host ~time =
@@ -475,11 +484,9 @@ let in_worker_mode f =
   Sweep_store.set_worker_mode true;
   Fun.protect ~finally:(fun () -> Sweep_store.set_worker_mode false) f
 
-let test_worker_mode_claims () =
+let test_worker_mode_claims dir =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
-      let refdir = fresh_dir () in
-      let reference = run_store ~dir:refdir ~replicates:6 () in
-      let dir = fresh_dir () in
+      let reference = with_dir (fun refdir -> run_store ~dir:refdir ~replicates:6 ()) in
       let store = Sweep_store.create ~dir in
       in_worker_mode (fun () ->
           let t, s = stats_since (fun () -> run_store ~dir ~replicates:6 ()) in
@@ -517,9 +524,8 @@ let test_worker_mode_claims () =
       check Alcotest.int "leftover claim reaped" 1 (Sweep_store.reap_claims ~all:true store);
       check Alcotest.int "store clean" 0 (List.length (Sweep_store.claims store)))
 
-let test_worker_mode_reaps_dead_claims () =
+let test_worker_mode_reaps_dead_claims dir =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
-      let dir = fresh_dir () in
       let store = Sweep_store.create ~dir in
       let reference, _ = stats_since (fun () -> run_store ~dir ~replicates:6 ()) in
       (match Sweep_store.units store with
@@ -559,49 +565,51 @@ let prop_worker_partition =
     QCheck2.Gen.(triple (int_range 1 10) (int_range 1 3) (oneofl [ 1; 2; 4 ]))
     (fun (replicates, stripe, workers) ->
       with_env "CKPT_SWEEP_STRIPE" (string_of_int stripe) (fun () ->
-          let refdir = fresh_dir () in
-          let reference = run_store ~dir:refdir ~replicates () in
-          let layout = Sweep_store.units (Sweep_store.create ~dir:refdir) in
-          let dir = fresh_dir () in
-          let store = Sweep_store.create ~dir in
-          let owner u = u.Sweep_store.u_stripe mod workers in
-          let ok = ref true in
-          for k = 0 to workers - 1 do
-            let planted =
-              List.filter_map
-                (fun u ->
-                  if owner u = k then None
-                  else begin
-                    let path =
-                      Filename.concat dir (Filename.basename u.Sweep_store.u_path)
-                    in
-                    plant_live_claim path;
-                    Some (Sweep_store.Claim.path path)
-                  end)
-                layout
-            in
-            in_worker_mode (fun () ->
-                let _, s = stats_since (fun () -> run_store ~dir ~replicates ()) in
-                let owned =
-                  List.length (List.filter (fun u -> owner u = k) layout)
+          let reference, layout =
+            with_dir (fun refdir ->
+                let reference = run_store ~dir:refdir ~replicates () in
+                (reference, Sweep_store.units (Sweep_store.create ~dir:refdir)))
+          in
+          with_dir (fun dir ->
+              let store = Sweep_store.create ~dir in
+              let owner u = u.Sweep_store.u_stripe mod workers in
+              let ok = ref true in
+              for k = 0 to workers - 1 do
+                let planted =
+                  List.filter_map
+                    (fun u ->
+                      if owner u = k then None
+                      else begin
+                        let path =
+                          Filename.concat dir (Filename.basename u.Sweep_store.u_path)
+                        in
+                        plant_live_claim path;
+                        Some (Sweep_store.Claim.path path)
+                      end)
+                    layout
                 in
-                if s.Sweep_store.computed <> owned then ok := false);
-            List.iter Atomic_file.remove planted
-          done;
-          let merged = run_store ~dir ~replicates () in
-          !ok
-          && Sweep_store.claims store = []
-          && List.length (Sweep_store.units store) = List.length layout
-          && compare reference merged = 0))
+                in_worker_mode (fun () ->
+                    let _, s = stats_since (fun () -> run_store ~dir ~replicates ()) in
+                    let owned =
+                      List.length (List.filter (fun u -> owner u = k) layout)
+                    in
+                    if s.Sweep_store.computed <> owned then ok := false);
+                List.iter Atomic_file.remove planted
+              done;
+              let merged = run_store ~dir ~replicates () in
+              !ok
+              && Sweep_store.claims store = []
+              && List.length (Sweep_store.units store) = List.length layout
+              && compare reference merged = 0)))
 
 let () =
   Alcotest.run "sweep"
     [
       ( "atomic_file",
         [
-          Alcotest.test_case "mkdir_p" `Quick test_mkdir_p;
-          Alcotest.test_case "atomic write" `Quick test_atomic_write;
-          Alcotest.test_case "idempotent remove" `Quick test_remove_idempotent;
+          Alcotest.test_case "mkdir_p" `Quick (in_dir test_mkdir_p);
+          Alcotest.test_case "atomic write" `Quick (in_dir test_atomic_write);
+          Alcotest.test_case "idempotent remove" `Quick (in_dir test_remove_idempotent);
         ] );
       ( "serialization",
         [
@@ -611,25 +619,25 @@ let () =
         ] );
       ( "resume",
         [
-          Alcotest.test_case "resume is bit-identical" `Quick test_resume_bit_identical;
-          Alcotest.test_case "corruption invalidates" `Quick test_invalidation_on_corruption;
-          Alcotest.test_case "changed params change keys" `Quick test_changed_params_invalidate;
-          Alcotest.test_case "stripe width changes keys" `Quick test_stripe_size_changes_keys;
+          Alcotest.test_case "resume is bit-identical" `Quick (in_dir test_resume_bit_identical);
+          Alcotest.test_case "corruption invalidates" `Quick (in_dir test_invalidation_on_corruption);
+          Alcotest.test_case "changed params change keys" `Quick (in_dir test_changed_params_invalidate);
+          Alcotest.test_case "stripe width changes keys" `Quick (in_dir test_stripe_size_changes_keys);
           QCheck_alcotest.to_alcotest prop_prefix_resume;
-          Alcotest.test_case "vectors resume" `Quick test_vectors_resume;
-          Alcotest.test_case "table unit shape checked" `Quick test_table_shape_checked;
-          Alcotest.test_case "vectors unit shape checked" `Quick test_vectors_shape_checked;
-          Alcotest.test_case "store keys pinned" `Quick test_store_keys_pinned;
+          Alcotest.test_case "vectors resume" `Quick (in_dir test_vectors_resume);
+          Alcotest.test_case "table unit shape checked" `Quick (in_dir test_table_shape_checked);
+          Alcotest.test_case "vectors unit shape checked" `Quick (in_dir test_vectors_shape_checked);
+          Alcotest.test_case "store keys pinned" `Quick (in_dir test_store_keys_pinned);
           QCheck_alcotest.to_alcotest prop_damaged_unit_shape;
         ] );
       ( "claims",
         [
-          Alcotest.test_case "exclusive create" `Quick test_create_exclusive;
-          Alcotest.test_case "claim staleness" `Quick test_claim_staleness;
+          Alcotest.test_case "exclusive create" `Quick (in_dir test_create_exclusive);
+          Alcotest.test_case "claim staleness" `Quick (in_dir test_claim_staleness);
           Alcotest.test_case "worker mode claims and busy-skip" `Quick
-            test_worker_mode_claims;
+            (in_dir test_worker_mode_claims);
           Alcotest.test_case "dead claims reaped under re-claim" `Quick
-            test_worker_mode_reaps_dead_claims;
+            (in_dir test_worker_mode_reaps_dead_claims);
           QCheck_alcotest.to_alcotest prop_worker_partition;
         ] );
     ]

@@ -4,7 +4,6 @@
 
 module Metrics = Ckpt_telemetry.Metrics
 module Tracer = Ckpt_telemetry.Tracer
-module Trace_export = Ckpt_telemetry.Trace_export
 module Provenance = Ckpt_telemetry.Provenance
 module Span = Ckpt_telemetry.Span
 module Domain_pool = Ckpt_parallel.Domain_pool
@@ -203,27 +202,11 @@ let test_buffer_totals () =
   check Alcotest.int "chunks" 1 t.Tracer.chunks;
   check Alcotest.int "decisions" 1 t.Tracer.decisions
 
-let test_sink_register_drain () =
-  (* Leave the sink as we found it. *)
-  let stale, _ = Tracer.drain () in
-  List.iter Tracer.register stale;
-  let a = Tracer.create_buffer ~capacity:8 ~name:"sink-a" () in
-  let b = Tracer.create_buffer ~capacity:8 ~name:"sink-b" () in
-  Tracer.register a;
-  Tracer.register b;
-  let drained, rejected = Tracer.drain () in
-  let names = List.map Tracer.name drained in
-  check Alcotest.bool "registration order preserved" true
-    (List.filter (fun n -> n = "sink-a" || n = "sink-b") names = [ "sink-a"; "sink-b" ]);
-  check Alcotest.int "nothing rejected" 0 rejected;
-  let after, _ = Tracer.drain () in
-  check Alcotest.int "drain empties the sink" 0 (List.length after)
-
 (* -- export formats --------------------------------------------------------- *)
 
 let test_jsonl_line () =
   let line =
-    Trace_export.jsonl_line ~buffer_name:"rep0/Daly"
+    Tracer.jsonl_line ~buffer_name:"rep0/Daly"
       (Tracer.Chunk_commit { t0 = 1.5; t1 = 2.5; work = 1.0 })
   in
   check Alcotest.bool "names the buffer" true (contains ~needle:"rep0/Daly" line);
@@ -238,7 +221,7 @@ let test_chrome_export () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Trace_export.write ~path [ buf ];
+      Tracer.write ~path buf;
       let body = read_file path in
       check Alcotest.bool "trace_event envelope" true (contains ~needle:"\"traceEvents\"" body);
       check Alcotest.bool "thread named after buffer" true
@@ -255,7 +238,7 @@ let test_jsonl_export () =
   Fun.protect
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
-      Trace_export.write ~path [ buf ];
+      Tracer.write ~path buf;
       let body = read_file path in
       let lines = String.split_on_char '\n' (String.trim body) in
       check Alcotest.int "one line per event" 2 (List.length lines);
@@ -264,6 +247,108 @@ let test_jsonl_export () =
           check Alcotest.bool "line is an object" true
             (String.length l > 1 && l.[0] = '{' && l.[String.length l - 1] = '}'))
         lines)
+
+(* One event of every kind, in the order the engine could emit them. *)
+let every_kind =
+  [
+    Tracer.Decision { at = 0.; chunk = 10.; remaining = 100. };
+    Tracer.Chunk_start { at = 0.; work = 10. };
+    Tracer.Chunk_commit { t0 = 0.; t1 = 10.; work = 10. };
+    Tracer.Checkpoint { t0 = 10.; t1 = 13.; cost = 3. };
+    Tracer.Failure { at = 15.; proc = 7 };
+    Tracer.Waste { t0 = 13.; t1 = 15. };
+    Tracer.Downtime { t0 = 15.; t1 = 16. };
+    Tracer.Recovery_start { at = 16. };
+    Tracer.Recovery_abort { t0 = 16.; t1 = 17. };
+    Tracer.Recovery_complete { t0 = 18.; t1 = 20.; cost = 2. };
+  ]
+
+let is_span = function
+  | Tracer.Chunk_commit _ | Tracer.Checkpoint _ | Tracer.Waste _ | Tracer.Downtime _
+  | Tracer.Recovery_abort _ | Tracer.Recovery_complete _ ->
+      true
+  | Tracer.Decision _ | Tracer.Chunk_start _ | Tracer.Failure _ | Tracer.Recovery_start _ -> false
+
+let test_chrome_every_kind () =
+  let buf = Tracer.create_buffer ~capacity:64 ~name:"rep3/\"every\" kind" () in
+  List.iter (Tracer.emit buf) every_kind;
+  let path = Filename.temp_file "ckpt_trace" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Tracer.write ~path buf;
+      match Json.parse (read_file path) with
+      | Error e -> Alcotest.failf "trace is not valid JSON: %s" e
+      | Ok j ->
+          let events = Option.get (Option.bind (Json.member j "traceEvents") Json.to_list) in
+          let str ev k = Option.bind (Json.member ev k) Json.to_string_opt in
+          let meta, rest = List.partition (fun ev -> str ev "ph" = Some "M") events in
+          check
+            Alcotest.(list (option string))
+            "one thread_name, naming the buffer"
+            [ Some "rep3/\"every\" kind" ]
+            (List.map (fun ev -> Option.bind (Json.member ev "args") (fun a -> str a "name")) meta);
+          check
+            Alcotest.(list string)
+            "one event per Tracer.to_list element: X for spans, i for instants"
+            (List.map (fun e -> if is_span e then "X" else "i") (Tracer.to_list buf))
+            (List.map (fun ev -> Option.value ~default:"?" (str ev "ph")) rest);
+          List.iter
+            (fun ev ->
+              check Alcotest.(option string) "category is the span name" (str ev "name")
+                (str ev "cat"))
+            rest)
+
+let test_jsonl_every_kind () =
+  let buf = Tracer.create_buffer ~capacity:64 ~name:"rep3/lines" () in
+  List.iter (Tracer.emit buf) every_kind;
+  let path = Filename.temp_file "ckpt_trace" ".jsonl" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Tracer.write ~path buf;
+      let lines = String.split_on_char '\n' (String.trim (read_file path)) in
+      check Alcotest.int "one line per event" (List.length every_kind) (List.length lines);
+      List.iter
+        (fun l ->
+          match Json.parse l with
+          | Error e -> Alcotest.failf "line %S is not valid JSON: %s" l e
+          | Ok j ->
+              check Alcotest.(option string) "names the run" (Some "rep3/lines")
+                (Option.bind (Json.member j "run") Json.to_string_opt))
+        lines)
+
+(* [Span.chrome] of a fixed set of rings, byte for byte as the Chrome
+   writer rendered it before it was shared with the simulated-time
+   trace. *)
+let test_span_chrome_pinned () =
+  let sp layer name t0 t1 = { Span.sp_layer = layer; sp_name = name; sp_t0 = t0; sp_t1 = t1 } in
+  let rings =
+    [
+      ( "worker0",
+        [
+          sp "simulator.stripe" "DPNextFailure" 1760000000.125 1760000001.5;
+          sp "parallel.sched" "run-task" 1760000000.25 1760000000.75;
+          sp "parallel.sched" "publish" 1760000001.0 1760000001.0;
+        ] );
+      ("external\"1", [ sp "simulator.reduce" "a\\b" 1759999999.999999 1760000000.000001 ]);
+      ("empty", []);
+    ]
+  in
+  check Alcotest.string "fixed rings"
+    {|{"displayTimeUnit":"ms","traceEvents":[
+{"name":"thread_name","ph":"M","pid":0,"tid":0,"args":{"name":"worker0"}},
+{"name":"DPNextFailure","cat":"simulator.stripe","pid":0,"tid":0,"ts":125000.954,"ph":"X","dur":1375000.000},
+{"name":"run-task","cat":"parallel.sched","pid":0,"tid":0,"ts":250000.954,"ph":"X","dur":500000.000},
+{"name":"publish","cat":"parallel.sched","pid":0,"tid":0,"ts":1000000.954,"ph":"i","s":"t"},
+{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"external\"1"}},
+{"name":"a\\b","cat":"simulator.reduce","pid":0,"tid":1,"ts":0.000,"ph":"X","dur":1.907},
+{"name":"thread_name","ph":"M","pid":0,"tid":2,"args":{"name":"empty"}}
+]}
+|}
+    (Span.chrome rings);
+  check Alcotest.string "no rings" "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n]}\n"
+    (Span.chrome [])
 
 let test_json_escape () =
   check Alcotest.string "quotes and backslashes" "a\\\"b\\\\c"
@@ -424,27 +509,6 @@ let test_openmetrics_render () =
              (String.length body - String.length terminator)
              (String.length terminator)
            = terminator))
-
-let test_jsonl_sample_parses () =
-  with_metrics (fun () ->
-      Metrics.incr (Metrics.counter "exp/ticks");
-      let h = Metrics.histogram "exp/obs" in
-      List.iter (Metrics.observe h) [ 1.0; 2.0; 4.0; 8.0 ];
-      let line = Metrics_export.jsonl_sample ~ts:123.5 (Metrics.snapshot ()) in
-      check Alcotest.bool "single line" true (not (String.contains line '\n'));
-      match Json.parse line with
-      | Error e -> Alcotest.failf "sample is not valid JSON: %s" e
-      | Ok j ->
-          close "timestamp" 123.5 (Option.get (Option.bind (Json.member j "ts") Json.to_float));
-          let m = Option.get (Json.member j "metrics") in
-          let field metric k =
-            Option.get
-              (Option.bind (Json.member m metric) (fun v -> Option.bind (Json.member v k) Json.to_float))
-          in
-          close "counter value" 1. (field "exp/ticks" "value");
-          let q = field "exp/obs" in
-          check Alcotest.bool "histogram quantiles ordered" true
-            (q "p50" <= q "p90" && q "p90" <= q "p99"))
 
 (* -- spans ---------------------------------------------------------------------- *)
 
@@ -705,7 +769,6 @@ let () =
       ( "metrics export",
         [
           Alcotest.test_case "openmetrics textfile" `Quick test_openmetrics_render;
-          Alcotest.test_case "jsonl sample parses" `Quick test_jsonl_sample_parses;
         ] );
       ( "spans",
         [
@@ -724,13 +787,15 @@ let () =
         [
           Alcotest.test_case "wraparound + dropped" `Quick test_buffer_wraparound;
           Alcotest.test_case "totals arithmetic" `Quick test_buffer_totals;
-          Alcotest.test_case "sink register/drain" `Quick test_sink_register_drain;
         ] );
       ( "export",
         [
           Alcotest.test_case "jsonl line shape" `Quick test_jsonl_line;
           Alcotest.test_case "chrome trace_event" `Quick test_chrome_export;
           Alcotest.test_case "jsonl file" `Quick test_jsonl_export;
+          Alcotest.test_case "chrome every event kind" `Quick test_chrome_every_kind;
+          Alcotest.test_case "jsonl every event kind" `Quick test_jsonl_every_kind;
+          Alcotest.test_case "span chrome bytes pinned" `Quick test_span_chrome_pinned;
           Alcotest.test_case "json escaping" `Quick test_json_escape;
         ] );
       ( "provenance",
