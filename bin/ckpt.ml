@@ -478,7 +478,8 @@ let stats_cmd =
     (Cmd.info "stats"
        ~doc:
          "Evaluate the policy roster with the metrics registry and span recording enabled, \
-          then print every counter, gauge and histogram and the per-layer span totals.")
+          then print every counter and gauge and the per-layer span totals.  Per-policy \
+          distributions are in the table's waste-breakdown block.")
     term
 
 (* -- sched-report ------------------------------------------------------------ *)
@@ -637,9 +638,9 @@ let sweep_cmd =
     let doc =
       "Worker processes claiming units from the shared store (claim markers arbitrate, no \
        coordinator); the parent then merges in canonical order, so output is byte-identical \
-       to $(b,--workers 1).  Defaults to $(b,CKPT_SWEEP_WORKERS) (else 1)."
+       to $(b,--workers 1)."
     in
-    Arg.(value & opt (some int) None & info [ "workers" ] ~docv:"N" ~doc)
+    Arg.(value & opt int 1 & info [ "workers" ] ~docv:"N" ~doc)
   in
   let print_stats ~label (s : E.Sweep_store.stats) =
     Printf.printf
@@ -669,9 +670,6 @@ let sweep_cmd =
            all output. *)
         E.Sweep_workers.run_as_worker ~store ~index (fun () -> run_ids config ids)
     | None ->
-        let workers =
-          match workers with Some n -> n | None -> E.Sweep_workers.default_workers ()
-        in
         if workers < 1 then begin
           prerr_endline "ckpt sweep: --workers must be >= 1";
           exit 2

@@ -155,8 +155,8 @@ let unit_path store ~experiment ~digest ~stripe =
 
    Staleness has two triggers: a dead pid (checked only for same-host
    claims, where [kill pid 0] is meaningful) and an age beyond
-   CKPT_SWEEP_CLAIM_TTL (default 10 min) for everything else, including
-   claims whose payload has not landed yet or is torn.  Reaping races
+   [Claim.ttl] (10 min) for everything else, including claims whose
+   payload has not landed yet or is torn.  Reaping races
    (two workers both observing a stale claim, or the holder releasing
    between our check and our unlink) at worst duplicate one unit's
    compute — see above. *)
@@ -164,12 +164,7 @@ let unit_path store ~experiment ~digest ~stripe =
 module Claim = struct
   let format = "ckpt-claim/1"
   let path unit_path = unit_path ^ ".claim"
-  let default_ttl = 600.
-
-  let ttl () =
-    Option.value ~default:default_ttl
-      (Ckpt_telemetry.Provenance.env_float "CKPT_SWEEP_CLAIM_TTL" ~want:"seconds >= 0"
-         ~valid:(fun t -> t >= 0.))
+  let ttl = 600.
 
   let payload ~pid ~host ~time =
     Printf.sprintf "%s pid=%d host=%s time=%h\n" format pid host time
@@ -211,12 +206,12 @@ module Claim = struct
         match parse contents with
         | Some (pid, host, time) ->
             if host = Unix.gethostname () && not (pid_alive pid) then true
-            else now -. time > ttl ()
+            else now -. time > ttl
         | None -> (
             (* Empty or torn payload: the creator may still be between
                O_EXCL and write.  Fresh until its mtime ages out. *)
             match Atomic_file.modification_time path with
-            | Some mtime -> now -. mtime > ttl ()
+            | Some mtime -> now -. mtime > ttl
             | None -> false))
 
   let acquire unit_path =

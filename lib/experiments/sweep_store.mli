@@ -33,13 +33,12 @@
     winning its {e claim marker} — [<unit>.claim], created O_EXCL with
     a pid/host/timestamp payload; create wins, losers move on and
     substitute a merge-neutral placeholder.  Claims whose owner is dead
-    (same-host pid check) or older than [CKPT_SWEEP_CLAIM_TTL] (default
-    10 min) are reaped and re-claimed, so a SIGKILLed worker never
-    wedges a sweep.  Claims gate only worker-mode compute: loads never
-    consult them, the parent's canonical pass ignores them, and unit
-    writes are atomic and idempotent under the content key — a reaping
-    race at worst duplicates one unit's compute, never corrupts
-    output. *)
+    (same-host pid check) or older than {!Claim.ttl} (10 min) are
+    reaped and re-claimed, so a SIGKILLed worker never wedges a sweep.
+    Claims gate only worker-mode compute: loads never consult them,
+    the parent's canonical pass ignores them, and unit writes are
+    atomic and idempotent under the content key — a reaping race at
+    worst duplicates one unit's compute, never corrupts output. *)
 
 type t
 (** A sweep store rooted at a directory. *)
@@ -64,7 +63,7 @@ type stats = {
 (** Process-wide unit counters since the last {!reset_stats}.  Mirrored
     as telemetry counters [sweep/units_skipped], [sweep/units_computed],
     [sweep/units_invalidated], [sweep/claims_won], [sweep/claims_busy],
-    [sweep/claims_reaped] when [CKPT_METRICS=1]. *)
+    [sweep/claims_reaped] while the registry is enabled. *)
 
 val stats : unit -> stats
 val reset_stats : unit -> unit
@@ -84,9 +83,10 @@ module Claim : sig
   val path : string -> string
   (** The claim marker guarding a unit file: [<unit>.claim]. *)
 
-  val ttl : unit -> float
-  (** Claim time-to-live in seconds: [CKPT_SWEEP_CLAIM_TTL] when set to
-      a non-negative number, 600 otherwise. *)
+  val ttl : float
+  (** Claim time-to-live in seconds: 600.  Only claims whose owner
+      cannot be probed (another host, a torn payload) wait this long;
+      a dead same-host pid is reaped at once. *)
 
   val write : path:string -> pid:int -> host:string -> time:float -> unit
   (** Forge a claim marker with an explicit payload (tests use this to

@@ -18,11 +18,6 @@ module Json = Ckpt_telemetry.Json
 module Domain_pool = Ckpt_parallel.Domain_pool
 
 let env_var = "CKPT_SWEEP_WORKER"
-let workers_var = "CKPT_SWEEP_WORKERS"
-
-let default_workers () =
-  Option.value ~default:1
-    (Ckpt_telemetry.Provenance.env_int workers_var ~want:"an integer >= 1" ~valid:(fun n -> n >= 1))
 
 let worker_index () =
   match Sys.getenv_opt env_var with
@@ -162,12 +157,12 @@ let launch ~store ~workers ~exe ~args ?(progress = fun ~alive:_ ~units:_ -> ()) 
     let scratch = results_scratch ~dir ~index in
     Atomic_file.mkdir_p scratch;
     Atomic_file.remove (stats_path ~dir ~index);
-    (* Every process exports its spans at exit; a worker inheriting
+    (* Every process writes its exports at exit; a worker inheriting
        the parent's path would be overwritten by the parent. *)
-    let spans_out =
-      match Sys.getenv_opt "CKPT_SPANS_OUT" with
+    let per_worker_path var =
+      match Sys.getenv_opt var with
       | None | Some "" -> []
-      | Some path -> [ ("CKPT_SPANS_OUT", Printf.sprintf "%s.worker-%02d" path index) ]
+      | Some path -> [ (var, Printf.sprintf "%s.worker-%02d" path index) ]
     in
     let env =
       env_with
@@ -181,7 +176,8 @@ let launch ~store ~workers ~exe ~args ?(progress = fun ~alive:_ ~units:_ -> ()) 
               user-visible artifacts. *)
            ("CKPT_RESULTS_DIR", scratch);
          ]
-        @ spans_out)
+        @ per_worker_path "CKPT_SPANS_OUT"
+        @ per_worker_path "CKPT_METRICS_OUT")
     in
     let fd = Unix.openfile log [ O_WRONLY; O_CREAT; O_TRUNC ] 0o644 in
     let pid =

@@ -18,12 +18,6 @@ val env_var : string
 (** ["CKPT_SWEEP_WORKER"] — set (to the worker index) in worker
     processes only. *)
 
-val workers_var : string
-(** ["CKPT_SWEEP_WORKERS"] — default worker count for [ckpt sweep]. *)
-
-val default_workers : unit -> int
-(** [CKPT_SWEEP_WORKERS] when set to a positive integer, 1 otherwise. *)
-
 val worker_index : unit -> int option
 (** [Some index] when this process is a sweep worker. *)
 
@@ -70,11 +64,11 @@ val launch :
     [CKPT_SWEEP_WORKER=<index>], [CKPT_DOMAINS] split evenly across
     workers, stdout/stderr to [worker-<index>.log] and
     [CKPT_RESULTS_DIR] pointed at a per-worker scratch directory —
-    both inside the store directory.  When [CKPT_SPANS_OUT=f] is set,
-    worker [i] exports its spans to [f.worker-NN] ([NN] = [i] in two
-    digits) instead.  Waits for every child (classifying clean exits,
-    failures and signals), reads the stats files, reaps all leftover
-    claims, and returns the summary.
+    both inside the store directory.  When [CKPT_SPANS_OUT=f] or
+    [CKPT_METRICS_OUT=f] is set, worker [i] writes that export to
+    [f.worker-NN] instead ([NN] = [i] in two digits).  Waits for every
+    child (classifying clean exits, failures and signals), reads the
+    stats files, reaps all leftover claims, and returns the summary.
     [progress] is called whenever the number of completed units in the
     store changes.  The caller runs the canonical pass after this
     returns.

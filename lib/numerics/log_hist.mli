@@ -4,9 +4,8 @@
     [2^(i-offset), 2^(i-offset+1)); 64 buckets centred on 1.0 cover
     ~1e-9 .. ~4e9 (microseconds to decades, in seconds).  Out-of-range
     values clamp to the end buckets and non-positive values land in
-    bucket 0.  This is the same bucketing the telemetry registry uses
-    ({!Metrics} delegates here), so histograms built by the evaluation
-    harness and by live metering are directly comparable.
+    bucket 0.  {!Summary.Vector} keeps one per component for its
+    quantile estimates (the makespan p50/p95/p99 of every table).
 
     All state is integer counts plus exact min/max, so {!merge} is
     exactly commutative and associative: merging per-stripe histograms
@@ -14,8 +13,6 @@
 
 type t = { buckets : int array; count : int; min_v : float; max_v : float }
 
-val n_buckets : int
-val bucket_of_value : float -> int
 val bucket_lower : int -> float
 (** Lower bound [2^(i-offset)] of bucket [i]. *)
 

@@ -1,26 +1,16 @@
 module Metrics = Ckpt_telemetry.Metrics
 module Span = Ckpt_telemetry.Span
 
-let tasks_run = Metrics.counter "domain_pool/tasks"
 let inline_sweeps = Metrics.counter "domain_pool/inline_sweeps"
 let domains_spawned = Metrics.counter "domain_pool/domains_spawned"
 let early_aborts = Metrics.counter "domain_pool/early_aborts"
-let regions_run = Metrics.counter "sched/regions"
 let recommended_domains = Ckpt_telemetry.Provenance.domain_count
-
-(* True while the current domain is executing pool work.  The
-   evaluation harness reads it to tell a top-level table (which prints
-   replicate progress) from one nested inside a study's own fan-out. *)
-let in_region_key = Domain.DLS.new_key (fun () -> false)
-
-let in_parallel_region () = Domain.DLS.get in_region_key
 
 (* -- the pool ---------------------------------------------------------------- *)
 
 (* Worker domains are spawned once, wait on the pool's condition
    variable when idle, and serve every region for the life of the
-   process (which also keeps their DLS solver caches warm across
-   sweeps).
+   process.
 
    A *region* is one [parallel_init] call.  Its items are claimed from
    an atomic counter, so each output slot is written by exactly one
@@ -56,10 +46,8 @@ type pool = {
   mutable stop : bool;
 }
 
-(* Pool workers count their tasks; other domains do not. *)
-let tasks_key = Domain.DLS.new_key (fun () -> None)
-
-(* Every domain's scheduler states are [parallel.sched] spans.  Leaf
+(* Every domain's scheduler states are [parallel.sched] spans (the
+   [run-task] and [publish] counts are the task and region counts).  Leaf
    states are stamped before and recorded after; [stamp] is [None]
    while recording is off. *)
 let sched = "parallel.sched"
@@ -79,16 +67,13 @@ let broadcast p =
    items it leaves are claimed by that region's other domains, its
    forker's own drain included. *)
 let drain ?(stop = Fun.const false) ?(state = "run-task") p r =
-  let tasks = Domain.DLS.get tasks_key in
   let rec loop () =
     if not (stop ()) then begin
       let i = Atomic.fetch_and_add r.next 1 in
       if i < r.n then begin
-        if Option.is_none (Atomic.get r.error) then begin
-          Option.iter Metrics.incr tasks;
+        if Option.is_none (Atomic.get r.error) then
           (* An item's own spans nest inside this one. *)
           Span.time ~layer:sched state (fun () -> r.run_item i)
-        end
         else Metrics.incr early_aborts;
         if Atomic.fetch_and_add r.completed 1 = r.n - 1 then broadcast p;
         loop ()
@@ -135,7 +120,6 @@ let find p ~give_up () =
 
 let worker_main p id () =
   Span.name_track (Printf.sprintf "worker%d" id);
-  Domain.DLS.set tasks_key (Some (Metrics.counter (Printf.sprintf "sched/worker%d/tasks" id)));
   let rec loop () =
     match find p ~give_up:(fun () -> p.stop) () with
     | Some r ->
@@ -212,15 +196,11 @@ let pool_parallel_init ~domains n f =
   let results = Array.make n None in
   let error = Atomic.make None in
   let run_item i =
-    let was_in_region = Domain.DLS.get in_region_key in
-    Domain.DLS.set in_region_key true;
-    Metrics.incr tasks_run;
-    (match f i with
+    match f i with
     | v -> results.(i) <- Some v
     | exception e ->
         let bt = Printexc.get_raw_backtrace () in
-        ignore (Atomic.compare_and_set error None (Some (e, bt))));
-    Domain.DLS.set in_region_key was_in_region
+        ignore (Atomic.compare_and_set error None (Some (e, bt)))
   in
   let r =
     {
@@ -232,7 +212,6 @@ let pool_parallel_init ~domains n f =
       run_item;
     }
   in
-  Metrics.incr regions_run;
   publish p ~workers:(domains - 1) r;
   drain p r;
   let own_done () = finished r in
@@ -261,7 +240,6 @@ let parallel_init ?domains n f =
   let domains = match domains with Some d -> d | None -> recommended_domains () in
   if domains <= 1 || n <= 1 then begin
     Metrics.incr inline_sweeps;
-    Metrics.add tasks_run n;
     Array.init n f
   end
   else pool_parallel_init ~domains n f

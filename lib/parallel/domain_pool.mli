@@ -10,10 +10,10 @@
     scheduling or domain count.
 
     One process-wide persistent pool runs every region.  Worker
-    domains are spawned once (their DLS solver caches stay warm across
-    sweeps) and wait on a condition variable when idle.  Live regions
-    sit in one mutex-guarded list, newest first; an idle domain takes
-    a seat in the newest region that has one and claims its items.
+    domains are spawned once and wait on a condition variable when
+    idle.  Live regions sit in one mutex-guarded list, newest first;
+    an idle domain takes a seat in the newest region that has one and
+    claims its items.
     Nested calls *compose*: a task that itself calls [parallel_init]
     publishes a sub-region that whichever domains the outer sweep
     leaves idle help with, so a narrow or skewed outer sweep does not
@@ -38,12 +38,6 @@ val recommended_domains : unit -> int
     Malformed values ([0], [-3], [abc]) warn once per value on stderr
     and fall back to the hardware default
     ({!Ckpt_telemetry.Provenance.domain_count}). *)
-
-val in_parallel_region : unit -> bool
-(** True while the calling domain is executing a pooled
-    [parallel_init] task.  Used by the evaluation harness to tell
-    top-level tables (which print replicate progress) from nested
-    ones. *)
 
 val parallel_init : ?domains:int -> int -> (int -> 'a) -> 'a array
 (** [parallel_init ~domains n f] is [Array.init n f] evaluated by up

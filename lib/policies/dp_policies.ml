@@ -5,8 +5,6 @@ module Metrics = Ckpt_telemetry.Metrics
 
 let table_hits = Metrics.counter "dp_makespan/table_cache_hits"
 let table_misses = Metrics.counter "dp_makespan/table_cache_misses"
-let table_entries = Metrics.gauge "dp_makespan/table_cache_entries"
-let table_evictions = Metrics.counter "dp_makespan/table_cache_evictions"
 let replans = Metrics.counter "dp_next_failure/replans"
 
 (* DPMakespan tables are shared across executions whose initial age
@@ -20,89 +18,31 @@ let replans = Metrics.counter "dp_next_failure/replans"
 let age_bucket tau0 = int_of_float (log1p tau0 /. 0.5)
 let bucket_age bucket = expm1 ((float_of_int bucket +. 0.5) *. 0.5)
 
-(* -- bounded per-domain table cache ------------------------------------------
-
-   One cache per domain (a [Dp_makespan.t] keeps memoizing lazily while
-   cursors walk it, so sharing across domains would race), shared by
-   every DPMakespan policy instance in that domain and keyed by
-   (instance id, age bucket).  Before this cache was instance-owned via
-   a DLS key per [dp_makespan] call — DLS slots are never freed, so a
-   long-running sweep worker crossing thousands of scenarios leaked
-   every dead instance's tables.  Now occupancy is bounded by
-   CKPT_DP_CACHE_CAP (least-recently-used eviction; 0 = unbounded):
-   eviction only forces a deterministic re-solve at the bucket's
-   canonical age, so results are bit-identical at any cap. *)
-
-let default_dp_cache_cap = 64
-
-let dp_cache_cap () =
-  match
-    Ckpt_telemetry.Provenance.env_int "CKPT_DP_CACHE_CAP" ~want:"an integer >= 0" ~valid:(fun n ->
-        n >= 0)
-  with
-  | Some 0 -> max_int
-  | Some n -> n
-  | None -> default_dp_cache_cap
-
-type table_entry = { table : Dp_makespan.t; mutable last_use : int }
-
-type table_cache = {
-  entries : (int * int, table_entry) Hashtbl.t;
-  mutable tick : int;  (* recency clock: bumped on every lookup *)
-}
-
-let instance_counter = Atomic.make 0
-
-let table_cache_key : table_cache Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> { entries = Hashtbl.create 32; tick = 0 })
-
-let evict_lru cache =
-  let victim =
-    Hashtbl.fold
-      (fun key entry acc ->
-        match acc with
-        | Some (_, best) when best.last_use <= entry.last_use -> acc
-        | _ -> Some (key, entry))
-      cache.entries None
-  in
-  match victim with
-  | None -> ()
-  | Some (key, _) ->
-      Hashtbl.remove cache.entries key;
-      Metrics.incr table_evictions
-
-let cached_table ~instance ~solve tau0 =
-  let cache = Domain.DLS.get table_cache_key in
-  cache.tick <- cache.tick + 1;
-  let key = (instance, age_bucket tau0) in
-  match Hashtbl.find_opt cache.entries key with
-  | Some entry ->
-      Metrics.incr table_hits;
-      entry.last_use <- cache.tick;
-      entry.table
-  | None ->
-      Metrics.incr table_misses;
-      let t = solve (bucket_age (age_bucket tau0)) in
-      let cap = dp_cache_cap () in
-      while Hashtbl.length cache.entries >= cap do
-        evict_lru cache
-      done;
-      Hashtbl.add cache.entries key { table = t; last_use = cache.tick };
-      Metrics.set table_entries (float_of_int (Hashtbl.length cache.entries));
-      t
-
-(* Exposed for tests: occupancy of this domain's cache. *)
-let table_cache_size () = Hashtbl.length (Domain.DLS.get table_cache_key).entries
-
 let dp_makespan ?quantum ?cap_states ?chunk_factor job =
   let context = Job.dp_context job ~platform_view:(job.Job.processors > 1) in
   let work = job.Job.work_time in
-  let instance = Atomic.fetch_and_add instance_counter 1 in
+  (* The policy value owns its solved tables, keyed by (domain, age
+     bucket): a [Dp_makespan.t] keeps memoizing while cursors walk it,
+     so each domain walks tables of its own, shared by every execution
+     it runs.  The lock covers lookup and insert only; a miss solves
+     outside it, and no other domain ever solves the same key. *)
+  let tables = Hashtbl.create 8 in
+  let lock = Mutex.create () in
   let table_for tau0 =
-    cached_table ~instance
-      ~solve:(fun initial_age ->
-        Dp_makespan.solve ?quantum ?cap_states ?chunk_factor ~context ~work ~initial_age ())
-      tau0
+    let bucket = age_bucket tau0 in
+    let key = ((Domain.self () :> int), bucket) in
+    match Mutex.protect lock (fun () -> Hashtbl.find_opt tables key) with
+    | Some t ->
+        Metrics.incr table_hits;
+        t
+    | None ->
+        Metrics.incr table_misses;
+        let t =
+          Dp_makespan.solve ?quantum ?cap_states ?chunk_factor ~context ~work
+            ~initial_age:(bucket_age bucket) ()
+        in
+        Mutex.protect lock (fun () -> Hashtbl.replace tables key t);
+        t
   in
   let instantiate () =
     let cursor = ref None in

@@ -5,23 +5,14 @@ val dp_makespan :
 (** DPMakespan (Algorithm 1) as a policy.  For parallel jobs it adopts
     the paper's rejuvenate-all assumption (the aggregated
     fresh-platform distribution) — "without this assumption this
-    heuristic cannot be used" (Section 4.1).  Solved tables are cached
+    heuristic cannot be used" (Section 4.1).  Solved tables are shared
     across executions per initial-age bucket (the optimal plan varies
-    slowly with [tau0]) in a per-domain LRU cache bounded by
-    [CKPT_DP_CACHE_CAP] entries (default 64; 0 = unbounded) so
-    long-running sweep workers keep flat memory across scenarios.
-    Eviction only forces a deterministic re-solve at the bucket's
-    canonical age — results are bit-identical at any cap.  Telemetry:
-    [dp_makespan/table_cache_entries] gauge (occupancy, per-domain
-    last-writer-wins) and [dp_makespan/table_cache_evictions]
-    counter. *)
-
-val table_cache_size : unit -> int
-(** Occupancy of the calling domain's DPMakespan table cache (tests). *)
-
-val dp_cache_cap : unit -> int
-(** That cache's bound: [CKPT_DP_CACHE_CAP] (default 64; [0] reads as
-    unbounded, [max_int]). *)
+    slowly with [tau0]).  The policy value owns them, one per (domain,
+    bucket), and they are freed with it.  Each is solved at the
+    bucket's canonical age, so results do not depend on which
+    execution or domain asked first.  Telemetry:
+    [dp_makespan/table_cache_hits] and [dp_makespan/table_cache_misses]
+    (one miss per solved table). *)
 
 val dp_next_failure :
   ?nexact:int ->

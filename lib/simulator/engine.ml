@@ -13,9 +13,10 @@ module Int_table = Hashtbl.Make (struct
   let hash p = p land max_int
 end)
 
-(* Stripe occupancy per lockstep round; fills under CKPT_METRICS=1 and
-   surfaces in `ckpt stats` and the OpenMetrics textfile. *)
-let batch_live_slots = Metrics.histogram "engine/batch_live_slots"
+(* Stripe occupancy: lockstep rounds, and live slots summed over them
+   (their ratio is the mean occupancy).  Added once per stripe pass. *)
+let batch_rounds = Metrics.counter "engine/batch_rounds"
+let batch_live_slot_rounds = Metrics.counter "engine/batch_live_slot_rounds"
 
 type metrics = {
   makespan : float;
@@ -387,8 +388,10 @@ let run_stripe ?trace ?cost_profile ?initial_births ~scenario ~traces ~policy ()
      stepping without scanning finished slots. *)
   let live = Array.init width Fun.id in
   let nlive = ref width in
+  let rounds = ref 0 and slot_rounds = ref 0 in
   while !nlive > 0 do
-    Metrics.observe batch_live_slots (float_of_int !nlive);
+    incr rounds;
+    slot_rounds := !slot_rounds + !nlive;
     let i = ref 0 in
     while !i < !nlive do
       let k = live.(!i) in
@@ -400,6 +403,8 @@ let run_stripe ?trace ?cost_profile ?initial_births ~scenario ~traces ~policy ()
           decr nlive
     done
   done;
+  Metrics.add batch_rounds !rounds;
+  Metrics.add batch_live_slot_rounds !slot_rounds;
   Array.map Option.get results
 
 let run ?trace ?cost_profile ~scenario ~traces ~policy () =

@@ -4,20 +4,8 @@ module Domain_pool = Ckpt_parallel.Domain_pool
 module Metrics = Ckpt_telemetry.Metrics
 module Span = Ckpt_telemetry.Span
 
-let trace_gen_seconds = Metrics.histogram "eval/trace_gen_seconds"
 let replicates_run = Metrics.counter "eval/replicates"
 let unusable_replicates = Metrics.counter "eval/unusable_replicates"
-
-(* Simulated waste decomposition of every completed run, one histogram
-   per component (seconds of simulated time); fills under
-   CKPT_METRICS=1 and shows up in `ckpt stats` and the OpenMetrics
-   textfile. *)
-let makespan_sim_seconds = Metrics.histogram "eval/makespan_sim_seconds"
-let useful_sim_seconds = Metrics.histogram "eval/useful_sim_seconds"
-let checkpoint_sim_seconds = Metrics.histogram "eval/checkpoint_sim_seconds"
-let wasted_sim_seconds = Metrics.histogram "eval/wasted_sim_seconds"
-let recovery_sim_seconds = Metrics.histogram "eval/recovery_sim_seconds"
-let stall_sim_seconds = Metrics.histogram "eval/stall_sim_seconds"
 
 (* Component layout of the distributional accumulator
    (Summary.Vector): the engine's waste decomposition plus the
@@ -119,13 +107,7 @@ let record acc ~degradation (m : Engine.metrics) =
     acc.smallest_chunk <- Float.min acc.smallest_chunk m.Engine.min_chunk;
     acc.largest_chunk <- Float.max acc.largest_chunk m.Engine.max_chunk
   end;
-  acc.profile <- Summary.Vector.add acc.profile (observation_of_metrics ~degradation m);
-  Metrics.observe makespan_sim_seconds m.Engine.makespan;
-  Metrics.observe useful_sim_seconds m.Engine.useful_work;
-  Metrics.observe checkpoint_sim_seconds m.Engine.checkpoint_time;
-  Metrics.observe wasted_sim_seconds m.Engine.wasted_time;
-  Metrics.observe recovery_sim_seconds m.Engine.recovery_time;
-  Metrics.observe stall_sim_seconds m.Engine.stall_time
+  acc.profile <- Summary.Vector.add acc.profile (observation_of_metrics ~degradation m)
 
 let merge_into acc other =
   acc.degradation <- Summary.merge acc.degradation other.degradation;
@@ -195,19 +177,9 @@ type replicate_outcome = {
    policy over the whole stripe, then reassembles per-replicate
    outcomes in canonical slot order. *)
 let run_replicate_stripe ~scenario ~policies ~first ~len =
-  let metered = Metrics.enabled () in
   let traces, initial_births =
     Span.time ~layer:"failures.trace_gen" "Scenario.traces" (fun () ->
-        let traces =
-          Array.init len (fun i ->
-              if not metered then Scenario.traces scenario ~replicate:(first + i)
-              else begin
-                let t0 = Unix.gettimeofday () in
-                let tr = Scenario.traces scenario ~replicate:(first + i) in
-                Metrics.observe trace_gen_seconds (Unix.gettimeofday () -. t0);
-                tr
-              end)
-        in
+        let traces = Array.init len (fun i -> Scenario.traces scenario ~replicate:(first + i)) in
         (traces, Array.map (Scenario.initial_lifetime_starts scenario) traces))
   in
   (* One engine pass per policy over the full stripe; [policy_runs.(j).(i)]
@@ -244,10 +216,8 @@ let run_replicate_stripe ~scenario ~policies ~first ~len =
         in
         record rep_lb ~degradation:(lb.Engine.makespan /. best) lb
       end;
-      if metered then begin
-        Metrics.incr replicates_run;
-        if not rep_usable then Metrics.incr unusable_replicates
-      end;
+      Metrics.incr replicates_run;
+      if not rep_usable then Metrics.incr unusable_replicates;
       { rep_accs; rep_lb; rep_usable })
 
 (* -- replicate stripes -------------------------------------------------------
@@ -297,12 +267,7 @@ let progress finished ~len ~total =
    the domain count. *)
 let map_stripes ~replicates f =
   let count = stripe_count ~replicates in
-  (* Only a top-level fan-out reports progress: tables nested in a
-     study's own fan-out run several at once. *)
-  let finished =
-    if Span.verbose () && not (Domain_pool.in_parallel_region ()) then Some (Atomic.make 0)
-    else None
-  in
+  let finished = if Span.verbose () then Some (Atomic.make 0) else None in
   Domain_pool.parallel_init count (fun stripe ->
       let first, len = stripe_bounds ~replicates ~stripe in
       let r = f ~stripe ~first ~len in

@@ -120,7 +120,9 @@ val map_stripes : replicates:int -> (stripe:int -> first:int -> len:int -> 'a) -
     {!stripe_bounds}), run in the domain pool, results in stripe order.
     The one stripe fan-out: {!degradation_table} and every
     {!Ckpt_experiments.Sweep_store} entry point go through it.  Under
-    [CKPT_VERBOSE=1] a top-level call prints replicate progress.
+    [CKPT_VERBOSE=1] every call prints its own replicate progress
+    ([[eval] k/R replicates], one line per finished stripe), nested in
+    a study's fan-out or not, at every domain count.
     @raise Invalid_argument if [replicates <= 0]. *)
 
 val empty_partial : policy_names:string array -> partial

@@ -10,7 +10,7 @@ module Atomic_file = Ckpt_store.Atomic_file
 
 (* -- OpenMetrics rendering -------------------------------------------------- *)
 
-(* Metric names like "sched/regions" become "ckpt_sched_regions":
+(* Metric names like "sweep/claims_won" become "ckpt_sweep_claims_won":
    [a-zA-Z0-9_] only, with a namespace prefix. *)
 let sanitize name =
   let buf = Buffer.create (String.length name + 5) in
@@ -23,20 +23,11 @@ let sanitize name =
     name;
   Buffer.contents buf
 
-(* Histograms hold seconds; give them the unit suffix unless the
-   registry name already carries it. *)
-let with_seconds name =
-  let suffix = "_seconds" in
-  let l = String.length name and ls = String.length suffix in
-  if l >= ls && String.sub name (l - ls) ls = suffix then name else name ^ suffix
-
 let float_str v =
   if Float.is_nan v then "NaN"
   else if v = infinity then "+Inf"
   else if v = neg_infinity then "-Inf"
   else Printf.sprintf "%.9g" v
-
-let quantiles = [ 0.5; 0.9; 0.99 ]
 
 let openmetrics ?(spans = []) snap =
   let buf = Buffer.create 1024 in
@@ -53,17 +44,7 @@ let openmetrics ?(spans = []) snap =
             let m = sanitize name in
             line "# TYPE %s gauge" m;
             line "%s %s" m (float_str v)
-          end
-      | Metrics.Histogram h ->
-          let m = sanitize (with_seconds name) in
-          line "# TYPE %s summary" m;
-          if h.Metrics.count > 0 then
-            List.iter
-              (fun q ->
-                line "%s{quantile=\"%g\"} %s" m q (float_str (Metrics.histogram_quantile h q)))
-              quantiles;
-          line "%s_sum %s" m (float_str h.Metrics.sum);
-          line "%s_count %d" m h.Metrics.count)
+          end)
     snap;
   (* Span totals: one quantile-less summary family, labelled by layer
      and name.  [String.escaped] agrees with OpenMetrics on the escapes

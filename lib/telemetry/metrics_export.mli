@@ -3,15 +3,14 @@
     Setting [CKPT_METRICS_OUT] (default path [metrics.prom] when set
     empty) publishes one final snapshot of the {!Metrics} registry and
     the {!Span} totals at process exit, written atomically via
-    [Ckpt_store.Atomic_file].  Histograms surface p50/p90/p99; counters
-    and span totals map to their native OpenMetrics types. *)
+    [Ckpt_store.Atomic_file].  Counters, gauges and span totals map to
+    their native OpenMetrics types. *)
 
 val openmetrics : ?spans:Span.total list -> (string * Metrics.value) list -> string
 (** Render a snapshot as an OpenMetrics textfile, terminated by
-    [# EOF].  Counters become [<name>_total]; histograms become
-    summaries ([_sum]/[_count] plus [quantile="0.5"|"0.9"|"0.99"]
-    sample lines).  Metric names are sanitized ([/] → [_]) and prefixed
-    [ckpt_].  [spans] become one quantile-less summary family,
+    [# EOF].  Counters become [<name>_total]; gauges that were set
+    become one sample line.  Metric names are sanitized ([/] → [_])
+    and prefixed [ckpt_].  [spans] become one quantile-less summary family,
     [ckpt_span_seconds{layer="…",name="…"}]. *)
 
 val ensure_at_exit : unit -> unit

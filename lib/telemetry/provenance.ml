@@ -64,19 +64,16 @@ let warn_malformed name raw ~want =
           want
       end)
 
-let env_number parse name ~want ~valid =
+let env_int name ~want ~valid =
   match Sys.getenv_opt name with
   | None -> None
   | Some raw when String.trim raw = "" -> None
   | Some raw -> (
-      match parse (String.trim raw) with
+      match int_of_string_opt (String.trim raw) with
       | Some v when valid v -> Some v
       | Some _ | None ->
           warn_malformed name raw ~want;
           None)
-
-let env_int = env_number int_of_string_opt
-let env_float = env_number float_of_string_opt
 
 let domain_count () =
   Option.value

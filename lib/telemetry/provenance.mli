@@ -24,9 +24,6 @@ val env_int : string -> want:string -> valid:(int -> bool) -> int option
     per distinct value: [ckpt: ignoring malformed NAME="v" (want WANT;
     using the default)].  Every integer knob reads through here. *)
 
-val env_float : string -> want:string -> valid:(float -> bool) -> float option
-(** {!env_int} for floating-point knobs. *)
-
 val domain_count : unit -> int
 (** The effective fan-out width: [CKPT_DOMAINS] if valid (a malformed
     value warns through {!env_int}), else the runtime's recommended

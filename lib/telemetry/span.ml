@@ -14,7 +14,7 @@ let verbose_flag = Sys.getenv_opt "CKPT_VERBOSE" = Some "1"
 let out_path =
   match Sys.getenv_opt "CKPT_SPANS_OUT" with Some "" | None -> None | Some p -> Some p
 
-let enabled_flag = Atomic.make (verbose_flag || Metrics.enabled () || out_path <> None)
+let enabled_flag = Atomic.make (verbose_flag || out_path <> None)
 let enabled () = Atomic.get enabled_flag
 let set_enabled b = Atomic.set enabled_flag b
 let verbose () = verbose_flag

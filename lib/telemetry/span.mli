@@ -14,9 +14,9 @@
     reports read, and a ring of its {!ring_capacity} most recent spans,
     which exports read; overwritten spans are counted as drops.
 
-    Recording is on while a consumer is live: [CKPT_VERBOSE=1],
-    [CKPT_METRICS=1], an export path ([CKPT_SPANS_OUT] or
-    [CKPT_METRICS_OUT]), or {!set_enabled}.  When it is off, every call site
+    Recording is on while a consumer is live: [CKPT_VERBOSE=1], an
+    export path ([CKPT_SPANS_OUT] or [CKPT_METRICS_OUT]), or
+    {!set_enabled} ([ckpt stats], [ckpt sched-report]).  When it is off, every call site
     costs one [Atomic.get].
 
     Timestamps come from [Unix.gettimeofday], clamped monotone within

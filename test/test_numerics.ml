@@ -5,6 +5,7 @@ module Special = Ckpt_numerics.Special
 module Rootfind = Ckpt_numerics.Rootfind
 module Quadrature = Ckpt_numerics.Quadrature
 module Summary = Ckpt_numerics.Summary
+module Log_hist = Ckpt_numerics.Log_hist
 
 let check = Alcotest.check
 let close ?(tol = 1e-9) msg expected actual =
@@ -358,6 +359,55 @@ let test_vector_errors () =
   check Alcotest.(option reject) "garbage rejected" None
     (Option.map ignore (Summary.Vector.deserialize "vector nonsense"))
 
+(* -- log-scale histograms ---------------------------------------------------- *)
+
+let hist_of values = List.fold_left Log_hist.add Log_hist.empty values
+
+let test_hist_merge () =
+  let xs = [ 0.001; 0.01; 0.1; 1.0 ] and ys = [ 2.0; 4.0; 64.0 ] in
+  let merged = Log_hist.merge (hist_of xs) (hist_of ys) in
+  let direct = hist_of (xs @ ys) in
+  check Alcotest.int "merged count" direct.Log_hist.count merged.Log_hist.count;
+  close "merged min" direct.Log_hist.min_v merged.Log_hist.min_v;
+  close "merged max" direct.Log_hist.max_v merged.Log_hist.max_v;
+  check Alcotest.bool "merged buckets" true (merged.Log_hist.buckets = direct.Log_hist.buckets);
+  (* Commutativity and the identity element. *)
+  check Alcotest.bool "commutative" true (Log_hist.merge (hist_of ys) (hist_of xs) = merged);
+  check Alcotest.bool "empty is identity" true (Log_hist.merge direct Log_hist.empty = direct)
+
+let test_hist_quantiles () =
+  let h = hist_of [ 1.0; 2.0; 3.0; 10.0 ] in
+  check Alcotest.int "count" 4 h.Log_hist.count;
+  close "p0 is the exact minimum" 1.0 (Log_hist.quantile h 0.0);
+  close "p1 is the exact maximum" 10.0 (Log_hist.quantile h 1.0);
+  check Alcotest.bool "median within range" true
+    (let m = Log_hist.quantile h 0.5 in
+     m >= h.Log_hist.min_v /. 2. && m <= h.Log_hist.max_v *. 2.);
+  check Alcotest.bool "empty quantile is NaN" true (Float.is_nan (Log_hist.quantile Log_hist.empty 0.5));
+  check Alcotest.bool "bucket_lower monotone" true
+    (Log_hist.bucket_lower 10 < Log_hist.bucket_lower 11)
+
+let hist_gen =
+  QCheck2.Gen.(map hist_of (list_size (int_range 1 40) (float_range 1e-6 1e6)))
+
+(* Buckets, count and the exact extrema are all discrete, so merging is
+   exactly commutative and associative. *)
+let prop_hist_merge_commutative =
+  QCheck2.Test.make ~name:"merge is commutative" ~count:100
+    QCheck2.Gen.(pair hist_gen hist_gen)
+    (fun (a, b) -> Log_hist.merge a b = Log_hist.merge b a)
+
+let prop_hist_merge_associative =
+  QCheck2.Test.make ~name:"merge is associative" ~count:100
+    QCheck2.Gen.(triple hist_gen hist_gen hist_gen)
+    (fun (a, b, c) -> Log_hist.merge (Log_hist.merge a b) c = Log_hist.merge a (Log_hist.merge b c))
+
+let prop_hist_quantile_monotone =
+  QCheck2.Test.make ~name:"quantile is monotone in q" ~count:100
+    QCheck2.Gen.(triple hist_gen (float_range 0. 1.) (float_range 0. 1.))
+    (fun (h, qa, qb) ->
+      Log_hist.quantile h (Float.min qa qb) <= Log_hist.quantile h (Float.max qa qb))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -427,5 +477,15 @@ let () =
           Alcotest.test_case "known stats" `Quick test_vector_known;
           Alcotest.test_case "errors" `Quick test_vector_errors;
         ] );
+      ( "histograms",
+        [
+          Alcotest.test_case "merge = concatenated stream" `Quick test_hist_merge;
+          Alcotest.test_case "extrema and quantiles" `Quick test_hist_quantiles;
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [
+              prop_hist_merge_commutative; prop_hist_merge_associative;
+              prop_hist_quantile_monotone;
+            ] );
       ("properties", qcheck_cases);
     ]

@@ -15,6 +15,7 @@ module Units = Ckpt_platform.Units
 module D = Ckpt_distributions.Distribution
 module Exponential = Ckpt_distributions.Exponential
 module Weibull = Ckpt_distributions.Weibull
+module Metrics = Ckpt_telemetry.Metrics
 
 let check = Alcotest.check
 let close ?(tol = 1e-9) msg expected actual =
@@ -363,23 +364,17 @@ let test_dp_makespan_bucket_table_canonical () =
     (plan ~seed_age:1050. ~query_age:1050.)
     (plan ~seed_age:700. ~query_age:1050.)
 
-let with_env name value f =
-  let previous = Sys.getenv_opt name in
-  Unix.putenv name value;
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv name (Option.value previous ~default:""))
-    f
-
-let test_dp_makespan_cache_lru_bound () =
-  (* A cap of 1 forces an eviction on every new (instance, bucket)
-     pair.  Eviction only discards solved tables — the re-solve happens
-     at the bucket's canonical age — so the prescribed chunks must be
-     bit-identical to the default (roomy) cache, and occupancy must
-     never exceed the cap. *)
+let test_dp_makespan_tables_owned_by_policy () =
+  (* Six Start decisions over five age buckets (900 s and 1000 s share
+     one).  The policy value owns one table per (domain, bucket): a
+     second instantiation on this domain reuses all five, a second
+     policy value solves its own five, and every table is solved at
+     its bucket's canonical age, so the chunks are bit-identical
+     whoever solved them. *)
   let j = sequential_job in
-  let ages = [ 0.; 900.; 3600.; 14400.; 86400. ] in
-  let walk () =
-    let policy = Dp_policies.dp_makespan j in
+  let ages = [ 0.; 900.; 1000.; 3600.; 14400.; 86400. ] in
+  let buckets = 5 in
+  let walk policy =
     let i = policy.Policy.instantiate () in
     List.map
       (fun age ->
@@ -392,13 +387,28 @@ let test_dp_makespan_cache_lru_bound () =
         | None -> Alcotest.failf "DPMakespan declined at age %.0f" age)
       ages
   in
-  let roomy = walk () in
-  check Alcotest.bool "walk touches several buckets" true
-    (Dp_policies.table_cache_size () > 1);
-  let capped = with_env "CKPT_DP_CACHE_CAP" "1" walk in
-  check (Alcotest.list (Alcotest.float 0.)) "capped cache is bit-identical" roomy capped;
-  check Alcotest.bool "occupancy bounded by the cap" true
-    (Dp_policies.table_cache_size () <= 1)
+  let counter name =
+    match Metrics.find ("dp_makespan/table_cache_" ^ name) with
+    | Some (Metrics.Counter n) -> n
+    | _ -> Alcotest.failf "counter dp_makespan/table_cache_%s missing" name
+  in
+  let was_enabled = Metrics.enabled () in
+  Metrics.set_enabled true;
+  Metrics.reset ~prefix:"dp_makespan/" ();
+  Fun.protect ~finally:(fun () -> Metrics.set_enabled was_enabled) @@ fun () ->
+  let policy = Dp_policies.dp_makespan j in
+  let first = walk policy in
+  check Alcotest.int "one miss per bucket" buckets (counter "misses");
+  check Alcotest.int "same-bucket age hits" (List.length ages - buckets) (counter "hits");
+  let second = walk policy in
+  check Alcotest.int "second instantiation shares the tables" buckets (counter "misses");
+  check Alcotest.int "second instantiation only hits"
+    ((2 * List.length ages) - buckets)
+    (counter "hits");
+  check (Alcotest.list (Alcotest.float 0.)) "shared tables are bit-identical" first second;
+  let other = walk (Dp_policies.dp_makespan j) in
+  check Alcotest.int "another policy value solves its own" (2 * buckets) (counter "misses");
+  check (Alcotest.list (Alcotest.float 0.)) "fresh tables are bit-identical" first other
 
 (* -- schedule ------------------------------------------------------------------------ *)
 
@@ -503,7 +513,7 @@ let () =
             test_dp_makespan_recovers_after_failure;
           Alcotest.test_case "dpm bucket table is canonical" `Quick
             test_dp_makespan_bucket_table_canonical;
-          Alcotest.test_case "dpm table cache LRU bound" `Quick
-            test_dp_makespan_cache_lru_bound;
+          Alcotest.test_case "dpm tables owned by the policy" `Quick
+            test_dp_makespan_tables_owned_by_policy;
         ] );
     ]

@@ -455,11 +455,7 @@ let test_claim_staleness dir =
   Alcotest.(check bool) "fresh foreign-host claim is kept (no pid check)" false
     (Sweep_store.Claim.stale ~now foreign);
   Alcotest.(check bool) "expired foreign-host claim is stale" true
-    (Sweep_store.Claim.stale ~now:(now +. Sweep_store.Claim.ttl () +. 1.) foreign);
-  with_env "CKPT_SWEEP_CLAIM_TTL" "60" (fun () ->
-      check Alcotest.(float 0.) "ttl is env-tunable" 60. (Sweep_store.Claim.ttl ());
-      Alcotest.(check bool) "stale under the shorter ttl" true
-        (Sweep_store.Claim.stale ~now:(now +. 61.) foreign));
+    (Sweep_store.Claim.stale ~now:(now +. Sweep_store.Claim.ttl +. 1.) foreign);
   (* A claim whose payload has not landed yet (torn write) ages from
      its mtime instead of being treated as corrupt. *)
   let torn = Filename.concat dir "torn.claim" in
@@ -468,7 +464,7 @@ let test_claim_staleness dir =
     (Sweep_store.Claim.stale ~now:(Unix.gettimeofday ()) torn);
   Alcotest.(check bool) "empty payload ages out" true
     (Sweep_store.Claim.stale
-       ~now:(Unix.gettimeofday () +. Sweep_store.Claim.ttl () +. 1.)
+       ~now:(Unix.gettimeofday () +. Sweep_store.Claim.ttl +. 1.)
        torn);
   Alcotest.(check bool) "missing claim is not stale" false
     (Sweep_store.Claim.stale ~now (Filename.concat dir "absent.claim"))

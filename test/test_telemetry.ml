@@ -1,6 +1,5 @@
-(* Telemetry subsystem: metrics registry semantics, histogram merging,
-   wall-clock spans, trace ring buffers, export formats and provenance
-   sidecars. *)
+(* Telemetry subsystem: metrics registry semantics, wall-clock spans,
+   trace ring buffers, export formats and provenance sidecars. *)
 
 module Metrics = Ckpt_telemetry.Metrics
 module Tracer = Ckpt_telemetry.Tracer
@@ -59,19 +58,9 @@ let test_metrics_kinds () =
       let g = Metrics.gauge "test/kinds_gauge" in
       Metrics.set g 2.5;
       Metrics.set g 7.25;
-      (match Metrics.find "test/kinds_gauge" with
+      match Metrics.find "test/kinds_gauge" with
       | Some (Metrics.Gauge 7.25) -> ()
-      | v -> Alcotest.failf "gauge: unexpected %a" (Fmt.option Metrics.pp_value) v);
-      let h = Metrics.histogram "test/kinds_hist" in
-      Metrics.observe h 1.0;
-      Metrics.observe h 4.0;
-      match Metrics.find "test/kinds_hist" with
-      | Some (Metrics.Histogram s) ->
-          check Alcotest.int "hist count" 2 s.Metrics.count;
-          close "hist sum" 5.0 s.Metrics.sum;
-          close "hist min" 1.0 s.Metrics.min_v;
-          close "hist max" 4.0 s.Metrics.max_v
-      | v -> Alcotest.failf "histogram: unexpected %a" (Fmt.option Metrics.pp_value) v)
+      | v -> Alcotest.failf "gauge: unexpected %a" (Fmt.option Metrics.pp_value) v)
 
 let test_metrics_kind_mismatch () =
   with_metrics (fun () ->
@@ -86,16 +75,16 @@ let test_metrics_kind_mismatch () =
 let test_metrics_gating () =
   Metrics.set_enabled false;
   let c = Metrics.counter "test/gated_counter" in
-  let h = Metrics.histogram "test/gated_hist" in
+  let g = Metrics.gauge "test/gated_gauge" in
   Metrics.reset ~prefix:"test/gated" ();
   Metrics.incr c;
-  Metrics.observe h 3.0;
+  Metrics.set g 3.0;
   (match Metrics.find "test/gated_counter" with
   | Some (Metrics.Counter 0) -> ()
   | _ -> Alcotest.fail "disabled counter must not move");
-  match Metrics.find "test/gated_hist" with
-  | Some (Metrics.Histogram s) -> check Alcotest.int "disabled hist empty" 0 s.Metrics.count
-  | _ -> Alcotest.fail "histogram registered"
+  match Metrics.find "test/gated_gauge" with
+  | Some (Metrics.Gauge v) -> check Alcotest.bool "disabled gauge stays unset" true (Float.is_nan v)
+  | _ -> Alcotest.fail "gauge registered"
 
 let test_metrics_reset_prefix () =
   with_metrics (fun () ->
@@ -119,43 +108,6 @@ let test_metrics_snapshot_sorted () =
       check Alcotest.bool "snapshot sorted by name" true
         (List.sort compare names = names);
       check Alcotest.bool "snapshot non-empty" true (names <> []))
-
-(* -- histogram algebra ------------------------------------------------------ *)
-
-let snapshot_of values =
-  with_metrics (fun () ->
-      let h = Metrics.histogram "test/tmp_hist_build" in
-      Metrics.reset ~prefix:"test/tmp_hist_build" ();
-      List.iter (Metrics.observe h) values;
-      match Metrics.find "test/tmp_hist_build" with
-      | Some (Metrics.Histogram s) -> s
-      | _ -> Alcotest.fail "histogram snapshot")
-
-let test_histogram_merge () =
-  let xs = [ 0.001; 0.01; 0.1; 1.0 ] and ys = [ 2.0; 4.0; 64.0 ] in
-  let merged = Metrics.merge_histograms (snapshot_of xs) (snapshot_of ys) in
-  let direct = snapshot_of (xs @ ys) in
-  check Alcotest.int "merged count" direct.Metrics.count merged.Metrics.count;
-  close "merged sum" direct.Metrics.sum merged.Metrics.sum;
-  close "merged min" direct.Metrics.min_v merged.Metrics.min_v;
-  close "merged max" direct.Metrics.max_v merged.Metrics.max_v;
-  check Alcotest.bool "merged buckets" true (merged.Metrics.buckets = direct.Metrics.buckets);
-  (* Commutativity and the identity element. *)
-  let swapped = Metrics.merge_histograms (snapshot_of ys) (snapshot_of xs) in
-  check Alcotest.bool "commutative" true (swapped = merged);
-  let with_empty = Metrics.merge_histograms direct Metrics.empty_histogram in
-  check Alcotest.bool "empty is identity" true (with_empty = direct)
-
-let test_histogram_moments () =
-  let s = snapshot_of [ 1.0; 2.0; 3.0; 10.0 ] in
-  close "mean" 4.0 (Metrics.histogram_mean s);
-  let q0 = Metrics.histogram_quantile s 0.0 and q1 = Metrics.histogram_quantile s 1.0 in
-  check Alcotest.bool "quantiles bracket the data" true (q0 <= q1);
-  check Alcotest.bool "median within range" true
-    (let m = Metrics.histogram_quantile s 0.5 in
-     m >= s.Metrics.min_v /. 2. && m <= s.Metrics.max_v *. 2.);
-  check Alcotest.bool "bucket_lower monotone" true
-    (Metrics.bucket_lower 10 < Metrics.bucket_lower 11)
 
 (* -- trace ring buffers ----------------------------------------------------- *)
 
@@ -355,50 +307,12 @@ let test_json_escape () =
     (Json.escape "a\"b\\c");
   check Alcotest.string "control characters" "tab\\there" (Json.escape "tab\there")
 
-(* -- histogram algebra: properties ------------------------------------------ *)
-
-let samples_gen = QCheck2.Gen.(list_size (int_range 1 40) (float_range 1e-6 1e6))
-
-(* Exact equality on the discrete components (buckets, count, min,
-   max); the float sum is only associative/commutative up to rounding. *)
-let same_hist a b =
-  a.Metrics.buckets = b.Metrics.buckets
-  && a.Metrics.count = b.Metrics.count
-  && a.Metrics.min_v = b.Metrics.min_v
-  && a.Metrics.max_v = b.Metrics.max_v
-  && Float.abs (a.Metrics.sum -. b.Metrics.sum) <= 1e-9 *. Float.max 1. (Float.abs a.Metrics.sum)
-
-let prop_merge_commutative =
-  QCheck2.Test.make ~name:"merge_histograms is commutative" ~count:100
-    QCheck2.Gen.(pair samples_gen samples_gen)
-    (fun (xs, ys) ->
-      let a = snapshot_of xs and b = snapshot_of ys in
-      same_hist (Metrics.merge_histograms a b) (Metrics.merge_histograms b a))
-
-let prop_merge_associative =
-  QCheck2.Test.make ~name:"merge_histograms is associative" ~count:100
-    QCheck2.Gen.(triple samples_gen samples_gen samples_gen)
-    (fun (xs, ys, zs) ->
-      let a = snapshot_of xs and b = snapshot_of ys and c = snapshot_of zs in
-      same_hist
-        (Metrics.merge_histograms (Metrics.merge_histograms a b) c)
-        (Metrics.merge_histograms a (Metrics.merge_histograms b c)))
-
-let prop_quantile_monotone =
-  QCheck2.Test.make ~name:"histogram_quantile monotone in q" ~count:100
-    QCheck2.Gen.(triple samples_gen (float_range 0. 1.) (float_range 0. 1.))
-    (fun (xs, qa, qb) ->
-      let s = snapshot_of xs in
-      let qlo = Float.min qa qb and qhi = Float.max qa qb in
-      Metrics.histogram_quantile s qlo <= Metrics.histogram_quantile s qhi)
-
 (* -- domain safety ----------------------------------------------------------- *)
 
 let test_metrics_concurrent_increments () =
   with_spans @@ fun () ->
   with_metrics (fun () ->
       let c = Metrics.counter "stress/hits" in
-      let h = Metrics.histogram "stress/h" in
       Metrics.reset ~prefix:"stress/" ();
       let domains = 4 and per = 10_000 in
       let worker () =
@@ -406,8 +320,7 @@ let test_metrics_concurrent_increments () =
           Metrics.incr c;
           (* Each domain records on its own track; the merge is exact. *)
           let t0 = float_of_int i in
-          Span.record ~layer:"stress" "span" ~t0 ~t1:(t0 +. 1e-3);
-          Metrics.observe h (float_of_int (1 + (i mod 7)))
+          Span.record ~layer:"stress" "span" ~t0 ~t1:(t0 +. 1e-3)
         done
       in
       let ds = List.init domains (fun _ -> Domain.spawn worker) in
@@ -415,18 +328,12 @@ let test_metrics_concurrent_increments () =
       (match Metrics.find "stress/hits" with
       | Some (Metrics.Counter n) -> check Alcotest.int "no lost counter increments" (domains * per) n
       | _ -> Alcotest.fail "counter registered");
-      (match span_total ~layer:"stress" "span" with
+      match span_total ~layer:"stress" "span" with
       | Some t ->
           check Alcotest.int "one track per domain" domains (List.length (Span.tracks ()));
           check Alcotest.int "no lost spans" (domains * per) t.Span.count;
           close ~tol:1e-6 "span seconds exact" (float_of_int (domains * per) *. 1e-3) t.Span.seconds
-      | None -> Alcotest.fail "spans recorded");
-      match Metrics.find "stress/h" with
-      | Some (Metrics.Histogram s) ->
-          check Alcotest.int "no lost observations" (domains * per) s.Metrics.count;
-          close "stress hist min" 1. s.Metrics.min_v;
-          close "stress hist max" 7. s.Metrics.max_v
-      | _ -> Alcotest.fail "histogram registered")
+      | None -> Alcotest.fail "spans recorded")
 
 (* -- json -------------------------------------------------------------------- *)
 
@@ -472,9 +379,8 @@ let test_json_rejects_garbage () =
 let test_openmetrics_render () =
   with_metrics (fun () ->
       Metrics.add (Metrics.counter "exp/events") 3;
-      let h = Metrics.histogram "exp/latency" in
-      List.iter (Metrics.observe h) [ 0.001; 0.01; 0.1; 1.0; 10.0 ];
-      Metrics.observe (Metrics.histogram "exp/phase_seconds") 0.25;
+      Metrics.set (Metrics.gauge "exp/level") 0.25;
+      ignore (Metrics.gauge "exp/never_set");
       let spans =
         [
           { Span.layer = "simulator.stripe"; name = "Dp \"q\""; seconds = 0.25; count = 2;
@@ -485,9 +391,9 @@ let test_openmetrics_render () =
       check Alcotest.bool "counter type line" true
         (contains ~needle:"# TYPE ckpt_exp_events counter" body);
       check Alcotest.bool "counter total" true (contains ~needle:"ckpt_exp_events_total 3" body);
-      check Alcotest.bool "histogram keeps existing unit suffix" true
-        (contains ~needle:"ckpt_exp_phase_seconds_sum" body);
-      check Alcotest.bool "no doubled unit suffix" false (contains ~needle:"_seconds_seconds" body);
+      check Alcotest.bool "gauge type line" true (contains ~needle:"# TYPE ckpt_exp_level gauge" body);
+      check Alcotest.bool "gauge value" true (contains ~needle:"ckpt_exp_level 0.25" body);
+      check Alcotest.bool "unset gauge omitted" false (contains ~needle:"exp_never_set" body);
       check Alcotest.bool "span summary type line" true
         (contains ~needle:"# TYPE ckpt_span_seconds summary" body);
       check Alcotest.bool "span seconds, labels escaped" true
@@ -497,11 +403,6 @@ let test_openmetrics_render () =
       check Alcotest.bool "span count" true
         (contains ~needle:{|ckpt_span_seconds_count{layer="simulator.stripe",name="Dp \"q\""} 2|}
            body);
-      check Alcotest.bool "histogram gains unit suffix" true
-        (contains ~needle:"ckpt_exp_latency_seconds_count 5" body);
-      check Alcotest.bool "median quantile line" true
-        (contains ~needle:"ckpt_exp_latency_seconds{quantile=\"0.5\"}" body);
-      check Alcotest.bool "p99 quantile line" true (contains ~needle:"{quantile=\"0.99\"}" body);
       let terminator = "# EOF\n" in
       check Alcotest.bool "openmetrics terminator" true
         (String.length body >= String.length terminator
@@ -745,19 +646,12 @@ let () =
     [
       ( "metrics registry",
         [
-          Alcotest.test_case "counter/gauge/histogram" `Quick test_metrics_kinds;
+          Alcotest.test_case "counter/gauge" `Quick test_metrics_kinds;
           Alcotest.test_case "kind mismatch raises" `Quick test_metrics_kind_mismatch;
           Alcotest.test_case "disabled gating" `Quick test_metrics_gating;
           Alcotest.test_case "reset by prefix" `Quick test_metrics_reset_prefix;
           Alcotest.test_case "snapshot sorted" `Quick test_metrics_snapshot_sorted;
         ] );
-      ( "histograms",
-        [
-          Alcotest.test_case "merge = concatenated stream" `Quick test_histogram_merge;
-          Alcotest.test_case "moments and quantiles" `Quick test_histogram_moments;
-        ]
-        @ List.map QCheck_alcotest.to_alcotest
-            [ prop_merge_commutative; prop_merge_associative; prop_quantile_monotone ] );
       ( "domain safety",
         [ Alcotest.test_case "concurrent increments are exact" `Quick test_metrics_concurrent_increments ] );
       ( "json",
