@@ -30,7 +30,11 @@ let () =
     power.S.Energy.compute power.S.Energy.io power.S.Energy.idle;
   Printf.printf "%14s %16s %14s\n" "period (s)" "makespan (days)" "energy (GJ)";
   let rows =
-    S.Energy.makespan_energy_tradeoff ~scenario ~power ~periods ~replicates:6
+    List.map
+      (fun p ->
+        Ckpt_experiments.Energy_study.(p.period, p.average_makespan, p.average_energy))
+      (Ckpt_experiments.Energy_study.tradeoff ~experiment:"energy_budget" ~scenario ~power
+         ~periods ~replicates:6 ())
   in
   List.iter
     (fun (period, makespan, energy) ->

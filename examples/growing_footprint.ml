@@ -46,15 +46,19 @@ let () =
   Printf.printf "%d processors, Weibull k=0.7, C grows 300 s -> 900 s with progress\n\n"
     processors;
   Printf.printf "%-28s %16s\n" "policy" "avg makespan (d)";
-  List.iter
-    (fun (name, policy) ->
+  (* One stripe: the trace sets are generated once for all contenders. *)
+  let runs =
+    S.Evaluation.stripe_runs ~cost_profile:profile ~scenario
+      ~policies:(List.map snd contenders) ~first:0 ~len:replicates ()
+  in
+  List.iteri
+    (fun j (name, _) ->
       let acc = ref 0. in
-      for replicate = 0 to replicates - 1 do
-        let traces = S.Scenario.traces scenario ~replicate in
-        match S.Engine.run ~cost_profile:profile ~scenario ~traces ~policy () with
-        | S.Engine.Completed m -> acc := !acc +. m.S.Engine.makespan
-        | S.Engine.Policy_failed _ -> ()
-      done;
+      Array.iter
+        (function
+          | S.Engine.Completed m -> acc := !acc +. m.S.Engine.makespan
+          | S.Engine.Policy_failed _ -> ())
+        runs.(j);
       Printf.printf "%-28s %16.3f\n%!" name (!acc /. float_of_int replicates /. P.Units.day))
     contenders;
   print_endline

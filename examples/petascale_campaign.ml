@@ -34,8 +34,9 @@ let () =
         in
         let scenario = S.Scenario.create job in
         let policy = Po.Dp_policies.dp_next_failure job in
-        S.Evaluation.average_makespan ~scenario ~policy ~replicates
-        |> Option.map (fun m ->
+        Ckpt_experiments.Makespan_vs_p.policy_makespan ~experiment:"campaign" ~scenario ~policy
+          ~replicates ()
+        |> Option.map (fun (m, _) ->
                Printf.printf "%12d %16.2f %14.0f\n%!" processors (m /. P.Units.day)
                  (preset.P.Presets.total_work /. m);
                (processors, m)))

@@ -15,6 +15,37 @@ type t = {
   energy_optimal_period : float;
 }
 
+(* One row per replicate: [makespan; energy] of each period in turn,
+   [nan] for a failed run.  Averages fold in replicate order over the
+   completed runs. *)
+let tradeoff ?store ~experiment ~scenario ~power ~periods ~replicates () =
+  let processors = scenario.S.Scenario.job.Po.Job.processors in
+  let policies = List.map (fun period -> Po.Policy.periodic "energy-sweep" ~period) periods in
+  let rows =
+    Sweep_store.vectors ?store ~experiment
+      ~params:
+        [
+          ("policy", "energy-sweep");
+          ("periods", String.concat "," (List.map (Printf.sprintf "%h") periods));
+          ("power", Printf.sprintf "%h/%h/%h" power.S.Energy.compute power.S.Energy.io
+                      power.S.Energy.idle);
+        ]
+      ~scenario ~replicates ~width:(2 * List.length periods)
+      ~f:
+        (S.Evaluation.stripe_rows ~scenario ~policies (function
+          | S.Engine.Completed m ->
+              [| m.S.Engine.makespan; S.Energy.of_metrics power ~processors m |]
+          | S.Engine.Policy_failed _ -> [| nan; nan |]))
+      ()
+  in
+  List.mapi
+    (fun j period ->
+      let completed = List.filter (fun r -> not (Float.is_nan r.(2 * j))) (Array.to_list rows) in
+      let mean c = List.fold_left (fun acc r -> acc +. r.((2 * j) + c)) 0. completed in
+      let n = float_of_int (max 1 (List.length completed)) in
+      { period; average_makespan = mean 0 /. n; average_energy = mean 1 /. n })
+    periods
+
 let run ?(config = Config.default ()) ?(power = S.Energy.default_power) ?processors ~preset
     ~dist_kind () =
   let processors =
@@ -28,9 +59,11 @@ let run ?(config = Config.default ()) ?(power = S.Energy.default_power) ?process
   let base = Po.Optexp.period scenario.S.Scenario.job in
   let periods = List.init 9 (fun i -> base *. (2. ** (float_of_int (i - 4) /. 2.))) in
   let replicates = Config.scale config ~quick:8 ~full:200 in
-  let raw = S.Energy.makespan_energy_tradeoff ~scenario ~power ~periods ~replicates in
   let points =
-    List.map (fun (period, m, e) -> { period; average_makespan = m; average_energy = e }) raw
+    tradeoff
+      ?store:(Sweep_store.of_config config)
+      ~experiment:(Printf.sprintf "energy_p%d" processors)
+      ~scenario ~power ~periods ~replicates ()
   in
   let argmin f =
     match points with

@@ -17,6 +17,19 @@ type t = {
   energy_optimal_period : float;
 }
 
+val tradeoff :
+  ?store:Sweep_store.t ->
+  experiment:string ->
+  scenario:Ckpt_simulator.Scenario.t ->
+  power:Ckpt_simulator.Energy.power ->
+  periods:float list ->
+  replicates:int ->
+  unit ->
+  point list
+(** One point per period: the periodic policy's average makespan and
+    energy over its completed runs on shared trace sets, through
+    {!Sweep_store.vectors}. *)
+
 val run :
   ?config:Config.t ->
   ?power:Ckpt_simulator.Energy.power ->

@@ -103,7 +103,11 @@ let print_period_panels ~config cell =
           ~processors ()
       in
       let policies = Setup.policies ~period_lb:false scenario in
-      let sweep = Period_sweep.run ~config ~log2_range:8 ~scenario ~policies () in
+      let sweep =
+        Period_sweep.run ~config ~log2_range:8
+          ~experiment:(Printf.sprintf "grid_%s_p%d_sweep" (cell_name cell) processors)
+          ~scenario ~policies ()
+      in
       Period_sweep.print
         {
           sweep with

@@ -14,6 +14,14 @@ type t = {
   curves : curve list;
 }
 
+let policy_makespan ?store ?(params = []) ~experiment ~scenario ~policy ~replicates () =
+  Sweep_store.vectors ?store ~experiment
+    ~params:(("policy", policy.Po.Policy.name) :: params)
+    ~scenario ~replicates ~width:6
+    ~f:(S.Evaluation.stripe_rows ~scenario ~policies:[ policy ] S.Evaluation.components_of_outcome)
+    ()
+  |> S.Evaluation.mean_and_profile
+
 let run ?(config = Config.default ()) ?processor_counts ~preset ~dist_kind ~policy_kind () =
   let counts =
     match processor_counts with
@@ -29,11 +37,14 @@ let run ?(config = Config.default ()) ?processor_counts ~preset ~dist_kind ~poli
   in
   let dist = Setup.distribution dist_kind ~mtbf:preset.P.Presets.processor_mtbf in
   let replicates = Config.scale config ~quick:6 ~full:600 in
+  let store = Sweep_store.of_config config in
   let curves =
     List.map
       (fun workload_model ->
+        (* Independent points: fan out, each point's stripes composing
+           with this fan-out in the domain pool. *)
         let evaluated =
-          List.filter_map
+          Ckpt_parallel.Domain_pool.parallel_map_list
             (fun processors ->
               let scenario =
                 Setup.scenario ~config ~dist ~preset ~workload_model ~processors ()
@@ -44,9 +55,13 @@ let run ?(config = Config.default ()) ?processor_counts ~preset ~dist_kind ~poli
                 | `Optexp -> Po.Optexp.policy job
                 | `Dp_next_failure -> Po.Dp_policies.dp_next_failure job
               in
-              S.Evaluation.makespan_profile ~scenario ~policy ~replicates
+              policy_makespan ?store
+                ~params:[ ("workload", P.Workload.model_name workload_model) ]
+                ~experiment:(Printf.sprintf "appendix_d_p%d" processors)
+                ~scenario ~policy ~replicates ()
               |> Option.map (fun (m, profile) -> (processors, m, profile)))
             counts
+          |> List.filter_map Fun.id
         in
         let points = List.map (fun (p, m, _) -> (p, m)) evaluated in
         let profiles = List.map (fun (p, _, profile) -> (p, profile)) evaluated in
@@ -92,49 +107,18 @@ let print t ~csv =
   List.iter
     (fun c -> Printf.printf "best enrollment for %s: %d processors\n" c.workload_name c.best_processors)
     t.curves;
-  (* The leading columns replicate [Report.csv_of_series] byte for
-     byte (makespan in days per workload); the waste-profile block
-     appends per workload, in seconds as everywhere else. *)
-  let contents =
-    let buf = Buffer.create 4096 in
-    let xs =
-      List.concat_map (fun s -> List.map fst s.Report.points) series
-      |> List.sort_uniq compare
-    in
-    let lookup s x =
-      match List.assoc_opt x s.Report.points with Some v -> v | None -> nan
-    in
-    Buffer.add_string buf "processors";
-    List.iter (fun s -> Buffer.add_string buf ("," ^ s.Report.label)) series;
-    List.iter
-      (fun c ->
-        List.iter
-          (fun col -> Buffer.add_string buf (Printf.sprintf ",%s_%s" c.workload_name col))
-          Report.profile_columns)
-      t.curves;
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun x ->
-        Buffer.add_string buf (Printf.sprintf "%g" x);
-        List.iter
-          (fun s ->
-            let v = lookup s x in
-            Buffer.add_string buf (if Float.is_nan v then "," else Printf.sprintf ",%g" v))
-          series;
-        List.iter
-          (fun c ->
-            let profile =
-              List.find_map
-                (fun (p, profile) ->
-                  if float_of_int p = x then Some profile else None)
-                c.profiles
-            in
-            List.iter
-              (fun cell -> Buffer.add_string buf ("," ^ cell))
-              (Report.profile_values profile))
-          t.curves;
-        Buffer.add_char buf '\n')
-      xs;
-    Buffer.contents buf
-  in
-  Report.write_csv ~path:(Filename.concat (Report.results_dir ()) csv) contents
+  Report.write_csv
+    ~path:(Filename.concat (Report.results_dir ()) csv)
+    (Report.csv_of_series ~x_label:"processors" series
+       ~extra_header:
+         (List.concat_map
+            (fun c -> List.map (fun col -> c.workload_name ^ "_" ^ col) Report.profile_columns)
+            t.curves)
+       ~extra_cells:(fun x ->
+         List.concat_map
+           (fun c ->
+             Report.profile_values
+               (List.find_map
+                  (fun (p, profile) -> if float_of_int p = x then Some profile else None)
+                  c.profiles))
+           t.curves))

@@ -19,6 +19,19 @@ type t = {
   curves : curve list;
 }
 
+val policy_makespan :
+  ?store:Sweep_store.t ->
+  ?params:(string * string) list ->
+  experiment:string ->
+  scenario:Ckpt_simulator.Scenario.t ->
+  policy:Ckpt_policies.Policy.t ->
+  replicates:int ->
+  unit ->
+  (float * Ckpt_simulator.Evaluation.waste_profile) option
+(** {!Ckpt_simulator.Evaluation.mean_and_profile} of one policy
+    through {!Sweep_store.vectors}; its name joins [params], which must
+    name any other input it depends on (e.g. a period). *)
+
 val run :
   ?config:Config.t ->
   ?processor_counts:int list ->

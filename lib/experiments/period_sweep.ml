@@ -12,7 +12,7 @@ type t = {
 (* Degradations here are normalized by the best reference-policy
    makespan per trace, so the sweep and the heuristics share a
    baseline. *)
-let run ?(config = Config.default ()) ?(log2_range = 4) ~scenario ~policies () =
+let run ?(config = Config.default ()) ?(log2_range = 4) ~experiment ~scenario ~policies () =
   let replicates = Config.scale config ~quick:6 ~full:600 in
   let base_period = Po.Optexp.period scenario.S.Scenario.job in
   let steps = if config.Config.full then 2 * log2_range * 2 else 2 * log2_range in
@@ -20,11 +20,17 @@ let run ?(config = Config.default ()) ?(log2_range = 4) ~scenario ~policies () =
     List.init (steps + 1) (fun i ->
         -.float_of_int log2_range +. (float_of_int i *. 2. *. float_of_int log2_range /. float_of_int steps))
   in
+  let periods = List.map (fun f -> base_period *. (2. ** f)) factors in
   let sweep_policies =
-    List.map (fun f -> Po.Policy.periodic (Printf.sprintf "sweep%g" f) ~period:(base_period *. (2. ** f))) factors
+    List.map2
+      (fun f period -> Po.Policy.periodic (Printf.sprintf "sweep%g" f) ~period)
+      factors periods
   in
   let table =
-    S.Evaluation.degradation_table ~scenario ~policies:(policies @ sweep_policies) ~replicates
+    Sweep_store.degradation_table
+      ?store:(Sweep_store.of_config config)
+      ~params:[ ("periods", String.concat "," (List.map (Printf.sprintf "%h") periods)) ]
+      ~experiment ~scenario ~policies:(policies @ sweep_policies) ~replicates ()
   in
   let find name =
     List.find_opt (fun r -> r.S.Evaluation.policy_name = name) table.S.Evaluation.results
@@ -49,7 +55,11 @@ let sequential ?(config = Config.default ()) ~dist_kind ~mtbf () =
       ~processors:1 ()
   in
   let policies = Setup.policies ~dp_makespan:true ~period_lb:false scenario in
-  let t = run ~config ~log2_range:4 ~scenario ~policies () in
+  let t =
+    run ~config ~log2_range:4
+      ~experiment:(Printf.sprintf "appendix_a_mtbf%gh" (mtbf /. P.Units.hour))
+      ~scenario ~policies ()
+  in
   {
     t with
     title =

@@ -15,10 +15,14 @@ type t = {
 val run :
   ?config:Config.t ->
   ?log2_range:int ->
+  experiment:string ->
   scenario:Ckpt_simulator.Scenario.t ->
   policies:Ckpt_policies.Policy.t list ->
   unit ->
   t
+(** The sweep's periodic policies join [policies] in one degradation
+    table, checkpointed under [experiment] (plus the swept periods)
+    when the config carries a sweep store. *)
 
 val sequential :
   ?config:Config.t -> dist_kind:Setup.dist_kind -> mtbf:float -> unit -> t

@@ -40,15 +40,13 @@ let simulate_replicated ~job ~period ~traces_a ~traces_b ~start_time =
   done;
   !now -. start_time
 
-let average_periodic_makespan ~config ~scenario ~replicates =
+let average_periodic_makespan ?store ~scenario ~replicates () =
   let period = Po.Optexp.period scenario.S.Scenario.job in
-  ignore config;
-  match
-    S.Evaluation.average_makespan ~scenario ~policy:(Po.Policy.periodic "rep" ~period)
-      ~replicates
-  with
-  | Some m -> m
-  | None -> nan
+  Makespan_vs_p.policy_makespan ?store
+    ~params:[ ("period", Printf.sprintf "%h" period) ]
+    ~experiment:(Printf.sprintf "replication_p%d" scenario.S.Scenario.job.Po.Job.processors)
+    ~scenario ~policy:(Po.Policy.periodic "rep" ~period) ~replicates ()
+  |> Option.fold ~none:nan ~some:fst
 
 let run ?(config = Config.default ()) ?processors ~preset ~dist_kind () =
   let p_full =
@@ -67,27 +65,35 @@ let run ?(config = Config.default ()) ?processors ~preset ~dist_kind () =
     Setup.scenario ~config ~dist ~preset ~workload_model:P.Workload.Embarrassingly_parallel
       ~processors:p_half ()
   in
+  let store = Sweep_store.of_config config in
   let full_platform_makespan =
-    average_periodic_makespan ~config ~scenario:scenario_full ~replicates
+    average_periodic_makespan ?store ~scenario:scenario_full ~replicates ()
   in
   let half_platform_makespan =
-    average_periodic_makespan ~config ~scenario:scenario_half ~replicates
+    average_periodic_makespan ?store ~scenario:scenario_half ~replicates ()
   in
   let job_half = scenario_half.S.Scenario.job in
   let period = Po.Optexp.period job_half in
-  let acc = ref 0. in
-  for replicate = 0 to replicates - 1 do
-    let traces_a = S.Scenario.traces scenario_half ~replicate:(2 * replicate) in
-    let traces_b = S.Scenario.traces scenario_half ~replicate:((2 * replicate) + 1) in
-    acc :=
-      !acc
-      +. simulate_replicated ~job:job_half ~period ~traces_a ~traces_b
-           ~start_time:scenario_half.S.Scenario.start_time
-  done;
+  (* Replicate [r] pairs the half-platform trace sets [2r] and [2r + 1]. *)
+  let rows =
+    Sweep_store.vectors ?store
+      ~experiment:(Printf.sprintf "replicated_p%d" p_half)
+      ~params:[ ("model", "replicated-halves"); ("period", Printf.sprintf "%h" period) ]
+      ~scenario:scenario_half ~replicates ~width:1
+      ~f:(fun ~first ~len ->
+        Array.init len (fun i ->
+            let traces k = S.Scenario.traces scenario_half ~replicate:((2 * (first + i)) + k) in
+            [|
+              simulate_replicated ~job:job_half ~period ~traces_a:(traces 0) ~traces_b:(traces 1)
+                ~start_time:scenario_half.S.Scenario.start_time;
+            |]))
+      ()
+  in
   {
     full_platform_makespan;
     half_platform_makespan;
-    replicated_makespan = !acc /. float_of_int replicates;
+    replicated_makespan =
+      Array.fold_left (fun acc row -> acc +. row.(0)) 0. rows /. float_of_int replicates;
   }
 
 let print ?(config = Config.default ()) () =

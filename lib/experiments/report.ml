@@ -60,10 +60,11 @@ let degradation_series tables =
       })
     names
 
-let csv_of_series ~x_label series =
+let csv_of_series ?(extra_header = []) ?(extra_cells = fun _ -> []) ~x_label series =
   let buf = Buffer.create 1024 in
   Buffer.add_string buf x_label;
   List.iter (fun s -> Buffer.add_string buf ("," ^ s.label)) series;
+  List.iter (fun h -> Buffer.add_string buf ("," ^ h)) extra_header;
   Buffer.add_char buf '\n';
   List.iter
     (fun x ->
@@ -73,6 +74,7 @@ let csv_of_series ~x_label series =
           let v = lookup s x in
           Buffer.add_string buf (if Float.is_nan v then "," else Printf.sprintf ",%g" v))
         series;
+      List.iter (fun c -> Buffer.add_string buf ("," ^ c)) (extra_cells x);
       Buffer.add_char buf '\n')
     (abscissas series);
   Buffer.contents buf
@@ -111,8 +113,6 @@ let profile_values profile =
           p.stall_frac;
         ]
 
-let append_cells buf cells = List.iter (fun c -> Buffer.add_string buf ("," ^ c)) cells
-
 let csv_of_table table =
   let open Ckpt_simulator in
   let buf = Buffer.create 512 in
@@ -132,7 +132,7 @@ let csv_of_table table =
          r.Evaluation.successes
          (cell r.Evaluation.average_failures)
          r.Evaluation.max_failures);
-    append_cells buf (profile_values r.Evaluation.profile);
+    List.iter (fun c -> Buffer.add_string buf ("," ^ c)) (profile_values r.Evaluation.profile);
     Buffer.add_char buf '\n'
   in
   row table.Evaluation.lower_bound;
@@ -145,48 +145,21 @@ let result_of_table name (table : Ckpt_simulator.Evaluation.table) =
   else
     List.find_opt (fun r -> r.Evaluation.policy_name = name) table.Evaluation.results
 
+(* The degradation series, then each policy's waste-profile block per
+   abscissa. *)
 let csv_of_tables ~x_label tables =
-  let open Ckpt_simulator in
   let series = degradation_series tables in
   let names = List.map (fun s -> s.label) series in
-  let buf = Buffer.create 4096 in
-  (* The leading columns — header names, row values, formatting — are
-     byte-identical to [csv_of_series ~x_label (degradation_series
-     tables)]: downstream consumers of the pre-profile CSVs keep
-     parsing unchanged, the distributional columns only append. *)
-  Buffer.add_string buf x_label;
-  List.iter (fun n -> Buffer.add_string buf ("," ^ n)) names;
-  List.iter
-    (fun n ->
-      List.iter
-        (fun c -> Buffer.add_string buf (Printf.sprintf ",%s_%s" n c))
-        profile_columns)
-    names;
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun x ->
-      Buffer.add_string buf (Printf.sprintf "%g" x);
-      List.iter
-        (fun s ->
-          let v = lookup s x in
-          Buffer.add_string buf (if Float.is_nan v then "," else Printf.sprintf ",%g" v))
-        series;
-      let table = List.assoc_opt x tables in
-      List.iter
+  csv_of_series ~x_label series
+    ~extra_header:
+      (List.concat_map (fun n -> List.map (fun c -> n ^ "_" ^ c) profile_columns) names)
+    ~extra_cells:(fun x ->
+      List.concat_map
         (fun n ->
-          let profile =
-            match table with
-            | None -> None
-            | Some t -> (
-                match result_of_table n t with
-                | Some r -> r.Evaluation.profile
-                | None -> None)
-          in
-          append_cells buf (profile_values profile))
-        names;
-      Buffer.add_char buf '\n')
-    (abscissas series);
-  Buffer.contents buf
+          profile_values
+            (Option.bind (List.assoc_opt x tables) (fun t ->
+                 Option.bind (result_of_table n t) (fun r -> r.Ckpt_simulator.Evaluation.profile))))
+        names)
 
 let results_dir () =
   match Sys.getenv_opt "CKPT_RESULTS_DIR" with Some d when d <> "" -> d | _ -> "results"

@@ -20,7 +20,16 @@ val degradation_series :
     evaluation tables: points are (abscissa, average degradation),
     NaN where the policy completed no run. *)
 
-val csv_of_series : x_label:string -> series list -> string
+val csv_of_series :
+  ?extra_header:string list ->
+  ?extra_cells:(float -> string list) ->
+  x_label:string ->
+  series list ->
+  string
+(** One row per abscissa: [%g] values, one column per series, an empty
+    cell where a series has no (or a NaN) value; then the
+    [extra_header] columns, filled per abscissa by [extra_cells]
+    (already rendered, one per header). *)
 
 val profile_columns : string list
 (** Column names of the distributional waste-profile block appended to

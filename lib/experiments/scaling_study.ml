@@ -24,13 +24,9 @@ let subsample full counts =
   end
 
 let run ?(config = Config.default ()) ?(experiment = "scaling")
-    ?(workload_model = P.Workload.Embarrassingly_parallel) ?include_dp_makespan
-    ?processor_counts ~preset ~dist_kind () =
-  let dp_makespan =
-    match include_dp_makespan with
-    | Some b -> b
-    | None -> ( match dist_kind with Setup.Exponential -> true | _ -> false)
-  in
+    ?(workload_model = P.Workload.Embarrassingly_parallel) ?processor_counts ~preset ~dist_kind
+    () =
+  let dp_makespan = match dist_kind with Setup.Exponential -> true | _ -> false in
   let counts =
     match processor_counts with
     | Some c -> c

@@ -17,15 +17,13 @@ val run :
   ?config:Config.t ->
   ?experiment:string ->
   ?workload_model:Ckpt_platform.Workload.model ->
-  ?include_dp_makespan:bool ->
   ?processor_counts:int list ->
   preset:Ckpt_platform.Presets.t ->
   dist_kind:Setup.dist_kind ->
   unit ->
   t
-(** [include_dp_makespan] defaults to true for Exponential failures
-    (Figures 2-3 include DPMakespan; the Weibull figures cannot,
-    Section 4.1) and false otherwise.  Default processor counts come
+(** The roster includes DPMakespan for Exponential failures only
+    (Figures 2-3 include it; the Weibull figures cannot, Section 4.1).  Default processor counts come
     from the preset; quick (non-full) runs subsample them to the ends
     and middle of the range.  [experiment] (default ["scaling"]) names
     this sweep in the resumable store when the config carries a

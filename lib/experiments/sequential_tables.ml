@@ -23,7 +23,14 @@ let run ?(config = Config.default ()) ~dist_kind ?(mtbfs = default_mtbfs) () =
       in
       let policies = Setup.policies ~dp_makespan:true scenario in
       let replicates = Config.scale config ~quick:8 ~full:600 in
-      { mtbf_label; table = S.Evaluation.degradation_table ~scenario ~policies ~replicates })
+      {
+        mtbf_label;
+        table =
+          Sweep_store.degradation_table
+            ?store:(Sweep_store.of_config config)
+            ~params:[ ("dist_kind", Setup.dist_kind_name dist_kind) ]
+            ~experiment:("sequential_" ^ mtbf_label) ~scenario ~policies ~replicates ();
+      })
     mtbfs
 
 let print ?(config = Config.default ()) ~dist_kind () =

@@ -11,11 +11,27 @@ let run ?(config = Config.default ()) ?(processors = 1 lsl 13) ?(shape = 0.7) ()
   in
   let job = scenario.S.Scenario.job in
   let dpnf = Po.Dp_policies.dp_next_failure job in
+  let baselines = [ Po.Optexp.policy job; Po.Young.policy job ] in
+  let policies = dpnf :: baselines in
   let replicates = Config.scale config ~quick:12 ~full:200 in
-  List.map
-    (fun baseline ->
-      S.Significance.compare_policies ~scenario ~a:dpnf ~b:baseline ~replicates)
-    [ Po.Optexp.policy job; Po.Young.policy job ]
+  (* DPNextFailure runs once and pairs with each baseline. *)
+  let rows =
+    Sweep_store.vectors
+      ?store:(Sweep_store.of_config config)
+      ~experiment:(Printf.sprintf "significance_p%d" processors)
+      ~params:[ ("policies", String.concat "," (List.map (fun p -> p.Po.Policy.name) policies)) ]
+      ~scenario ~replicates ~width:(List.length policies)
+      ~f:
+        (S.Evaluation.stripe_rows ~scenario ~policies (function
+          | S.Engine.Completed m -> [| m.S.Engine.makespan |]
+          | S.Engine.Policy_failed _ -> [| nan |]))
+      ()
+  in
+  List.mapi
+    (fun j baseline ->
+      S.Significance.of_makespans ~a:dpnf.Po.Policy.name ~b:baseline.Po.Policy.name
+        (Array.map (fun row -> (row.(0), row.(j + 1))) rows))
+    baselines
 
 let print ?(config = Config.default ()) () =
   Report.print_header

@@ -22,18 +22,13 @@ type t = {
    aggregating. *)
 let row_width = 7
 
-let row_of_outcome = function
-  | S.Engine.Completed m ->
-      [|
-        float_of_int m.S.Engine.failures;
-        m.S.Engine.makespan;
-        m.S.Engine.useful_work;
-        m.S.Engine.checkpoint_time;
-        m.S.Engine.wasted_time;
-        m.S.Engine.recovery_time;
-        m.S.Engine.stall_time;
-      |]
-  | S.Engine.Policy_failed _ -> Array.make row_width nan
+let row_of_outcome outcome =
+  let failures =
+    match outcome with
+    | S.Engine.Completed m -> float_of_int m.S.Engine.failures
+    | S.Engine.Policy_failed _ -> nan
+  in
+  Array.append [| failures |] (S.Evaluation.components_of_outcome outcome)
 
 let run ?(config = Config.default ()) ?processors () =
   let preset = P.Presets.petascale () in
@@ -48,26 +43,19 @@ let run ?(config = Config.default ()) ?processors () =
   let policy = Po.Dp_policies.dp_next_failure scenario.S.Scenario.job in
   let replicates = Config.scale config ~quick:10 ~full:600 in
   let rows =
-    (* Stripe-parallel replicate sweep (claims rebalance at item
-       granularity, so a straggler replicate never strands the other
-       domains), checkpointed per stripe when the config carries a
-       sweep store. *)
     Sweep_store.vectors
       ?store:(Sweep_store.of_config config)
       ~experiment:(Printf.sprintf "spares_p%d" processors)
       ~params:[ ("policy", policy.Po.Policy.name) ]
       ~scenario ~replicates ~width:row_width
-      ~f:(fun replicate ->
-        let traces = S.Scenario.traces scenario ~replicate in
-        row_of_outcome (S.Engine.run ~scenario ~traces ~policy ()))
+      ~f:(S.Evaluation.stripe_rows ~scenario ~policies:[ policy ] row_of_outcome)
       ()
     |> Array.to_list
     |> List.filter (fun r -> not (Float.is_nan r.(0)))
   in
   let counts = Array.of_list (List.map (fun r -> r.(0)) rows) in
   let profile =
-    S.Evaluation.profile_of_components
-      (List.map (fun r -> (r.(1), r.(2), r.(3), r.(4), r.(5), r.(6))) rows)
+    S.Evaluation.profile_of_components (List.map (fun r -> Array.sub r 1 (row_width - 1)) rows)
   in
   let s = Summary.of_array counts in
   let q99 = Summary.quantile counts 0.99 in

@@ -5,7 +5,6 @@ module Job = Ckpt_policies.Job
 module Machine = Ckpt_platform.Machine
 module Overhead = Ckpt_platform.Overhead
 module Distribution = Ckpt_distributions.Distribution
-module Domain_pool = Ckpt_parallel.Domain_pool
 module Atomic_file = Ckpt_store.Atomic_file
 module Metrics = Ckpt_telemetry.Metrics
 module Provenance = Ckpt_telemetry.Provenance
@@ -436,7 +435,7 @@ let map_units ?store ~kind ~experiment ~scenario ~policy_names ~replicates ~para
         (store, fields, digest_of fields))
       store
   in
-  Evaluation.map_stripes ~replicates (fun ~stripe ~first ~len ->
+  Evaluation.map_stripes ~label:experiment ~replicates (fun ~stripe ~first ~len ->
       let compute () = compute ~stripe ~first ~len in
       match key with
       | None -> compute ()
@@ -499,8 +498,8 @@ let vectors ?store ?(params = []) ~experiment ~scenario ~replicates ~width ~f ()
     ~encode:encode_vectors ~decode:(decode_vectors ~width)
     ~placeholder:(fun ~len -> Array.init len (fun _ -> Array.make width 0.))
     (fun ~stripe:_ ~first ~len ->
-      Domain_pool.parallel_init len (fun i ->
-          let row = f (first + i) in
-          if Array.length row <> width then invalid_arg "Sweep_store.vectors: row width mismatch";
-          row))
+      let rows = f ~first ~len in
+      if Array.length rows <> len || Array.exists (fun row -> Array.length row <> width) rows
+      then invalid_arg "Sweep_store.vectors: f must return len rows of the given width";
+      rows)
   |> Array.to_list |> Array.concat

@@ -150,17 +150,17 @@ val vectors :
   scenario:Ckpt_simulator.Scenario.t ->
   replicates:int ->
   width:int ->
-  f:(int -> float array) ->
+  f:(first:int -> len:int -> float array array) ->
   unit ->
   float array array
-(** [Array.init replicates f] evaluated stripe-parallel and, with a
-    [store], checkpointed per stripe — for studies whose unit of work
-    is a fixed-width row of floats per replicate rather than a policy
-    table (e.g. a waste decomposition, {!Spares}).  [f] must be a pure
-    function of the replicate index (plus the scenario, which keys the
-    store).  [width] is folded into the unit key; a computed row must
-    have it, and a loaded unit must hold exactly its stripe's rows of
-    it.  Rows round-trip the store bit-exactly (hex floats; NaN/inf
-    cells included, so a row of NaNs can mark a failed replicate).
+(** One row of [width] floats per replicate, in replicate order, for
+    studies whose unit of work is a row per replicate rather than a
+    policy table: [f ~first ~len] computes one stripe's rows (usually
+    {!Ckpt_simulator.Evaluation.stripe_rows}), and with a [store] each
+    stripe is one unit.  [f] must be a pure function of its bounds, the
+    scenario and [params], which must name every other input the rows
+    depend on (policies, periods, cost profile); [width] joins the key.
+    Rows round-trip the store bit-exactly (hex floats; NaN/inf cells
+    included, so a [nan] can mark a failed run).
     @raise Invalid_argument if [replicates <= 0], [width <= 0], or [f]
-    returns a row of a different width. *)
+    returns other than [len] rows of [width]. *)

@@ -19,7 +19,11 @@ let run ?(config = Config.default ()) () =
   (* The paper's Table 4 omits Liu (it fails at this scale/k). *)
   let policies = Setup.policies ~liu:false scenario in
   let replicates = Config.scale config ~quick:10 ~full:600 in
-  let table = S.Evaluation.degradation_table ~scenario ~policies ~replicates in
+  let table =
+    Sweep_store.degradation_table
+      ?store:(Sweep_store.of_config config)
+      ~experiment:"table4" ~scenario ~policies ~replicates ()
+  in
   let dp =
     List.find_opt
       (fun r -> r.S.Evaluation.policy_name = "DPNextFailure")

@@ -28,23 +28,33 @@ let run ?(config = Config.default ()) ?(processors = 1 lsl 13) () =
       ("DPNextFailure(profiled C)", Po.Dp_policies.dp_next_failure ~cost_profile:profile job);
     ]
   in
-  (* All contenders execute under the true progress-dependent costs. *)
+  (* All contenders execute under the true progress-dependent costs;
+     one makespan per contender and replicate, [infinity] for a failed
+     run. *)
+  let rows =
+    Sweep_store.vectors
+      ?store:(Sweep_store.of_config config)
+      ~experiment:(Printf.sprintf "variable_cost_p%d" processors)
+      ~params:
+        [
+          ("contenders", String.concat "," (List.map fst contenders));
+          ("cost_profile", "600*(0.5+progress)");
+        ]
+      ~scenario ~replicates ~width:(List.length contenders)
+      ~f:
+        (S.Evaluation.stripe_rows ~cost_profile:profile ~scenario
+           ~policies:(List.map snd contenders) (function
+          | S.Engine.Completed m -> [| m.S.Engine.makespan |]
+          | S.Engine.Policy_failed _ -> [| infinity |]))
+      ()
+  in
   let totals = Array.make (List.length contenders) 0. in
   let bests = ref 0. in
-  for replicate = 0 to replicates - 1 do
-    let traces = S.Scenario.traces scenario ~replicate in
-    let makespans =
-      List.map
-        (fun (_, policy) ->
-          match S.Engine.run ~cost_profile:profile ~scenario ~traces ~policy () with
-          | S.Engine.Completed m -> m.S.Engine.makespan
-          | S.Engine.Policy_failed _ -> infinity)
-        contenders
-    in
-    let best = List.fold_left Float.min infinity makespans in
-    bests := !bests +. best;
-    List.iteri (fun i m -> totals.(i) <- totals.(i) +. m) makespans
-  done;
+  Array.iter
+    (fun makespans ->
+      bests := !bests +. Array.fold_left Float.min infinity makespans;
+      Array.iteri (fun i m -> totals.(i) <- totals.(i) +. m) makespans)
+    rows;
   let n = float_of_int replicates in
   List.mapi
     (fun i (policy_name, _) ->

@@ -83,10 +83,3 @@ let of_tokens = function
           take k rest
       | _ -> None)
   | _ -> None
-
-let serialize h = String.concat " " (to_tokens h)
-
-let deserialize s =
-  match of_tokens (String.split_on_char ' ' (String.trim s)) with
-  | Some (h, []) -> Some h
-  | _ -> None

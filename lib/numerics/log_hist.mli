@@ -32,5 +32,3 @@ val to_tokens : t -> string list
     the round trip is bit-exact. *)
 
 val of_tokens : string list -> (t * string list) option
-val serialize : t -> string
-val deserialize : string -> t option

@@ -23,14 +23,3 @@ val create : compute:float -> io:float -> idle:float -> power
 
 val of_metrics : power -> processors:int -> Engine.metrics -> float
 (** Total energy in joules for one execution. *)
-
-val makespan_energy_tradeoff :
-  scenario:Scenario.t ->
-  power:power ->
-  periods:float list ->
-  replicates:int ->
-  (float * float * float) list
-(** For each candidate checkpoint period: [(period, average makespan,
-    average energy)].  Longer periods waste more recomputation
-    (compute watts); shorter ones burn more checkpoint I/O — the curve
-    exposes the energy/time trade-off. *)

@@ -86,16 +86,10 @@ let fresh_accumulator () =
     profile = Summary.Vector.create ~dim:profile_dim;
   }
 
-let observation_of_metrics ~degradation (m : Engine.metrics) =
-  let obs = Array.make profile_dim 0. in
-  obs.(comp_makespan) <- m.Engine.makespan;
-  obs.(comp_useful) <- m.Engine.useful_work;
-  obs.(comp_checkpoint) <- m.Engine.checkpoint_time;
-  obs.(comp_wasted) <- m.Engine.wasted_time;
-  obs.(comp_recovery) <- m.Engine.recovery_time;
-  obs.(comp_stall) <- m.Engine.stall_time;
-  obs.(comp_degradation) <- degradation;
-  obs
+(* The waste decomposition, indexed by the [comp_*] slots above. *)
+let components (m : Engine.metrics) =
+  Engine.
+    [| m.makespan; m.useful_work; m.checkpoint_time; m.wasted_time; m.recovery_time; m.stall_time |]
 
 let record acc ~degradation (m : Engine.metrics) =
   acc.degradation <- Summary.add acc.degradation degradation;
@@ -107,7 +101,7 @@ let record acc ~degradation (m : Engine.metrics) =
     acc.smallest_chunk <- Float.min acc.smallest_chunk m.Engine.min_chunk;
     acc.largest_chunk <- Float.max acc.largest_chunk m.Engine.max_chunk
   end;
-  acc.profile <- Summary.Vector.add acc.profile (observation_of_metrics ~degradation m)
+  acc.profile <- Summary.Vector.add acc.profile (Array.append (components m) [| degradation |])
 
 let merge_into acc other =
   acc.degradation <- Summary.merge acc.degradation other.degradation;
@@ -172,25 +166,34 @@ type replicate_outcome = {
   rep_usable : bool;
 }
 
-(* Generates a stripe's trace sets, computes each slot's initial
-   lifetime template once (shared by every policy's pass), steps every
-   policy over the whole stripe, then reassembles per-replicate
-   outcomes in canonical slot order. *)
-let run_replicate_stripe ~scenario ~policies ~first ~len =
+(* [stripe_runs], keeping the trace sets for the LowerBound. *)
+let stripe_pass ?cost_profile ~scenario ~policies ~first ~len () =
   let traces, initial_births =
     Span.time ~layer:"failures.trace_gen" "Scenario.traces" (fun () ->
         let traces = Array.init len (fun i -> Scenario.traces scenario ~replicate:(first + i)) in
         (traces, Array.map (Scenario.initial_lifetime_starts scenario) traces))
   in
-  (* One engine pass per policy over the full stripe; [policy_runs.(j).(i)]
-     is policy [j]'s outcome on replicate [first + i]. *)
-  let policy_runs =
+  let runs =
     Array.map
       (fun policy ->
         Span.time ~layer:"simulator.stripe" policy.Policy.name (fun () ->
-            Engine.run_stripe ~initial_births ~scenario ~traces ~policy ()))
+            Engine.run_stripe ?cost_profile ~initial_births ~scenario ~traces ~policy ()))
       policies
   in
+  (traces, runs)
+
+let stripe_runs ?cost_profile ~scenario ~policies ~first ~len () =
+  snd (stripe_pass ?cost_profile ~scenario ~policies:(Array.of_list policies) ~first ~len ())
+
+let stripe_rows ?cost_profile ~scenario ~policies cells ~first ~len =
+  let runs = stripe_runs ?cost_profile ~scenario ~policies ~first ~len () in
+  Array.init len (fun i -> Array.concat (Array.to_list (Array.map (fun r -> cells r.(i)) runs)))
+
+(* Reassembles a stripe's passes into per-replicate outcomes in
+   canonical slot order, adding the omniscient bound on each usable
+   trace set. *)
+let run_replicate_stripe ~scenario ~policies ~first ~len =
+  let traces, policy_runs = stripe_pass ~scenario ~policies ~first ~len () in
   Array.init len (fun i ->
       let best =
         Array.fold_left
@@ -255,9 +258,10 @@ let stripe_bounds ~replicates ~stripe =
    finished stripe, under one lock since stripes finish on any domain. *)
 let progress_lock = Mutex.create ()
 
-let progress finished ~len ~total =
+let progress finished ~label ~len ~total =
   Mutex.protect progress_lock (fun () ->
-      Printf.eprintf "[eval] %d/%d replicates\n%!" (len + Atomic.fetch_and_add finished len) total)
+      Printf.eprintf "[eval] %s %d/%d replicates\n%!" label
+        (len + Atomic.fetch_and_add finished len) total)
 
 (* The one stripe fan-out.  In the domain pool it composes with a
    study's own configuration fan-out (idle domains help with the
@@ -265,13 +269,13 @@ let progress finished ~len ~total =
    because the engine amortizes across its replicates.  Results come
    back in stripe order, so any reduce over them is independent of
    the domain count. *)
-let map_stripes ~replicates f =
+let map_stripes ~label ~replicates f =
   let count = stripe_count ~replicates in
   let finished = if Span.verbose () then Some (Atomic.make 0) else None in
   Domain_pool.parallel_init count (fun stripe ->
       let first, len = stripe_bounds ~replicates ~stripe in
       let r = f ~stripe ~first ~len in
-      Option.iter (fun finished -> progress finished ~len ~total:replicates) finished;
+      Option.iter (fun finished -> progress finished ~label ~len ~total:replicates) finished;
       r)
 
 type partial = {
@@ -353,8 +357,9 @@ let table_of_partials partials =
 let degradation_table ~scenario ~policies ~replicates =
   if replicates <= 0 then invalid_arg "Evaluation.degradation_table: replicates must be positive";
   if policies = [] then invalid_arg "Evaluation.degradation_table: no policies";
+  let label = Printf.sprintf "p=%d" scenario.Scenario.job.Ckpt_policies.Job.processors in
   let partials =
-    map_stripes ~replicates (fun ~stripe ~first:_ ~len:_ ->
+    map_stripes ~label ~replicates (fun ~stripe ~first:_ ~len:_ ->
         stripe_partial ~scenario ~policies ~replicates ~stripe)
   in
   table_of_partials (Array.to_list partials)
@@ -462,62 +467,25 @@ let deserialize_partial ~policy_names ~replicates contents =
           }
   | _ -> None
 
-(* The Welford fold below is kept in the exact shape (and order) of
-   the original [average_makespan], so the mean this returns is
-   bit-identical to the historical column; the distributional profile
-   rides along from the same runs. *)
-let makespan_profile ~scenario ~policy ~replicates =
-  let outcomes =
-    Domain_pool.parallel_init replicates (fun replicate ->
-        let traces = Scenario.traces scenario ~replicate in
-        match Engine.run ~scenario ~traces ~policy () with
-        | Engine.Completed m -> Some m
-        | Engine.Policy_failed _ -> None)
-  in
-  let acc =
-    Array.fold_left
-      (fun acc -> function Some m -> Summary.add acc m.Engine.makespan | None -> acc)
-      Summary.empty outcomes
-  in
-  let vector =
-    Array.fold_left
-      (fun v -> function
-        (* No lower bound here, so no degradation: carry a neutral 1
-           in that slot and blank its interval below. *)
-        | Some m -> Summary.Vector.add v (observation_of_metrics ~degradation:1. m)
-        | None -> v)
-      (Summary.Vector.create ~dim:profile_dim)
-      outcomes
-  in
-  match (Summary.count acc > 0, profile_of_vector vector) with
-  | true, Some p -> Some (Summary.mean acc, { p with deg_ci95 = nan })
-  | _ -> None
+let components_of_outcome = function
+  | Engine.Completed m -> components m
+  | Engine.Policy_failed _ -> Array.make comp_degradation nan
 
-let average_makespan ~scenario ~policy ~replicates =
-  Option.map fst (makespan_profile ~scenario ~policy ~replicates)
-
-(* Distributional profile from bare waste decompositions — for studies
-   that persist per-replicate component rows (e.g. the spares sweep)
-   instead of full accumulators.  No degradation baseline, so the slot
-   carries a neutral 1 and its interval is blanked, as in
-   [makespan_profile]. *)
+(* No degradation baseline here: the slot carries a neutral 1 and its
+   interval is blanked. *)
 let profile_of_components rows =
   let vector =
     List.fold_left
-      (fun v (mk, useful, ckpt, wasted, recovery, stall) ->
-        let obs = Array.make profile_dim 0. in
-        obs.(comp_makespan) <- mk;
-        obs.(comp_useful) <- useful;
-        obs.(comp_checkpoint) <- ckpt;
-        obs.(comp_wasted) <- wasted;
-        obs.(comp_recovery) <- recovery;
-        obs.(comp_stall) <- stall;
-        obs.(comp_degradation) <- 1.;
-        Summary.Vector.add v obs)
+      (fun v row -> Summary.Vector.add v (Array.append row [| 1. |]))
       (Summary.Vector.create ~dim:profile_dim)
       rows
   in
   Option.map (fun p -> { p with deg_ci95 = nan }) (profile_of_vector vector)
+
+let mean_and_profile rows =
+  let completed = List.filter (fun r -> not (Float.is_nan r.(0))) (Array.to_list rows) in
+  let mean = Summary.(mean (List.fold_left (fun s r -> add s r.(0)) empty completed)) in
+  Option.map (fun p -> (mean, p)) (profile_of_components completed)
 
 (* A float cell that may be undefined (no successful run to average,
    or a single run with no defined deviation): print "n/a" instead of

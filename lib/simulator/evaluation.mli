@@ -15,13 +15,14 @@
     {!Ckpt_telemetry.Span}s ([failures.trace_gen], [simulator.stripe],
     [simulator.reduce]).
 
-    Each stripe of replicates (see {!stripe_size}) runs through
-    {!Engine.run_stripe} — one lockstep pass per policy over the whole
-    stripe, the stripe being the unit of parallel work — and each
-    slot's outcome is exactly that replicate's execution alone.  No
-    evaluation records a simulated-time trace: [ckpt trace] and
-    [ckpt explain] replay one (policy, replicate) into a
-    {!Ckpt_telemetry.Tracer} buffer instead. *)
+    Every study steps its replicates a stripe (see {!stripe_size}) at
+    a time through {!stripe_runs}: one lockstep {!Engine.run_stripe}
+    pass per policy, each slot's outcome exactly that replicate's
+    execution alone; tables through {!degradation_table} (or
+    [Sweep_store.degradation_table]), rows per replicate through
+    [Sweep_store.vectors].  No evaluation records a simulated-time
+    trace: [ckpt trace] and [ckpt explain] replay one (policy,
+    replicate) into a {!Ckpt_telemetry.Tracer} buffer instead. *)
 
 (** Distributional view of a policy's completed runs, derived from the
     exact {!Ckpt_numerics.Summary.Vector} accumulator: makespan
@@ -115,15 +116,45 @@ val stripe_bounds : replicates:int -> stripe:int -> int * int
     @raise Invalid_argument on an out-of-range stripe or
     [replicates <= 0]. *)
 
-val map_stripes : replicates:int -> (stripe:int -> first:int -> len:int -> 'a) -> 'a array
+val map_stripes :
+  label:string -> replicates:int -> (stripe:int -> first:int -> len:int -> 'a) -> 'a array
 (** [f ~stripe ~first ~len] for every stripe (bounds as in
     {!stripe_bounds}), run in the domain pool, results in stripe order.
     The one stripe fan-out: {!degradation_table} and every
     {!Ckpt_experiments.Sweep_store} entry point go through it.  Under
     [CKPT_VERBOSE=1] every call prints its own replicate progress
-    ([[eval] k/R replicates], one line per finished stripe), nested in
-    a study's fan-out or not, at every domain count.
+    ([[eval] LABEL k/R replicates], one line per finished stripe),
+    nested in a study's fan-out or not, at every domain count; the
+    sweep store labels with its experiment name, {!degradation_table}
+    with [p=<processors>].
     @raise Invalid_argument if [replicates <= 0]. *)
+
+val stripe_runs :
+  ?cost_profile:(progress:float -> float * float) ->
+  scenario:Scenario.t ->
+  policies:Ckpt_policies.Policy.t list ->
+  first:int ->
+  len:int ->
+  unit ->
+  Engine.outcome array array
+(** The stripe step under every study: generate the trace sets of
+    replicates [first, first + len) once ([failures.trace_gen]), then
+    make one {!Engine.run_stripe} pass per policy over them
+    ([simulator.stripe]), sharing the slots' initial lifetime
+    templates.  [runs.(j).(i)] is policy [j]'s outcome on replicate
+    [first + i], bit-identical to {!Engine.run} on its trace set. *)
+
+val stripe_rows :
+  ?cost_profile:(progress:float -> float * float) ->
+  scenario:Scenario.t ->
+  policies:Ckpt_policies.Policy.t list ->
+  (Engine.outcome -> float array) ->
+  first:int ->
+  len:int ->
+  float array array
+(** {!stripe_runs} as one row per replicate: each policy's cells of its
+    outcome, concatenated in policy order — the [f] of
+    [Sweep_store.vectors]. *)
 
 val empty_partial : policy_names:string array -> partial
 (** A merge-neutral placeholder with the given roster: zero replicates,
@@ -165,29 +196,19 @@ val deserialize_partial :
     corrupted checkpoint reads as "absent", never crashes and never
     poisons a table. *)
 
-val average_makespan :
-  scenario:Scenario.t -> policy:Ckpt_policies.Policy.t -> replicates:int -> float option
-(** Mean makespan of one policy alone (Appendix D's absolute-makespan
-    plots); [None] if the policy failed on every trace set. *)
+val components_of_outcome : Engine.outcome -> float array
+(** [[|makespan; useful; checkpoint; wasted; recovery; stall|]], a row
+    of [nan] for a failed run. *)
 
-val profile_of_components :
-  (float * float * float * float * float * float) list -> waste_profile option
-(** Build a {!waste_profile} from bare per-run decompositions
-    [(makespan, useful, checkpoint, wasted, recovery, stall)] — for
-    studies that persist component rows per replicate rather than full
-    accumulators.  [None] on an empty list; [deg_ci95] is [nan] (no
-    degradation baseline).  Rows must be finite
-    (@raise Invalid_argument otherwise, from
-    {!Ckpt_numerics.Summary.Vector.add}). *)
+val profile_of_components : float array list -> waste_profile option
+(** The {!waste_profile} of completed runs' {!components_of_outcome}
+    rows; [None] on an empty list; [deg_ci95] is [nan] (no degradation
+    baseline).  @raise Invalid_argument on a non-finite row. *)
 
-val makespan_profile :
-  scenario:Scenario.t ->
-  policy:Ckpt_policies.Policy.t ->
-  replicates:int ->
-  (float * waste_profile) option
-(** {!average_makespan} (bit-identical mean, first component) together
-    with the distributional profile of the same runs.  [deg_ci95] is
-    [nan]: a single-policy run has no degradation baseline. *)
+val mean_and_profile : float array array -> (float * waste_profile) option
+(** One policy's mean makespan (a Welford fold in replicate order) and
+    {!profile_of_components}, from its {!components_of_outcome} rows,
+    failed runs skipped; [None] if every run failed. *)
 
 val pp_table : Format.formatter -> table -> unit
 (** Render rows as the paper's tables do (name, avg, std, extras).

@@ -68,10 +68,3 @@ let policy ?factors ?tuning_replicates scenario =
         best_period ?factors ?tuning_replicates ~scenario ~base_period ())
   in
   Policy.periodic "PeriodLB" ~period
-
-let sweep ~scenario ~periods ~replicates =
-  List.map
-    (fun period ->
-      let p = Policy.periodic "periodic" ~period in
-      (period, Evaluation.average_makespan ~scenario ~policy:p ~replicates))
-    periods

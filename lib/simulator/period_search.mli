@@ -31,13 +31,3 @@ val policy :
   ?factors:float list -> ?tuning_replicates:int -> Scenario.t -> Ckpt_policies.Policy.t
 (** The PeriodLB policy: runs the search (once, eagerly) with OptExp's
     period as base and checkpoints periodically at the winner. *)
-
-val sweep :
-  scenario:Scenario.t ->
-  periods:float list ->
-  replicates:int ->
-  (float * float option) list
-(** Average makespan of the plain periodic policy at each period — the
-    PeriodVariation curves of the paper's appendix figures.  [None]
-    for periods no run completed on (cannot happen for periodic
-    policies, but kept symmetric with policy sweeps). *)

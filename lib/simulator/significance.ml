@@ -1,4 +1,3 @@
-module Policy = Ckpt_policies.Policy
 module Special = Ckpt_numerics.Special
 
 type t = {
@@ -34,28 +33,27 @@ let binomial_two_sided_p ~wins ~losses =
     Float.min 1. (2. *. !tail)
   end
 
-let compare_policies ~scenario ~a ~b ~replicates =
-  if replicates <= 0 then invalid_arg "Significance.compare_policies: replicates must be positive";
-  let diffs = ref [] and ratios = ref [] in
+(* Sums run from the last paired replicate to the first, as the
+   historical list fold did: the means keep their bits. *)
+let of_makespans ~a ~b pairs =
+  let n = ref 0 and diff = ref 0. and ratio = ref 0. in
   let a_wins = ref 0 and b_wins = ref 0 and ties = ref 0 in
-  for replicate = 0 to replicates - 1 do
-    let traces = Scenario.traces scenario ~replicate in
-    match (Engine.run ~scenario ~traces ~policy:a (), Engine.run ~scenario ~traces ~policy:b ()) with
-    | Engine.Completed ma, Engine.Completed mb ->
-        let da = ma.Engine.makespan and db = mb.Engine.makespan in
-        diffs := (da -. db) :: !diffs;
-        ratios := (da /. db) :: !ratios;
-        if da < db then incr a_wins else if db < da then incr b_wins else incr ties
-    | _ -> ()
+  for i = Array.length pairs - 1 downto 0 do
+    let da, db = pairs.(i) in
+    if Float.is_finite da && Float.is_finite db then begin
+      incr n;
+      diff := !diff +. (da -. db);
+      ratio := !ratio +. (da /. db);
+      if da < db then incr a_wins else if db < da then incr b_wins else incr ties
+    end
   done;
-  let n = List.length !diffs in
-  let mean xs = if n = 0 then nan else List.fold_left ( +. ) 0. xs /. float_of_int n in
+  let mean sum = if !n = 0 then nan else sum /. float_of_int !n in
   {
-    policy_a = a.Policy.name;
-    policy_b = b.Policy.name;
-    paired_runs = n;
-    mean_difference = mean !diffs;
-    mean_ratio = mean !ratios;
+    policy_a = a;
+    policy_b = b;
+    paired_runs = !n;
+    mean_difference = mean !diff;
+    mean_ratio = mean !ratio;
     a_wins = !a_wins;
     b_wins = !b_wins;
     ties = !ties;

@@ -23,13 +23,10 @@ type t = {
           informative pairs. *)
 }
 
-val compare_policies :
-  scenario:Scenario.t ->
-  a:Ckpt_policies.Policy.t ->
-  b:Ckpt_policies.Policy.t ->
-  replicates:int ->
-  t
-(** @raise Invalid_argument if [replicates <= 0]. *)
+val of_makespans : a:string -> b:string -> (float * float) array -> t
+(** The paired summary of policies [a] and [b] from their makespans on
+    each shared trace set, in replicate order.  A non-finite makespan
+    marks a failed run; only trace sets where both completed pair. *)
 
 val binomial_two_sided_p : wins:int -> losses:int -> float
 (** The underlying exact test, exposed for direct use and testing:

@@ -17,18 +17,23 @@ for domains in 1 2 4; do
 done
 
 # -- kill-and-resume smoke test ----------------------------------------------
-# Run the small sweep-smoke grid (table units) and the spares study
-# (vectors units) against a checkpoint store, SIGKILL it partway
-# through, resume it to completion, and require the resumed CSVs to be
-# byte-identical to an uninterrupted run's.  A third run must skip
-# every unit (nothing left to compute).
+# Run the small sweep-smoke grid (table units), the spares study and
+# the energy study (vectors units; energy steps 9 periodic policies per
+# stripe) against a checkpoint store, SIGKILL it partway through,
+# resume it to completion, and require the resumed CSVs and printed
+# tables to be byte-identical to an uninterrupted run's.  A third run
+# must skip every unit (nothing left to compute).
 echo "== sweep kill-and-resume smoke =="
 dune build bin/ckpt.exe
 ckpt=_build/default/bin/ckpt.exe
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
 export CKPT_TRACES=48 CKPT_SWEEP_STRIPE=4
-ids="sweep-smoke spares"
+ids="sweep-smoke spares energy"
+
+# The printed tables of a sweep log, without its progress and store
+# statistics lines (energy writes no CSV, only its table).
+tables() { grep -v '^sweep' "$1"; }
 
 echo "-- reference (uninterrupted) run"
 CKPT_RESULTS_DIR="$smoke/ref" \
@@ -55,6 +60,10 @@ for ref_csv in "$smoke"/ref/*.csv; do
     status=1
   fi
 done
+if ! cmp -s <(tables "$smoke/ref.log") <(tables "$smoke/resumed.log"); then
+  echo "FAIL: resumed printed tables differ from the uninterrupted run" >&2
+  status=1
+fi
 
 echo "-- all-skip run"
 CKPT_RESULTS_DIR="$smoke/out" \
@@ -66,7 +75,7 @@ if ! grep -q ", 0 computed" "$smoke/skip.log"; then
 fi
 
 # -- multi-process worker smoke ------------------------------------------------
-# The same two studies, so table and vectors units both go through
+# The same three studies, so table and vectors units both go through
 # claims and busy-unit placeholders.  A 2-worker sweep must produce
 # byte-identical CSVs; a SIGKILLed worker must neither wedge the sweep
 # (its claims are reaped) nor corrupt the store (unit writes are atomic,
@@ -105,6 +114,10 @@ for ref_csv in "$smoke"/ref/*.csv; do
     status=1
   fi
 done
+if ! cmp -s <(tables "$smoke/ref.log") <(tables "$smoke/w2_resume.log"); then
+  echo "FAIL: 2-worker printed tables differ from the serial run" >&2
+  status=1
+fi
 
 echo "-- uninterrupted 4-worker run"
 CKPT_RESULTS_DIR="$smoke/w4" \
@@ -117,6 +130,10 @@ for ref_csv in "$smoke"/ref/*.csv; do
     status=1
   fi
 done
+if ! cmp -s <(tables "$smoke/ref.log") <(tables "$smoke/w4.log"); then
+  echo "FAIL: 4-worker printed tables differ from the serial run" >&2
+  status=1
+fi
 
 if [ "$status" -eq 0 ]; then
   echo "sweep smoke: resumed tables byte-identical; completed units skipped"

@@ -421,8 +421,7 @@ let test_scaling_study_structure () =
 
 let test_degradation_series_extraction () =
   let t =
-    Scaling_study.run ~config:mini_config ~preset:mini_preset ~dist_kind:Setup.Exponential
-      ~include_dp_makespan:false ()
+    Scaling_study.run ~config:mini_config ~preset:mini_preset ~dist_kind:(Setup.Weibull 0.7) ()
   in
   let series =
     Report.degradation_series

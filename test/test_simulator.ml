@@ -6,6 +6,7 @@ module Scenario = Ckpt_simulator.Scenario
 module Evaluation = Ckpt_simulator.Evaluation
 module Period_search = Ckpt_simulator.Period_search
 module Energy = Ckpt_simulator.Energy
+module Makespan_vs_p = Ckpt_experiments.Makespan_vs_p
 module Policy = Ckpt_policies.Policy
 module Job = Ckpt_policies.Job
 module Trace = Ckpt_failures.Trace
@@ -330,11 +331,14 @@ let test_evaluation_failed_policy_excluded () =
   let ok = List.nth table.Evaluation.results 0 in
   close ~tol:1e-9 "sole policy defines the best" 1. ok.Evaluation.average_degradation
 
+(* One policy's mean makespan, stepped a stripe at a time. *)
+let mean_makespan ~scenario ~policy ~replicates =
+  Option.map fst
+    (Makespan_vs_p.policy_makespan ~experiment:"test" ~scenario ~policy ~replicates ())
+
 let test_average_makespan () =
   let scenario = eval_scenario () in
-  match Evaluation.average_makespan ~scenario ~policy:(Policy.periodic "p" ~period:1000.)
-          ~replicates:5
-  with
+  match mean_makespan ~scenario ~policy:(Policy.periodic "p" ~period:1000.) ~replicates:5 with
   | Some m -> check Alcotest.bool "at least the work" true (m >= 20_000.)
   | None -> Alcotest.fail "periodic always completes"
 
@@ -369,10 +373,10 @@ let test_evaluation_parallel_deterministic () =
     (Format.asprintf "%a" Evaluation.pp_table parallel);
   match
     with_domains 1 (fun () ->
-        Evaluation.average_makespan ~scenario:(eval_scenario ())
+        mean_makespan ~scenario:(eval_scenario ())
           ~policy:(Policy.periodic "p" ~period:1000.) ~replicates:5),
     with_domains 4 (fun () ->
-        Evaluation.average_makespan ~scenario:(eval_scenario ())
+        mean_makespan ~scenario:(eval_scenario ())
           ~policy:(Policy.periodic "p" ~period:1000.) ~replicates:5)
   with
   | Some a, Some b -> close ~tol:0. "average_makespan deterministic" a b
@@ -554,16 +558,18 @@ let test_best_period_fallback_not_zero () =
   in
   close ~tol:1e-9 "clamped to work" scenario.Scenario.job.Job.work_time period
 
+(* The PeriodVariation curve: the plain periodic policy's mean
+   makespan at each period. *)
 let test_sweep () =
   let scenario = eval_scenario () in
-  let rows = Period_search.sweep ~scenario ~periods:[ 500.; 1000. ] ~replicates:3 in
-  check Alcotest.int "two rows" 2 (List.length rows);
   List.iter
-    (fun (_, m) ->
-      match m with
+    (fun period ->
+      match
+        mean_makespan ~scenario ~policy:(Policy.periodic "periodic" ~period) ~replicates:3
+      with
       | Some v -> check Alcotest.bool "finite" true (Float.is_finite v)
       | None -> Alcotest.fail "periodic always completes")
-    rows
+    [ 500.; 1000. ]
 
 (* -- significance --------------------------------------------------------------------- *)
 
@@ -577,13 +583,22 @@ let test_binomial_p_values () =
     (Significance.binomial_two_sided_p ~wins:5 ~losses:5);
   close ~tol:1e-9 "no data" 1. (Significance.binomial_two_sided_p ~wins:0 ~losses:0)
 
+(* [a] against [b] on the same [replicates] trace sets, one stripe. *)
+let compare_policies ~scenario ~a ~b ~replicates =
+  let runs =
+    Evaluation.stripe_runs ~scenario ~policies:[ a; b ] ~first:0 ~len:replicates ()
+  in
+  let makespan = function Engine.Completed m -> m.Engine.makespan | Engine.Policy_failed _ -> nan in
+  Significance.of_makespans ~a:a.Policy.name ~b:b.Policy.name
+    (Array.init replicates (fun i -> (makespan runs.(0).(i), makespan runs.(1).(i))))
+
 let test_compare_policies_detects_dominance () =
   (* A sane period against a period twenty times the platform MTBF:
      the former must win essentially every paired trace. *)
   let scenario = eval_scenario () in
   let good = Policy.periodic "good" ~period:900. in
   let awful = Policy.periodic "awful" ~period:80_000. in
-  let c = Significance.compare_policies ~scenario ~a:good ~b:awful ~replicates:12 in
+  let c = compare_policies ~scenario ~a:good ~b:awful ~replicates:12 in
   check Alcotest.int "all pairs usable" 12 c.Significance.paired_runs;
   check Alcotest.bool
     (Printf.sprintf "good wins %d/12" c.Significance.a_wins)
@@ -598,10 +613,18 @@ let test_compare_policies_detects_dominance () =
 let test_compare_policy_with_itself () =
   let scenario = eval_scenario () in
   let p = Policy.periodic "p" ~period:1000. in
-  let c = Significance.compare_policies ~scenario ~a:p ~b:p ~replicates:5 in
+  let c = compare_policies ~scenario ~a:p ~b:p ~replicates:5 in
   check Alcotest.int "all ties" 5 c.Significance.ties;
   close ~tol:1e-9 "p = 1" 1. c.Significance.sign_test_p;
   close ~tol:1e-9 "ratio 1" 1. c.Significance.mean_ratio
+
+let test_failed_runs_do_not_pair () =
+  let c =
+    Significance.of_makespans ~a:"a" ~b:"b" [| (1., 2.); (nan, 1.); (3., infinity); (4., 4.) |]
+  in
+  check Alcotest.int "two pairs" 2 c.Significance.paired_runs;
+  check Alcotest.(pair int int) "a wins 1, ties 1" (1, 1) (c.Significance.a_wins, c.Significance.ties);
+  close ~tol:0. "mean difference" (-0.5) c.Significance.mean_difference
 
 (* -- energy -------------------------------------------------------------------------- *)
 
@@ -623,12 +646,14 @@ let test_energy_invalid () =
 let test_energy_tradeoff_rows () =
   let scenario = eval_scenario () in
   let rows =
-    Energy.makespan_energy_tradeoff ~scenario ~power:Energy.default_power
-      ~periods:[ 500.; 2000. ] ~replicates:3
+    Ckpt_experiments.Energy_study.tradeoff ~experiment:"test" ~scenario
+      ~power:Energy.default_power ~periods:[ 500.; 2000. ] ~replicates:3 ()
   in
   check Alcotest.int "row per period" 2 (List.length rows);
   List.iter
-    (fun (_, m, e) -> check Alcotest.bool "positive" true (m > 0. && e > 0.))
+    (fun p ->
+      check Alcotest.bool "positive" true
+        Ckpt_experiments.Energy_study.(p.average_makespan > 0. && p.average_energy > 0.))
     rows
 
 (* -- theory vs simulation --------------------------------------------------- *)
@@ -1227,6 +1252,48 @@ let test_engine_matrix_bit_identity () =
 
 (* -- stripe engine ---------------------------------------------------------- *)
 
+(* The stripe step under every study: at every stripe width, with and
+   without a cost profile, each policy's outcomes equal a
+   per-replicate [Engine.run] loop, bit for bit. *)
+let test_stripe_runs_match_engine_run () =
+  let scenario = eval_scenario () in
+  let replicates = 9 in
+  List.iter
+    (fun cost_profile ->
+      let policies =
+        [
+          Policy.periodic "a" ~period:900.;
+          Ckpt_policies.Dp_policies.dp_next_failure ?cost_profile scenario.Scenario.job;
+        ]
+      in
+      let reference =
+        List.map
+          (fun policy ->
+            Array.init replicates (fun replicate ->
+                Engine.run ?cost_profile ~scenario
+                  ~traces:(Scenario.traces scenario ~replicate) ~policy ()))
+          policies
+      in
+      List.iter
+        (fun stripe ->
+          with_env "CKPT_SWEEP_STRIPE" (string_of_int stripe) (fun () ->
+              let stripes =
+                Evaluation.map_stripes ~label:"test" ~replicates (fun ~stripe:_ ~first ~len ->
+                    Evaluation.stripe_runs ?cost_profile ~scenario ~policies ~first ~len ())
+              in
+              List.iteri
+                (fun j expected ->
+                  check Alcotest.bool
+                    (Printf.sprintf "stripe=%d profile=%b policy %d == Engine.run loop" stripe
+                       (Option.is_some cost_profile) j)
+                    true
+                    (compare expected
+                       (Array.concat (Array.to_list (Array.map (fun runs -> runs.(j)) stripes)))
+                    = 0))
+                reference))
+        [ 1; 4; 16 ])
+    [ None; Some pin_cost_profile ]
+
 (* Every slot of [Engine.run_stripe] is exactly [Engine.run] on its
    own trace set — slots share no decisions or state, and the
    live-slot compaction disturbs none of them — across distributions,
@@ -1411,6 +1478,8 @@ let () =
           Alcotest.test_case "pinned event streams" `Quick test_pinned_event_streams;
           Alcotest.test_case "malformed CKPT_SWEEP_STRIPE warns" `Quick
             test_stripe_size_malformed;
+          Alcotest.test_case "stripe_runs == Engine.run loop" `Quick
+            test_stripe_runs_match_engine_run;
         ] );
       ( "period search",
         [
@@ -1452,6 +1521,7 @@ let () =
           Alcotest.test_case "binomial p-values" `Quick test_binomial_p_values;
           Alcotest.test_case "detects dominance" `Quick test_compare_policies_detects_dominance;
           Alcotest.test_case "self comparison" `Quick test_compare_policy_with_itself;
+          Alcotest.test_case "failed runs do not pair" `Quick test_failed_runs_do_not_pair;
         ] );
       ( "energy",
         [

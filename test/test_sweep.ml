@@ -273,17 +273,19 @@ let vector_row replicate =
   if replicate = 3 then Array.make 4 nan
   else Array.init 4 (fun i -> float_of_int ((replicate * 4) + i) *. 0.5)
 
+let vector_rows ~first ~len = Array.init len (fun i -> vector_row (first + i))
+
 let run_vectors ?(width = 4) ~dir () =
   Sweep_store.vectors
     ~store:(Sweep_store.create ~dir)
     ~experiment:"vectors_test" ~scenario:(eval_scenario ()) ~replicates:5 ~width
-    ~f:(fun r -> Array.sub (vector_row r) 0 width)
+    ~f:(fun ~first ~len -> Array.map (fun r -> Array.sub r 0 width) (vector_rows ~first ~len))
     ()
 
 let test_vectors_resume dir =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
       let fresh, s1 = stats_since (run_vectors ~dir) in
-      check Alcotest.bool "vectors == Array.init replicates f" true
+      check Alcotest.bool "vectors == the rows of every stripe" true
         (compare (Array.init 5 vector_row) fresh = 0);
       check Alcotest.int "three stripes computed" 3 s1.Sweep_store.computed;
       let resumed, s2 = stats_since (run_vectors ~dir) in
@@ -347,7 +349,7 @@ let test_store_keys_pinned dir =
            ~scenario ~policies:(policies scenario.Scenario.job) ~replicates:5 ());
       ignore
         (Sweep_store.vectors ~store ~experiment:"pin_vectors" ~scenario ~replicates:5 ~width:4
-           ~f:vector_row ());
+           ~f:vector_rows ());
       check
         Alcotest.(list (pair string string))
         "unit names and MD5s"
@@ -362,6 +364,33 @@ let test_store_keys_pinned dir =
         (List.map
            (fun f -> (f, Digest.to_hex (Digest.file (Filename.concat dir f))))
            (unit_files dir)))
+
+(* A study on the vectors path: a second pass over the filled store
+   computes nothing and returns the first pass's points bit for bit. *)
+let test_energy_study_resumes dir =
+  with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
+      let module E = Ckpt_experiments in
+      let preset =
+        {
+          Ckpt_platform.Presets.label = "mini";
+          machine =
+            Machine.create ~total_processors:64 ~downtime:50. ~overhead:(Overhead.constant 100.);
+          total_work = 4e6;
+          processor_mtbf = 2e5;
+          job_processor_counts = [ 16; 64 ];
+        }
+      in
+      let config = { E.Config.quick with E.Config.sweep_dir = Some dir } in
+      let run () =
+        E.Energy_study.run ~config ~processors:16 ~preset ~dist_kind:(E.Setup.Weibull 0.7) ()
+      in
+      let first, s1 = stats_since run in
+      check Alcotest.int "two stripes computed" 2 s1.Sweep_store.computed;
+      check Alcotest.int "nine periods" 9 (List.length first.E.Energy_study.points);
+      let second, s2 = stats_since run in
+      check Alcotest.int "nothing computed" 0 s2.Sweep_store.computed;
+      check Alcotest.int "every unit skipped" 2 s2.Sweep_store.skipped;
+      check Alcotest.bool "bit-identical points" true (compare first second = 0))
 
 (* Units carry no payload checksum, so a flipped hex digit can still
    decode to a valid number: what must hold after any truncation or
@@ -624,6 +653,7 @@ let () =
           Alcotest.test_case "table unit shape checked" `Quick (in_dir test_table_shape_checked);
           Alcotest.test_case "vectors unit shape checked" `Quick (in_dir test_vectors_shape_checked);
           Alcotest.test_case "store keys pinned" `Quick (in_dir test_store_keys_pinned);
+          Alcotest.test_case "energy study resumes" `Quick (in_dir test_energy_study_resumes);
           QCheck_alcotest.to_alcotest prop_damaged_unit_shape;
         ] );
       ( "claims",
