@@ -628,9 +628,9 @@ let sweep_cmd =
   in
   let resume_arg =
     let doc =
-      "Checkpoint-store directory: completed (experiment, scenario, replicate-stripe) units \
-       are persisted here and skipped on re-run, so an interrupted sweep resumes where it \
-       left off with bit-identical output.  Defaults to $(b,CKPT_SWEEP_DIR)."
+      "Checkpoint-store directory (required; the only way to attach a store): completed \
+       (experiment, scenario, replicate-stripe) units are persisted here and skipped on \
+       re-run, so an interrupted sweep resumes where it left off with bit-identical output."
     in
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"DIR" ~doc)
   in
@@ -653,12 +653,9 @@ let sweep_cmd =
     let dir =
       match resume with
       | Some d -> d
-      | None -> (
-          match config.E.Config.sweep_dir with
-          | Some d -> d
-          | None ->
-              prerr_endline "ckpt sweep: pass --resume DIR (or set CKPT_SWEEP_DIR)";
-              exit 2)
+      | None ->
+          prerr_endline "ckpt sweep: pass --resume DIR";
+          exit 2
     in
     let config = { config with E.Config.sweep_dir = Some dir } in
     let store = E.Sweep_store.create ~dir in

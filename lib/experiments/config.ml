@@ -17,12 +17,7 @@ let default () =
     | Some s -> Int64.of_int s
     | None -> 0x5EEDL
   in
-  let sweep_dir =
-    match Sys.getenv_opt "CKPT_SWEEP_DIR" with
-    | Some d when String.trim d <> "" -> Some (String.trim d)
-    | Some _ | None -> None
-  in
-  { replicates; full; seed; sweep_dir }
+  { replicates; full; seed; sweep_dir = None }
 
 let quick = { replicates = 4; full = false; seed = 0x5EEDL; sweep_dir = None }
 

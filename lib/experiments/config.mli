@@ -7,8 +7,7 @@
 
     - [CKPT_TRACES=<n>]   replicates per configuration;
     - [CKPT_FULL=1]       paper-scale defaults (600 traces, full grids);
-    - [CKPT_SEED=<int>]   root seed;
-    - [CKPT_SWEEP_DIR=<dir>]  resumable sweep store (see {!Sweep_store}).
+    - [CKPT_SEED=<int>]   root seed.
 
     A malformed [CKPT_TRACES] (not an integer, or negative) or
     [CKPT_SEED] (not an integer) warns once per value on stderr and
@@ -21,7 +20,8 @@ type t = {
   seed : int64;
   sweep_dir : string option;
       (** when set, studies checkpoint each unit of work here and skip
-          completed units on re-run (see {!Sweep_store}). *)
+          completed units on re-run (see {!Sweep_store}).  {!default}
+          leaves it [None]: [ckpt sweep --resume DIR] sets it. *)
 }
 
 val default : unit -> t

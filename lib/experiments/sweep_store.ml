@@ -419,15 +419,42 @@ let reap_claims ?(all = false) t =
 
 (* -- entry points --------------------------------------------------------------
 
-   One driver under every entry point: [compute ~stripe ~first ~len]
-   for each stripe of [Evaluation.map_stripes].  With a store each
-   stripe is one unit under the [kind]-tagged key; [decode ~len]
-   accepts only a payload that parses and has the stripe's shape, so a
-   unit of the wrong shape counts as invalidated and is recomputed;
-   [placeholder ~len] stands in for a unit another worker holds. *)
+   One driver and one unit format under every entry point:
+   [compute ~stripe ~first ~len] returns a stripe's rows, [width]
+   floats per replicate, for each stripe of [Evaluation.map_stripes].
+   With a store each stripe is one unit of hex-float rows under the
+   [kind]-tagged key.  A payload loads only as exactly the stripe's
+   rows, each passing [row_ok], so a unit of the wrong shape counts as
+   invalidated and is recomputed.  A unit another worker holds reads
+   as rows of zeros. *)
 
-let map_units ?store ~kind ~experiment ~scenario ~policy_names ~replicates ~params ~encode
-    ~decode ~placeholder compute =
+let rows_format = "ckpt-vectors/1"
+
+let encode_rows rows =
+  let buf = Buffer.create 256 in
+  Buffer.add_string buf
+    (Printf.sprintf "%s %d %d\n" rows_format (Array.length rows) (Array.length rows.(0)));
+  Array.iter
+    (fun row ->
+      Buffer.add_string buf (String.concat " " (Array.to_list (Array.map hex row)));
+      Buffer.add_char buf '\n')
+    rows;
+  Buffer.contents buf
+
+let decode_rows ~width ~row_ok ~len payload =
+  let parse line =
+    let cells = List.filter (( <> ) "") (String.split_on_char ' ' line) in
+    let row = Array.of_list (List.filter_map float_of_string_opt cells) in
+    if List.length cells = width && Array.length row = width && row_ok row then Some row else None
+  in
+  match List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' payload) with
+  | hd :: lines when hd = Printf.sprintf "%s %d %d" rows_format len width ->
+      let rows = Array.of_list (List.filter_map parse lines) in
+      if Array.length rows = len && List.length lines = len then Some rows else None
+  | _ -> None
+
+let map_units ?store ~kind ~experiment ~scenario ~policy_names ~replicates ~params ~width
+    ~row_ok compute =
   let key =
     Option.map
       (fun store ->
@@ -442,61 +469,28 @@ let map_units ?store ~kind ~experiment ~scenario ~policy_names ~replicates ~para
       | Some (store, fields, digest) -> (
           let path = unit_path store ~experiment ~digest ~stripe in
           match
-            load_or_compute_opt ~path ~digest ~stripe ~fields ~decode:(decode ~len) ~encode
-              compute
+            load_or_compute_opt ~path ~digest ~stripe ~fields
+              ~decode:(decode_rows ~width ~row_ok ~len) ~encode:encode_rows compute
           with
-          | Some v -> v
-          | None -> placeholder ~len))
+          | Some rows -> rows
+          | None -> Array.init len (fun _ -> Array.make width 0.)))
 
 let degradation_table ?store ?(params = []) ~experiment ~scenario ~policies ~replicates () =
   let policy_names = List.map (fun p -> p.Policy.name) policies in
-  let names = Array.of_list policy_names in
+  let n = List.length policies in
   map_units ?store ~kind:"table" ~experiment ~scenario ~policy_names ~replicates ~params
-    ~encode:Evaluation.serialize_partial
-    ~decode:(fun ~len -> Evaluation.deserialize_partial ~policy_names:names ~replicates:len)
-    ~placeholder:(fun ~len:_ -> Evaluation.empty_partial ~policy_names:names)
-    (fun ~stripe ~first:_ ~len:_ ->
-      Evaluation.stripe_partial ~scenario ~policies ~replicates ~stripe)
-  |> Array.to_list |> Evaluation.table_of_partials
-
-let vectors_format = "ckpt-vectors/1"
-
-let encode_vectors rows =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf "%s %d %d\n" vectors_format (Array.length rows) (Array.length rows.(0)));
-  Array.iter
-    (fun row ->
-      Array.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char buf ' ';
-          Buffer.add_string buf (hex x))
-        row;
-      Buffer.add_char buf '\n')
-    rows;
-  Buffer.contents buf
-
-(* [None] unless the payload is exactly [len] rows of [width] floats. *)
-let decode_vectors ~len ~width payload =
-  let all_some l =
-    if List.exists Option.is_none l then None else Some (Array.of_list (List.map Option.get l))
-  in
-  let parse line =
-    let cells = String.split_on_char ' ' line |> List.filter (fun c -> c <> "") in
-    if List.length cells <> width then None else all_some (List.map float_of_string_opt cells)
-  in
-  match List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' payload) with
-  | hd :: rows
-    when hd = Printf.sprintf "%s %d %d" vectors_format len width && List.length rows = len ->
-      all_some (List.map parse rows)
-  | _ -> None
+    ~width:(Evaluation.table_row_width ~policies:n)
+    ~row_ok:(Evaluation.table_row_ok ~policies:n)
+    (fun ~stripe:_ ~first ~len -> Evaluation.table_rows ~scenario ~policies ~first ~len)
+  |> Array.to_list
+  |> List.map (Evaluation.partial_of_rows ~policy_names:(Array.of_list policy_names))
+  |> Evaluation.table_of_partials
 
 let vectors ?store ?(params = []) ~experiment ~scenario ~replicates ~width ~f () =
   if width <= 0 then invalid_arg "Sweep_store.vectors: width must be positive";
   map_units ?store ~kind:"vectors" ~experiment ~scenario ~policy_names:[] ~replicates
     ~params:(("width", string_of_int width) :: params)
-    ~encode:encode_vectors ~decode:(decode_vectors ~width)
-    ~placeholder:(fun ~len -> Array.init len (fun _ -> Array.make width 0.))
+    ~width ~row_ok:(fun _ -> true)
     (fun ~stripe:_ ~first ~len ->
       let rows = f ~first ~len in
       if Array.length rows <> len || Array.exists (fun row -> Array.length row <> width) rows

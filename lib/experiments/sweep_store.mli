@@ -1,28 +1,31 @@
 (** Resumable, content-addressed sweep checkpointing.
 
     A study is a sweep over (experiment, scenario, replicate-stripe)
-    units.  With a store attached, each unit's merged
-    {!Ckpt_simulator.Evaluation.partial} is persisted under a key that
-    hashes the experiment name, the full scenario parameters, the seed,
-    the policy roster and the stripe layout; written atomically
+    units.  With a store attached, each unit persists one format: its
+    stripe's rows, one row of floats per replicate in hex notation —
+    a degradation table's {!Ckpt_simulator.Evaluation.table_rows}, or
+    a {!vectors} study's own rows.  Units live under a key that hashes
+    the experiment name, the full scenario parameters, the seed, the
+    policy roster and the stripe layout, and are written atomically
     (tempfile + fsync + rename, {!Ckpt_store.Atomic_file}).  Re-running
     an interrupted study then skips every completed unit and recomputes
-    only the missing ones, and — because tables are always reduced
-    through the same stripe merge tree — produces bit-identical output.
+    only the missing ones.  A table is always the fold of its rows
+    through the same stripe merge tree, so it comes out bit-identical.
 
     Invalidation is by construction: any changed parameter changes the
     key, so stale units are simply never consulted (and two concurrent
     sweeps with different parameters can share a directory without
     collision).  A unit file that exists but fails its header or
-    payload check — the payload must parse and fit its stripe: the
-    expected roster and replicate count for a table, exactly the
-    stripe's rows of the expected width for {!vectors}; units carry no
-    checksum — is counted as {e invalidated}, recomputed, and
-    overwritten.
+    payload check is counted as {e invalidated}, recomputed, and
+    overwritten.  The payload must be exactly the stripe's rows at the
+    expected width; for a table, [len] rows of the roster's width, each
+    group all finite or all NaN
+    ({!Ckpt_simulator.Evaluation.table_row_ok}).  Units carry no
+    checksum.  A unit of another format, such as a table unit written
+    before tables were stored as rows, reads as invalidated too.
 
-    Point the store at a directory with [CKPT_SWEEP_DIR=<dir>] (or
-    [ckpt sweep --resume <dir>]); without it every entry point below
-    degrades to the plain, storeless computation.
+    [ckpt sweep --resume <dir>] attaches the store; without it every
+    entry point below degrades to the plain, storeless computation.
 
     {2 Multi-process sweeps}
 
@@ -32,7 +35,7 @@
     directory in {e worker mode}: a missing unit is computed only after
     winning its {e claim marker} — [<unit>.claim], created O_EXCL with
     a pid/host/timestamp payload; create wins, losers move on and
-    substitute a merge-neutral placeholder.  Claims whose owner is dead
+    substitute rows of zeros (unusable replicates, for a table).  Claims whose owner is dead
     (same-host pid check) or older than {!Claim.ttl} (10 min) are
     reaped and re-claimed, so a SIGKILLed worker never wedges a sweep.
     Claims gate only worker-mode compute: loads never consult them,
@@ -137,8 +140,12 @@ val degradation_table :
   unit ->
   Ckpt_simulator.Evaluation.table
 (** {!Ckpt_simulator.Evaluation.degradation_table}, checkpointed per
-    replicate stripe when [store] is given; bit-identical to the plain
-    call either way.  [experiment] names the study point (distinct
+    replicate stripe when [store] is given: each unit holds the
+    stripe's {!Ckpt_simulator.Evaluation.table_rows}, and each stripe,
+    loaded or computed, is folded by
+    {!Ckpt_simulator.Evaluation.partial_of_rows} before
+    {!Ckpt_simulator.Evaluation.table_of_partials}.  Bit-identical to
+    the plain call either way.  [experiment] names the study point (distinct
     sweep points of one study must pass distinct names or [params]);
     [params] are extra key/value pairs folded into the unit key and
     recorded in each unit's provenance sidecar. *)
@@ -157,10 +164,11 @@ val vectors :
     studies whose unit of work is a row per replicate rather than a
     policy table: [f ~first ~len] computes one stripe's rows (usually
     {!Ckpt_simulator.Evaluation.stripe_rows}), and with a [store] each
-    stripe is one unit.  [f] must be a pure function of its bounds, the
-    scenario and [params], which must name every other input the rows
-    depend on (policies, periods, cost profile); [width] joins the key.
-    Rows round-trip the store bit-exactly (hex floats; NaN/inf cells
-    included, so a [nan] can mark a failed run).
+    stripe is one unit in the same row format as a table's.  [f] must
+    be a pure function of its bounds, the scenario and [params], which
+    must name every other input the rows depend on (policies, periods,
+    cost profile); [width] joins the key.  Rows round-trip the store
+    bit-exactly (hex floats; NaN/inf cells included, so a [nan] can
+    mark a failed run).
     @raise Invalid_argument if [replicates <= 0], [width <= 0], or [f]
     returns other than [len] rows of [width]. *)

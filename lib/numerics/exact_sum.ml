@@ -74,40 +74,3 @@ let total (t : t) =
       acc := !acc +. Float.ldexp (Int64.to_float t.(i)) ((32 * i) - bias)
   done;
   !acc
-
-let to_tokens (t : t) =
-  let pairs = ref [] in
-  for i = limbs_n - 1 downto 0 do
-    if t.(i) <> 0L then pairs := string_of_int i :: Int64.to_string t.(i) :: !pairs
-  done;
-  string_of_int (List.length !pairs / 2) :: !pairs
-
-let of_tokens = function
-  | [] -> None
-  | k :: rest -> (
-      match int_of_string_opt k with
-      | Some k when k >= 0 && k <= limbs_n ->
-          let t = Array.make limbs_n 0L in
-          let rec take n rest =
-            if n = 0 then Some (t, rest)
-            else
-              match rest with
-              | i :: v :: rest -> (
-                  match (int_of_string_opt i, Int64.of_string_opt v) with
-                  | Some i, Some v when i >= 0 && i < limbs_n ->
-                      t.(i) <- v;
-                      take (n - 1) rest
-                  | _ -> None)
-              | _ -> None
-          in
-          (* Normalize on load: a canonical writer makes this a no-op,
-             but a hand-edited file must still read as a valid value. *)
-          Option.map (fun (t, rest) -> (normalize t, rest)) (take k rest)
-      | _ -> None)
-
-let serialize t = String.concat " " (to_tokens t)
-
-let deserialize s =
-  match of_tokens (String.split_on_char ' ' (String.trim s)) with
-  | Some (t, []) -> Some t
-  | _ -> None

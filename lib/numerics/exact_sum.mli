@@ -42,14 +42,3 @@ val total : t -> float
 (** Deterministic float readout of the exact sum. *)
 
 val equal : t -> t -> bool
-
-val to_tokens : t -> string list
-(** Sparse, self-delimiting token encoding ([k] pairs of limb index and
-    limb value); concatenable into larger token streams. *)
-
-val of_tokens : string list -> (t * string list) option
-(** Parse a {!to_tokens} prefix, returning the remaining tokens; [None]
-    on malformed input.  Round-trips bit-identically. *)
-
-val serialize : t -> string
-val deserialize : string -> t option

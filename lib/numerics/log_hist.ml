@@ -47,39 +47,3 @@ let quantile h p =
     in
     walk 0 0
   end
-
-let to_tokens h =
-  let pairs = ref [] in
-  for i = n_buckets - 1 downto 0 do
-    if h.buckets.(i) <> 0 then pairs := string_of_int i :: string_of_int h.buckets.(i) :: !pairs
-  done;
-  string_of_int h.count
-  :: Printf.sprintf "%h" h.min_v
-  :: Printf.sprintf "%h" h.max_v
-  :: string_of_int (List.length !pairs / 2)
-  :: !pairs
-
-let of_tokens = function
-  | count :: min_v :: max_v :: k :: rest -> (
-      match
-        (int_of_string_opt count, float_of_string_opt min_v, float_of_string_opt max_v,
-         int_of_string_opt k)
-      with
-      | Some count, Some min_v, Some max_v, Some k when count >= 0 && k >= 0 && k <= n_buckets
-        ->
-          let buckets = Array.make n_buckets 0 in
-          let rec take n rest =
-            if n = 0 then Some ({ buckets; count; min_v; max_v }, rest)
-            else
-              match rest with
-              | i :: c :: rest -> (
-                  match (int_of_string_opt i, int_of_string_opt c) with
-                  | Some i, Some c when i >= 0 && i < n_buckets && c >= 0 ->
-                      buckets.(i) <- c;
-                      take (n - 1) rest
-                  | _ -> None)
-              | _ -> None
-          in
-          take k rest
-      | _ -> None)
-  | _ -> None

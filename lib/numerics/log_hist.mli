@@ -26,9 +26,3 @@ val quantile : t -> float -> float
     [min_v, max_v] range (min/max are exact observations while
     midpoints are bucket estimates).  [nan] when empty; exact [min_v] /
     [max_v] for [p <= 0] / [p >= 1]. *)
-
-val to_tokens : t -> string list
-(** Sparse self-delimiting token encoding; floats in [%h] notation so
-    the round trip is bit-exact. *)
-
-val of_tokens : string list -> (t * string list) option

@@ -44,27 +44,6 @@ let max_value t = if t.count = 0 then nan else t.max_v
 
 let of_array a = Array.fold_left add empty a
 
-(* Hexadecimal float notation round-trips every finite and infinite
-   value bit for bit, which is what lets the sweep harness resume with
-   tables identical to an uninterrupted run. *)
-let serialize t =
-  Printf.sprintf "%d %h %h %h %h" t.count t.mean t.m2 t.min_v t.max_v
-
-let deserialize s =
-  match String.split_on_char ' ' (String.trim s) with
-  | [ count; mean; m2; min_v; max_v ] -> (
-      match
-        ( int_of_string_opt count,
-          float_of_string_opt mean,
-          float_of_string_opt m2,
-          float_of_string_opt min_v,
-          float_of_string_opt max_v )
-      with
-      | Some count, Some mean, Some m2, Some min_v, Some max_v when count >= 0 ->
-          Some { count; mean; m2; min_v; max_v }
-      | _ -> None)
-  | _ -> None
-
 let mean_confidence_interval ?(confidence = 0.95) t =
   if confidence <= 0. || confidence >= 1. then
     invalid_arg "Summary.mean_confidence_interval: confidence outside (0, 1)";
@@ -175,53 +154,21 @@ module Vector = struct
       Special.normal_quantile (0.5 +. (confidence /. 2.))
       *. std t i /. sqrt (float_of_int t.obs)
 
-  let to_tokens t =
-    string_of_int (dim t) :: string_of_int t.obs
-    :: List.concat_map
-         (fun c ->
-           (Printf.sprintf "%h" c.c_min :: Printf.sprintf "%h" c.c_max
-           :: Exact_sum.to_tokens c.sum)
-           @ Exact_sum.to_tokens c.sumsq @ Log_hist.to_tokens c.hist)
-         (Array.to_list t.comps)
-
-  let of_tokens = function
-    | d :: obs :: rest -> (
-        match (int_of_string_opt d, int_of_string_opt obs) with
-        | Some d, Some obs when d >= 1 && obs >= 0 ->
-            let rec take n acc rest =
-              if n = 0 then Some ({ obs; comps = Array.of_list (List.rev acc) }, rest)
-              else
-                match rest with
-                | c_min :: c_max :: rest -> (
-                    match (float_of_string_opt c_min, float_of_string_opt c_max) with
-                    | Some c_min, Some c_max -> (
-                        match Exact_sum.of_tokens rest with
-                        | Some (sum, rest) -> (
-                            match Exact_sum.of_tokens rest with
-                            | Some (sumsq, rest) -> (
-                                match Log_hist.of_tokens rest with
-                                | Some (hist, rest) ->
-                                    take (n - 1)
-                                      ({ sum; sumsq; c_min; c_max; hist } :: acc)
-                                      rest
-                                | None -> None)
-                            | None -> None)
-                        | None -> None)
-                    | _ -> None)
-                | _ -> None
-            in
-            take d [] rest
-        | _ -> None)
-    | _ -> None
-
-  let serialize t = String.concat " " (to_tokens t)
-
-  let deserialize s =
-    match of_tokens (String.split_on_char ' ' (String.trim s)) with
-    | Some (t, []) -> Some t
-    | _ -> None
-
-  let equal a b = serialize a = serialize b
+  (* Bit-level: floats by their bits, exact sums and histograms
+     structurally. *)
+  let equal a b =
+    let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y) in
+    let same_hist (h : Log_hist.t) (k : Log_hist.t) =
+      h.buckets = k.buckets && h.count = k.count && same h.min_v k.min_v && same h.max_v k.max_v
+    in
+    a.obs = b.obs
+    && dim a = dim b
+    && Array.for_all2
+         (fun ca cb ->
+           Exact_sum.equal ca.sum cb.sum
+           && Exact_sum.equal ca.sumsq cb.sumsq
+           && same ca.c_min cb.c_min && same ca.c_max cb.c_max && same_hist ca.hist cb.hist)
+         a.comps b.comps
 end
 
 let quantile data p =

@@ -30,15 +30,6 @@ val max_value : t -> float
 
 val of_array : float array -> t
 
-val serialize : t -> string
-(** One line, whitespace-separated, floats in hexadecimal ([%h])
-    notation: {!deserialize} reproduces the accumulator bit for bit
-    (the persistence format of the resumable sweep harness). *)
-
-val deserialize : string -> t option
-(** Inverse of {!serialize}; [None] on malformed input (a torn or
-    corrupted checkpoint must read as "absent", never crash). *)
-
 val mean_confidence_interval : ?confidence:float -> t -> float * float
 (** [(lo, hi)] for the mean at the given [confidence] (default 0.95),
     using the normal approximation [mean ± z * std / sqrt n] —
@@ -97,15 +88,9 @@ module Vector : sig
       of component [i]; [nan] below two observations.
       @raise Invalid_argument if [confidence] is outside (0, 1). *)
 
-  val to_tokens : t -> string list
-  val of_tokens : string list -> (t * string list) option
-
-  val serialize : t -> string
-  (** One line, whitespace-separated, floats in [%h] notation:
-      {!deserialize} reproduces the accumulator bit for bit. *)
-
-  val deserialize : string -> t option
   val equal : t -> t -> bool
+  (** Bit-level equality: every float compared by its bits, exact sums
+      and histograms structurally. *)
 end
 
 val quantile : float array -> float -> float

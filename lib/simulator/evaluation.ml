@@ -155,19 +155,11 @@ let result_of_accumulator name acc =
     profile = profile_of_vector acc.profile;
   }
 
-(* The outcome of one Monte-Carlo replicate: every policy and the
-   omniscient bound, accumulated into replicate-local state.  It
-   depends only on (scenario, policies, replicate) — never on which
-   domain ran it, in which order, or in which stripe — which is what
-   makes the parallel fan-out below deterministic. *)
-type replicate_outcome = {
-  rep_accs : accumulator array;  (* one per policy, input order *)
-  rep_lb : accumulator;
-  rep_usable : bool;
-}
-
-(* [stripe_runs], keeping the trace sets for the LowerBound. *)
+(* [stripe_runs], keeping the trace sets for the LowerBound.  Every
+   computed replicate of every study passes here once; a unit loaded
+   from a sweep store counts nothing. *)
 let stripe_pass ?cost_profile ~scenario ~policies ~first ~len () =
+  Metrics.add replicates_run len;
   let traces, initial_births =
     Span.time ~layer:"failures.trace_gen" "Scenario.traces" (fun () ->
         let traces = Array.init len (fun i -> Scenario.traces scenario ~replicate:(first + i)) in
@@ -189,39 +181,85 @@ let stripe_rows ?cost_profile ~scenario ~policies cells ~first ~len =
   let runs = stripe_runs ?cost_profile ~scenario ~policies ~first ~len () in
   Array.init len (fun i -> Array.concat (Array.to_list (Array.map (fun r -> cells r.(i)) runs)))
 
-(* Reassembles a stripe's passes into per-replicate outcomes in
-   canonical slot order, adding the omniscient bound on each usable
-   trace set. *)
-let run_replicate_stripe ~scenario ~policies ~first ~len =
-  let traces, policy_runs = stripe_pass ~scenario ~policies ~first ~len () in
+(* -- table rows ---------------------------------------------------------------
+
+   A table's stripe step writes one row per replicate: a group of
+   [row_group] cells per policy, then one for the LowerBound — the
+   waste components of [components], then failures, chunks, min_chunk
+   and max_chunk.  A failed run's group is all NaN, and so is the
+   LowerBound's on an unusable trace set, where it is not run.  The
+   sweep store persists these rows; a stripe partial is their fold, so
+   a computed and a reloaded stripe reduce through the same code. *)
+
+let row_group = 10
+
+let cells_of_metrics (m : Engine.metrics) =
+  Array.append (components m)
+    Engine.[| float_of_int m.failures; float_of_int m.chunks; m.min_chunk; m.max_chunk |]
+
+let metrics_of_cells g =
+  {
+    Engine.makespan = g.(0);
+    useful_work = g.(1);
+    checkpoint_time = g.(2);
+    wasted_time = g.(3);
+    recovery_time = g.(4);
+    stall_time = g.(5);
+    failures = int_of_float g.(6);
+    chunks = int_of_float g.(7);
+    min_chunk = g.(8);
+    max_chunk = g.(9);
+  }
+
+let table_row_width ~policies = row_group * (policies + 1)
+
+(* The best makespan of a row: the smallest over the policies' groups,
+   failed runs skipped; [infinity] when every run failed. *)
+let best_of_row ~policies row =
+  let best = ref infinity in
+  for j = 0 to policies - 1 do
+    let makespan = row.(j * row_group) in
+    if not (Float.is_nan makespan) then best := Float.min !best makespan
+  done;
+  !best
+
+let usable best = Float.is_finite best && best > 0.
+
+let table_rows ~scenario ~policies ~first ~len =
+  let policies = Array.of_list policies in
+  let n = Array.length policies in
+  let traces, runs = stripe_pass ~scenario ~policies ~first ~len () in
   Array.init len (fun i ->
-      let best =
-        Array.fold_left
-          (fun acc runs ->
-            match runs.(i) with
-            | Engine.Completed m -> Float.min acc m.Engine.makespan
-            | Engine.Policy_failed _ -> acc)
-          infinity policy_runs
-      in
-      let rep_accs = Array.map (fun _ -> fresh_accumulator ()) policies in
-      let rep_lb = fresh_accumulator () in
-      let rep_usable = Float.is_finite best && best > 0. in
-      if rep_usable then begin
-        Array.iteri
-          (fun j runs ->
-            match runs.(i) with
-            | Engine.Completed m -> record rep_accs.(j) ~degradation:(m.Engine.makespan /. best) m
-            | Engine.Policy_failed _ -> ())
-          policy_runs;
-        let lb =
-          Span.time ~layer:"simulator.stripe" "LowerBound" (fun () ->
-              Engine.lower_bound ~scenario ~traces:traces.(i) ())
-        in
-        record rep_lb ~degradation:(lb.Engine.makespan /. best) lb
-      end;
-      Metrics.incr replicates_run;
-      if not rep_usable then Metrics.incr unusable_replicates;
-      { rep_accs; rep_lb; rep_usable })
+      let row = Array.make (table_row_width ~policies:n) nan in
+      let put j m = Array.blit (cells_of_metrics m) 0 row (j * row_group) row_group in
+      Array.iteri
+        (fun j runs ->
+          match runs.(i) with Engine.Completed m -> put j m | Engine.Policy_failed _ -> ())
+        runs;
+      if usable (best_of_row ~policies:n row) then
+        put n
+          (Span.time ~layer:"simulator.stripe" "LowerBound" (fun () ->
+               Engine.lower_bound ~scenario ~traces:traces.(i) ()))
+      else Metrics.incr unusable_replicates;
+      row)
+
+(* What [partial_of_rows] accepts from a stored row: each group all
+   NaN, or all finite with a positive makespan; the LowerBound's
+   finite exactly on a usable trace set; and every value the
+   accumulators square — cells and degradations — with a finite
+   square. *)
+let table_row_ok ~policies row =
+  Array.length row = table_row_width ~policies
+  &&
+  let squarable x = Float.is_finite (x *. x) in
+  let best = best_of_row ~policies row in
+  Float.is_nan row.(policies * row_group) <> usable best
+  && List.for_all
+       (fun j ->
+         let g = Array.sub row (j * row_group) row_group in
+         Array.for_all Float.is_nan g
+         || (g.(0) > 0. && Array.for_all squarable g && squarable (g.(0) /. best)))
+       (List.init (policies + 1) Fun.id)
 
 (* -- replicate stripes -------------------------------------------------------
 
@@ -286,37 +324,42 @@ type partial = {
   p_replicates : int;
 }
 
-(* Merge a stripe's replicate outcomes in replicate order — the
-   canonical within-stripe reduction. *)
-let partial_of_outcomes ~policy_names outcomes =
-  let accs = Array.map (fun _ -> fresh_accumulator ()) policy_names in
-  let lb = fresh_accumulator () in
-  let usable = ref 0 in
-  Array.iter
-    (fun o ->
-      if o.rep_usable then incr usable;
-      Array.iteri (fun j rep -> merge_into accs.(j) rep) o.rep_accs;
-      merge_into lb o.rep_lb)
-    outcomes;
-  { p_policies = policy_names; p_accs = accs; p_lb = lb; p_usable = !usable;
-    p_replicates = Array.length outcomes }
-
-(* A merge-neutral partial: zero replicates, fresh accumulators, the
-   given roster.  Sweep workers substitute it for units another worker
-   currently holds — worker-side reductions are discarded (only the
-   parent's canonical pass renders output), so the placeholder merely
-   keeps the roster checks in [table_of_partials] satisfied. *)
-let empty_partial ~policy_names =
-  partial_of_outcomes ~policy_names [||]
+(* The canonical within-stripe reduction: each row's runs are recorded
+   into accumulators of their own replicate — which depend only on
+   (scenario, policies, replicate), never on which domain ran it or
+   whether it was loaded — then merged in replicate order.  The
+   LowerBound is the last group. *)
+let partial_of_rows ~policy_names rows =
+  Span.time ~layer:"simulator.reduce" "partial_of_rows" (fun () ->
+      let n = Array.length policy_names in
+      let accs = Array.init (n + 1) (fun _ -> fresh_accumulator ()) in
+      let usable_rows = ref 0 in
+      Array.iter
+        (fun row ->
+          let best = best_of_row ~policies:n row in
+          if usable best then begin
+            incr usable_rows;
+            Array.iteri
+              (fun j acc ->
+                let g = Array.sub row (j * row_group) row_group in
+                if not (Float.is_nan g.(0)) then begin
+                  let rep = fresh_accumulator () in
+                  record rep ~degradation:(g.(0) /. best) (metrics_of_cells g);
+                  merge_into acc rep
+                end)
+              accs
+          end)
+        rows;
+      { p_policies = policy_names; p_accs = Array.sub accs 0 n; p_lb = accs.(n);
+        p_usable = !usable_rows; p_replicates = Array.length rows })
 
 let stripe_partial ~scenario ~policies ~replicates ~stripe =
   if replicates <= 0 then invalid_arg "Evaluation.stripe_partial: replicates must be positive";
   if policies = [] then invalid_arg "Evaluation.stripe_partial: no policies";
   let first, len = stripe_bounds ~replicates ~stripe in
-  let policy_array = Array.of_list policies in
-  let names = Array.map (fun p -> p.Policy.name) policy_array in
-  partial_of_outcomes ~policy_names:names
-    (run_replicate_stripe ~scenario ~policies:policy_array ~first ~len)
+  partial_of_rows
+    ~policy_names:(Array.of_list (List.map (fun p -> p.Policy.name) policies))
+    (table_rows ~scenario ~policies ~first ~len)
 
 (* The cross-stripe merge, attributed here once for both the computed
    and the stored path. *)
@@ -363,109 +406,6 @@ let degradation_table ~scenario ~policies ~replicates =
         stripe_partial ~scenario ~policies ~replicates ~stripe)
   in
   table_of_partials (Array.to_list partials)
-
-(* -- persistence of partials -------------------------------------------------
-
-   Line-based text, floats in hexadecimal notation via
-   [Summary.serialize], so a reloaded partial is bit-identical to the
-   computed one.  Deserialization answers [None] on any malformed
-   input: a corrupted checkpoint must read as "recompute me". *)
-
-let serialize_accumulator a =
-  Printf.sprintf "%s %s %s %s %d %h %h %s" (Summary.serialize a.degradation)
-    (Summary.serialize a.makespan) (Summary.serialize a.failures)
-    (Summary.serialize a.chunk_counts) a.worst_failures a.smallest_chunk a.largest_chunk
-    (Summary.Vector.serialize a.profile)
-
-(* 4 summaries x 5 tokens + worst/smallest/largest, followed by the
-   variable-length distributional vector. *)
-let accumulator_tokens = 23
-
-let deserialize_accumulator tokens =
-  let ( let* ) = Option.bind in
-  if Array.length tokens < accumulator_tokens then None
-  else begin
-    let summary i =
-      Summary.deserialize (String.concat " " (Array.to_list (Array.sub tokens i 5)))
-    in
-    let* degradation = summary 0 in
-    let* makespan = summary 5 in
-    let* failures = summary 10 in
-    let* chunk_counts = summary 15 in
-    let* worst_failures = int_of_string_opt tokens.(20) in
-    let* smallest_chunk = float_of_string_opt tokens.(21) in
-    let* largest_chunk = float_of_string_opt tokens.(22) in
-    let rest =
-      Array.to_list (Array.sub tokens accumulator_tokens (Array.length tokens - accumulator_tokens))
-    in
-    let* profile =
-      match Summary.Vector.of_tokens rest with
-      | Some (v, []) when Summary.Vector.dim v = profile_dim -> Some v
-      | _ -> None
-    in
-    Some
-      {
-        degradation;
-        makespan;
-        failures;
-        chunk_counts;
-        worst_failures;
-        smallest_chunk;
-        largest_chunk;
-        profile;
-      }
-  end
-
-(* /2 added the distributional vector to each accumulator line.  /1
-   units in a sweep store deserialize as None and are recomputed —
-   exactly the invalidation semantics the store already has for
-   corrupted units. *)
-let partial_format = "ckpt-eval-partial/2"
-
-let serialize_partial p =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf partial_format;
-  Buffer.add_char buf '\n';
-  Buffer.add_string buf
-    (Printf.sprintf "policies\t%s\n" (String.concat "\t" (Array.to_list p.p_policies)));
-  Buffer.add_string buf (Printf.sprintf "replicates %d\n" p.p_replicates);
-  Buffer.add_string buf (Printf.sprintf "usable %d\n" p.p_usable);
-  Buffer.add_string buf (Printf.sprintf "lb %s\n" (serialize_accumulator p.p_lb));
-  Array.iter
-    (fun a -> Buffer.add_string buf (Printf.sprintf "acc %s\n" (serialize_accumulator a)))
-    p.p_accs;
-  Buffer.contents buf
-
-let deserialize_partial ~policy_names ~replicates contents =
-  let ( let* ) = Option.bind in
-  let acc_of tag line =
-    match String.split_on_char ' ' (String.trim line) with
-    | t :: tokens when t = tag -> deserialize_accumulator (Array.of_list tokens)
-    | _ -> None
-  in
-  match String.split_on_char '\n' contents with
-  | format :: roster :: reps :: usable :: lb :: accs
-    when format = partial_format
-         && roster = String.concat "\t" ("policies" :: Array.to_list policy_names)
-         && reps = Printf.sprintf "replicates %d" replicates
-         && String.starts_with ~prefix:"usable " usable ->
-      let* p_usable = int_of_string_opt (String.sub usable 7 (String.length usable - 7)) in
-      let* p_lb = acc_of "lb" lb in
-      let accs = List.filter (fun l -> String.trim l <> "") accs |> List.map (acc_of "acc") in
-      if p_usable < 0 || p_usable > replicates
-         || List.length accs <> Array.length policy_names
-         || List.exists Option.is_none accs
-      then None
-      else
-        Some
-          {
-            p_policies = policy_names;
-            p_accs = Array.of_list (List.map Option.get accs);
-            p_lb;
-            p_usable;
-            p_replicates = replicates;
-          }
-  | _ -> None
 
 let components_of_outcome = function
   | Engine.Completed m -> components m

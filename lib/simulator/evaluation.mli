@@ -86,13 +86,15 @@ val degradation_table :
 (** {2 Replicate stripes}
 
     The reduction above is structured as contiguous {e stripes} of
-    replicates ([CKPT_SWEEP_STRIPE] wide, default 16): replicate
-    outcomes merge in order within each stripe, stripe partials merge
-    in stripe order.  A stripe partial is self-contained — computable
-    independently, serializable bit-exactly — so the resumable sweep
-    harness ({!Ckpt_experiments.Sweep_store}) can persist each stripe
-    as a unit of work and reassemble the table after an interruption,
-    bit-identical to an uninterrupted run. *)
+    replicates ([CKPT_SWEEP_STRIPE] wide, default 16).  A table's
+    stripe step ({!table_rows}) writes one row of floats per
+    replicate; its stripe partial is the fold of those rows
+    ({!partial_of_rows}): replicate outcomes merge in order within
+    each stripe, stripe partials merge in stripe order.  The resumable
+    sweep harness ({!Ckpt_experiments.Sweep_store}) persists the rows,
+    so a table reassembled after an interruption goes through the same
+    fold and merge tree and is bit-identical to an uninterrupted
+    run. *)
 
 type partial
 (** Merged accumulators of one replicate stripe. *)
@@ -156,12 +158,37 @@ val stripe_rows :
     outcome, concatenated in policy order — the [f] of
     [Sweep_store.vectors]. *)
 
-val empty_partial : policy_names:string array -> partial
-(** A merge-neutral placeholder with the given roster: zero replicates,
-    empty accumulators.  Merging it into {!table_of_partials} changes
-    nothing.  Sweep workers substitute it for units currently claimed
-    by another worker, since worker-side tables are discarded and only
-    the parent's canonical merge renders output. *)
+val table_rows :
+  scenario:Scenario.t ->
+  policies:Ckpt_policies.Policy.t list ->
+  first:int ->
+  len:int ->
+  float array array
+(** A table's stripe step: {!stripe_runs} over replicates
+    [first, first + len), then one row per replicate of
+    {!table_row_width} cells.  Each policy, in roster order, then the
+    LowerBound, writes a group of ten cells: its
+    {!components_of_outcome}, then failures, chunks, min_chunk and
+    max_chunk.  A failed run's group is all [nan], and so is the
+    LowerBound's on a trace set where no policy completed (an unusable
+    replicate, counted as [eval/unusable_replicates]; its bound is not
+    run). *)
+
+val table_row_width : policies:int -> int
+(** Cells in a {!table_rows} row for a roster of [policies]. *)
+
+val table_row_ok : policies:int -> float array -> bool
+(** Whether a stored row can be folded: {!table_row_width} cells, each
+    group all [nan] or all finite with a positive makespan, the
+    LowerBound's finite exactly when some policy's is, and every cell
+    and degradation with a finite square (what
+    {!Ckpt_numerics.Summary.Vector.add} accepts). *)
+
+val partial_of_rows : policy_names:string array -> float array array -> partial
+(** Fold a stripe's rows (each passing {!table_row_ok}, or all zero:
+    an unusable replicate) in replicate order into its partial, the
+    same bits whether they were computed or loaded.  One
+    [simulator.reduce] span. *)
 
 val stripe_partial :
   scenario:Scenario.t ->
@@ -169,10 +196,10 @@ val stripe_partial :
   replicates:int ->
   stripe:int ->
   partial
-(** Evaluate the replicates of stripe [stripe] (indices
-    [stripe * width, min ((stripe + 1) * width, replicates))) and merge
-    them in replicate order: one stripe ({!map_stripes} fans stripes
-    out).  The determinism guarantee of {!degradation_table} applies.
+(** {!partial_of_rows} of {!table_rows} over stripe [stripe] (indices
+    [stripe * width, min ((stripe + 1) * width, replicates))): one
+    stripe ({!map_stripes} fans stripes out).  The determinism
+    guarantee of {!degradation_table} applies.
     @raise Invalid_argument on an out-of-range stripe, [replicates <= 0]
     or [policies = []]. *)
 
@@ -183,18 +210,6 @@ val table_of_partials : partial list -> table
     loaded from a sweep store.
     @raise Invalid_argument on an empty list or mismatched policy
     rosters. *)
-
-val serialize_partial : partial -> string
-(** Text encoding (hex floats) that {!deserialize_partial} inverts bit
-    for bit. *)
-
-val deserialize_partial :
-  policy_names:string array -> replicates:int -> string -> partial option
-(** [None] on malformed input and on a partial of another shape: a
-    roster other than [policy_names], a replicate count other than
-    [replicates], or more usable replicates than that.  A torn or
-    corrupted checkpoint reads as "absent", never crashes and never
-    poisons a table. *)
 
 val components_of_outcome : Engine.outcome -> float array
 (** [[|makespan; useful; checkpoint; wasted; recovery; stall|]], a row

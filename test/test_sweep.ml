@@ -1,6 +1,6 @@
-(* Resumable sweep harness: atomic file primitives, bit-exact
-   serialization, and the resume/invalidation semantics of the
-   content-addressed store. *)
+(* Resumable sweep harness: atomic file primitives, the table-row fold
+   under every stored unit, and the resume/invalidation semantics of
+   the content-addressed store. *)
 
 module Atomic_file = Ckpt_store.Atomic_file
 module Summary = Ckpt_numerics.Summary
@@ -82,33 +82,7 @@ let test_remove_idempotent root =
   Atomic_file.remove path;
   check Alcotest.(option string) "read of missing file" None (Atomic_file.read path)
 
-(* -- Summary serialization --------------------------------------------------- *)
-
-let test_summary_roundtrip () =
-  let exact s =
-    match Summary.deserialize (Summary.serialize s) with
-    | None -> Alcotest.fail "deserialize failed"
-    | Some s' -> Alcotest.(check bool) "bit-identical summary" true (compare s s' = 0)
-  in
-  exact Summary.empty;
-  exact (Summary.add Summary.empty 1.5);
-  exact (Summary.of_array [| 0.1; -3.75e-300; 7.25e300; 1e-9 |]);
-  exact (Summary.add (Summary.add Summary.empty infinity) neg_infinity);
-  check Alcotest.(option reject) "garbage rejected" None
-    (Option.map ignore (Summary.deserialize "1 2 3"));
-  check Alcotest.(option reject) "negative count rejected" None
-    (Option.map ignore (Summary.deserialize "-1 0x1p0 0x1p0 0x1p0 0x1p0"))
-
-let prop_summary_roundtrip =
-  QCheck2.Test.make ~name:"summary serialize/deserialize is bit-exact" ~count:300
-    QCheck2.Gen.(list_size (int_range 0 30) (float_range (-1e9) 1e9))
-    (fun xs ->
-      let s = Summary.add_all Summary.empty xs in
-      match Summary.deserialize (Summary.serialize s) with
-      | None -> false
-      | Some s' -> compare s s' = 0)
-
-(* -- stripe partials --------------------------------------------------------- *)
+(* -- table rows ------------------------------------------------------------- *)
 
 let eval_scenario ?(seed = 0x5EEDL) () =
   Scenario.create ~seed ~horizon:1e7 ~start_time:0.
@@ -124,38 +98,52 @@ let policies job = [ Ckpt_policies.Young.policy job; Ckpt_policies.Optexp.policy
 let policy_names job =
   Array.of_list (List.map (fun p -> p.Ckpt_policies.Policy.name) (policies job))
 
-let test_partial_roundtrip () =
+(* A stripe partial is the fold of its table rows, so rows that went
+   through the store's hex text fold to the plain table, bit for bit. *)
+let test_table_rows_roundtrip () =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
       let scenario = eval_scenario () in
       let policies = policies scenario.Scenario.job in
       let policy_names = policy_names scenario.Scenario.job in
       let replicates = 6 in
       check Alcotest.int "stripe count" 3 (Evaluation.stripe_count ~replicates);
-      let decode = Evaluation.deserialize_partial ~policy_names ~replicates:2 in
+      let width = Evaluation.table_row_width ~policies:2 in
+      check Alcotest.int "ten cells per policy and the LowerBound" 30 width;
+      let reload = Array.map (Array.map (fun x -> float_of_string (Printf.sprintf "%h" x))) in
       let partials =
         List.init 3 (fun stripe ->
-            let p = Evaluation.stripe_partial ~scenario ~policies ~replicates ~stripe in
-            match decode (Evaluation.serialize_partial p) with
-            | None -> Alcotest.fail "partial did not round-trip"
-            | Some p' -> p')
+            let first, len = Evaluation.stripe_bounds ~replicates ~stripe in
+            let rows = Evaluation.table_rows ~scenario ~policies ~first ~len in
+            check Alcotest.int "one row per replicate" len (Array.length rows);
+            Array.iter
+              (fun row ->
+                check Alcotest.int "row width" width (Array.length row);
+                Alcotest.(check bool) "computed row passes the check" true
+                  (Evaluation.table_row_ok ~policies:2 row))
+              rows;
+            Evaluation.partial_of_rows ~policy_names (reload rows))
       in
-      same_table "table from reloaded partials == plain table"
+      same_table "table from reloaded rows == plain table"
         (Evaluation.degradation_table ~scenario ~policies ~replicates)
         (Evaluation.table_of_partials partials);
-      check Alcotest.(option reject) "corrupt partial rejected" None
-        (Option.map ignore (decode "ckpt-eval-partial/1\ngarbage"));
-      (* A partial that parses but does not fit the stripe is rejected
-         too: another replicate count, another roster. *)
-      let encoded =
-        Evaluation.serialize_partial
-          (Evaluation.stripe_partial ~scenario ~policies ~replicates ~stripe:0)
+      (* What the check refuses, so the fold never meets it. *)
+      let row = (Evaluation.table_rows ~scenario ~policies ~first:0 ~len:1).(0) in
+      let edited f =
+        let r = Array.copy row in
+        f r;
+        Evaluation.table_row_ok ~policies:2 r
       in
-      check Alcotest.(option reject) "other replicate count rejected" None
-        (Option.map ignore (Evaluation.deserialize_partial ~policy_names ~replicates:3 encoded));
-      check Alcotest.(option reject) "other roster rejected" None
-        (Option.map ignore
-           (Evaluation.deserialize_partial ~policy_names:(Array.sub policy_names 0 1)
-              ~replicates:2 encoded)))
+      let refused msg f = Alcotest.(check bool) msg false (edited f) in
+      refused "group mixing NaN and finite cells" (fun r -> r.(3) <- nan);
+      refused "non-positive makespan" (fun r -> r.(0) <- 0.);
+      refused "LowerBound missing on a usable trace set" (fun r -> Array.fill r 20 10 nan);
+      refused "LowerBound on an unusable trace set" (fun r -> Array.fill r 0 20 nan);
+      refused "cell whose square overflows" (fun r -> r.(1) <- 1e200);
+      refused "degradation whose square overflows" (fun r -> r.(10) <- 1e-160);
+      Alcotest.(check bool) "failed policy run accepted" true
+        (edited (fun r -> Array.fill r 10 10 nan));
+      Alcotest.(check bool) "wrong width refused" false
+        (Evaluation.table_row_ok ~policies:2 (Array.sub row 0 29)))
 
 (* -- store resume semantics -------------------------------------------------- *)
 
@@ -297,6 +285,28 @@ let test_vectors_resume dir =
       check Alcotest.int "another width computes afresh" 3 s3.Sweep_store.computed;
       check Alcotest.int "narrow rows" 2 (Array.length narrow.(0)))
 
+(* [eval/replicates] counts every computed replicate of a vectors
+   study, once, and a loaded unit counts nothing. *)
+let test_vectors_count_replicates dir =
+  with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
+      let module Metrics = Ckpt_telemetry.Metrics in
+      let scenario = eval_scenario () in
+      let policies = policies scenario.Scenario.job in
+      let run () =
+        Metrics.reset ~prefix:"eval/" ();
+        ignore
+          (Sweep_store.vectors ~store:(Sweep_store.create ~dir) ~experiment:"count_test" ~scenario
+             ~replicates:5 ~width:12
+             ~f:(Evaluation.stripe_rows ~scenario ~policies Evaluation.components_of_outcome)
+             ());
+        match Metrics.find "eval/replicates" with Some (Metrics.Counter n) -> n | _ -> -1
+      in
+      let was_enabled = Metrics.enabled () in
+      Metrics.set_enabled true;
+      Fun.protect ~finally:(fun () -> Metrics.set_enabled was_enabled) (fun () ->
+          check Alcotest.int "every computed replicate counted" 5 (run ());
+          check Alcotest.int "loaded units count nothing" 0 (run ())))
+
 (* Rewrite the first unit file of [dir] whose name starts with [prefix]
    through [edit], which maps its lines to new lines. *)
 let edit_unit ~dir ~prefix edit =
@@ -308,20 +318,70 @@ let edit_unit ~dir ~prefix edit =
   | [] -> Alcotest.fail "no unit files"
 
 (* A unit whose header and payload parse but whose shape does not fit
-   its stripe must read as invalidated, not be merged. *)
+   its stripe must read as invalidated, not be folded. *)
 let test_table_shape_checked dir =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
       let fresh = run_store ~dir ~replicates:6 () in
-      (* Rename one policy in the roster line. *)
-      edit_unit ~dir ~prefix:"unit_test" (function
-        | header :: format :: roster :: rest ->
-            check Alcotest.string "roster line" "policies\tYoung\tOptExp" roster;
-            header :: format :: "policies\tYounq\tOptExp" :: rest
-        | _ -> Alcotest.fail "unexpected unit layout");
-      let recovered, s = stats_since (fun () -> run_store ~dir ~replicates:6 ()) in
-      Alcotest.(check bool) "recomputed to the fresh table" true (fresh = recovered);
-      check Alcotest.int "foreign roster invalidated" 1 s.Sweep_store.invalidated;
-      check Alcotest.int "and recomputed" 1 s.Sweep_store.computed)
+      let invalidated msg edit =
+        edit_unit ~dir ~prefix:"unit_test" (function
+          | header :: format :: rows ->
+              check Alcotest.string "row count and width line" "ckpt-vectors/1 2 30" format;
+              edit header format rows
+          | _ -> Alcotest.fail "unexpected unit layout");
+        let recovered, s = stats_since (fun () -> run_store ~dir ~replicates:6 ()) in
+        Alcotest.(check bool) (msg ^ ": recomputed to the fresh table") true (fresh = recovered);
+        check Alcotest.int (msg ^ ": invalidated") 1 s.Sweep_store.invalidated;
+        check Alcotest.int (msg ^ ": recomputed") 1 s.Sweep_store.computed
+      in
+      let cells row = String.split_on_char ' ' row in
+      invalidated "policy group mixing NaN and finite cells" (fun header format rows ->
+          match rows with
+          | row :: rest ->
+              header :: format
+              :: String.concat " " (List.mapi (fun i c -> if i = 2 then "nan" else c) (cells row))
+              :: rest
+          | [] -> Alcotest.fail "no rows");
+      invalidated "row of the wrong width" (fun header format rows ->
+          match rows with
+          | row :: rest ->
+              header :: format :: String.concat " " (List.tl (cells row)) :: rest
+          | [] -> Alcotest.fail "no rows");
+      invalidated "too few rows" (fun header _ rows ->
+          match rows with
+          | row :: _ -> [ header; "ckpt-vectors/1 1 30"; row; "" ]
+          | [] -> Alcotest.fail "no rows"))
+
+(* A table unit written before tables were stored as rows (a
+   [ckpt-eval-partial/2] dump of merged accumulators, abridged here to
+   its header lines and one accumulator line) under a current key is
+   invalidated, recomputed and overwritten. *)
+let test_partial_unit_upgraded dir =
+  with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
+      let fresh = with_dir (fun refdir -> run_store ~dir:refdir ~replicates:6 ()) in
+      ignore (run_store ~dir ~replicates:6 ());
+      let name = List.hd (unit_files dir) in
+      let path = Filename.concat dir name in
+      edit_unit ~dir ~prefix:name (function
+        | header :: _ ->
+            [
+              header;
+              "ckpt-eval-partial/2";
+              "policies\tYoung\tOptExp";
+              "replicates 2";
+              "usable 2";
+              "lb 2 0x1.2p+14 0x1p+10 0x1.1p+14 0x1.3p+14 2 0x1p+1 0x0p+0 0x1p+1 2 0x1p+2 0x0p+0 \
+               0x1p+2 0x1p+2 0x1p+2 0x0p+0 0x1p+2 0x1p+2 0 0x1p+11 0x1p+12 7 2";
+              "";
+            ]
+        | [] -> Alcotest.fail "empty unit");
+      let upgraded, s = stats_since (fun () -> run_store ~dir ~replicates:6 ()) in
+      check Alcotest.int "old-format unit invalidated" 1 s.Sweep_store.invalidated;
+      check Alcotest.int "and recomputed" 1 s.Sweep_store.computed;
+      check Alcotest.int "the others loaded" 2 s.Sweep_store.skipped;
+      Alcotest.(check bool) "table bit-identical to a fresh run" true (fresh = upgraded);
+      let lines = String.split_on_char '\n' (Option.get (Atomic_file.read path)) in
+      check Alcotest.string "overwritten in the row format" "ckpt-vectors/1 2 30"
+        (List.nth lines 1))
 
 let test_vectors_shape_checked dir =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
@@ -354,9 +414,9 @@ let test_store_keys_pinned dir =
         Alcotest.(list (pair string string))
         "unit names and MD5s"
         [
-          ("pin_table-ea1354fec0adab7852bc1c66b0ad7697.stripe000.part", "467f107e94d9f7b7548c79d731b5e5e5");
-          ("pin_table-ea1354fec0adab7852bc1c66b0ad7697.stripe001.part", "8e104423aa03a542017c2cc4c6adabce");
-          ("pin_table-ea1354fec0adab7852bc1c66b0ad7697.stripe002.part", "a93e630cc0f30eca51da01a429e0fd35");
+          ("pin_table-ea1354fec0adab7852bc1c66b0ad7697.stripe000.part", "0f0d8bece94af7d47415e04a92304cbd");
+          ("pin_table-ea1354fec0adab7852bc1c66b0ad7697.stripe001.part", "2f9d1aa15c515d568f17c2e3be8ed8fa");
+          ("pin_table-ea1354fec0adab7852bc1c66b0ad7697.stripe002.part", "db8aaa1f1a99d84940102bd3413e046c");
           ("pin_vectors-b7e7ca4cbc8c77559925d5e984982c67.stripe000.part", "23f0f3385ed5eb6db07eb670414a3f31");
           ("pin_vectors-b7e7ca4cbc8c77559925d5e984982c67.stripe001.part", "9be67bb08118c07e92e5a33a39ee07ba");
           ("pin_vectors-b7e7ca4cbc8c77559925d5e984982c67.stripe002.part", "111b2dc61ba08d81b896b9cb976eef54");
@@ -637,11 +697,7 @@ let () =
           Alcotest.test_case "idempotent remove" `Quick (in_dir test_remove_idempotent);
         ] );
       ( "serialization",
-        [
-          Alcotest.test_case "summary round-trip" `Quick test_summary_roundtrip;
-          Alcotest.test_case "partial round-trip" `Quick test_partial_roundtrip;
-          QCheck_alcotest.to_alcotest prop_summary_roundtrip;
-        ] );
+        [ Alcotest.test_case "table rows round-trip" `Quick test_table_rows_roundtrip ] );
       ( "resume",
         [
           Alcotest.test_case "resume is bit-identical" `Quick (in_dir test_resume_bit_identical);
@@ -650,7 +706,10 @@ let () =
           Alcotest.test_case "stripe width changes keys" `Quick (in_dir test_stripe_size_changes_keys);
           QCheck_alcotest.to_alcotest prop_prefix_resume;
           Alcotest.test_case "vectors resume" `Quick (in_dir test_vectors_resume);
+          Alcotest.test_case "vectors count their replicates" `Quick
+            (in_dir test_vectors_count_replicates);
           Alcotest.test_case "table unit shape checked" `Quick (in_dir test_table_shape_checked);
+          Alcotest.test_case "partial unit upgraded" `Quick (in_dir test_partial_unit_upgraded);
           Alcotest.test_case "vectors unit shape checked" `Quick (in_dir test_vectors_shape_checked);
           Alcotest.test_case "store keys pinned" `Quick (in_dir test_store_keys_pinned);
           Alcotest.test_case "energy study resumes" `Quick (in_dir test_energy_study_resumes);
