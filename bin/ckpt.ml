@@ -364,10 +364,10 @@ let trace_cmd =
           m.min_chunk m.max_chunk;
         let t = T.Tracer.totals buf in
         Printf.printf
-          "trace: %d events (%d dropped); spans sum to work %.1f, checkpoint %.1f, waste \
-           %.1f, recovery %.1f, downtime %.1f\n"
-          (T.Tracer.length buf) (T.Tracer.dropped buf) t.T.Tracer.work t.T.Tracer.checkpoint
-          t.T.Tracer.waste t.T.Tracer.recovery t.T.Tracer.downtime);
+          "trace: %d events; spans sum to work %.1f, checkpoint %.1f, waste %.1f, recovery \
+           %.1f, downtime %.1f\n"
+          (T.Tracer.length buf) t.T.Tracer.work t.T.Tracer.checkpoint t.T.Tracer.waste
+          t.T.Tracer.recovery t.T.Tracer.downtime);
     Format.printf "%a@." (T.Tracer.pp_timeline ~limit) buf;
     match out with
     | None -> ()
@@ -425,10 +425,8 @@ let explain_cmd =
     print_endline transcript;
     (match explained.S.Explain.outcome with
     | S.Engine.Completed _ when not (S.Explain.reconciles explained) ->
-        if explained.S.Explain.dropped = 0 then begin
-          prerr_endline "ckpt explain: trace totals do not reconcile with engine metrics";
-          exit 1
-        end
+        prerr_endline "ckpt explain: trace totals do not reconcile with engine metrics";
+        exit 1
     | _ -> ());
     match out with
     | None -> ()
@@ -582,21 +580,17 @@ let sched_report_cmd =
 
 (* -- experiment ------------------------------------------------------------ *)
 
-(* Shared by experiment and sweep: the environment's configuration
+(* Shared by experiment and sweep: the configuration at CKPT_SEED
    with the command line's --full and --traces applied, and the run of
    the given ids in order (no id, or "all", runs the whole registry). *)
 let full_arg = Arg.(value & flag & info [ "full" ] ~doc:"Paper-scale parameters.")
 
 let traces_arg =
-  Arg.(value & opt int 0 & info [ "traces" ] ~docv:"N" ~doc:"Replicates per configuration.")
+  let doc = "Replicates per configuration (0: each study's default)." in
+  Arg.(value & opt int 0 & info [ "traces" ] ~docv:"N" ~doc)
 
 let experiment_config ~full ~traces =
-  let config = E.Config.default () in
-  {
-    config with
-    E.Config.full = config.E.Config.full || full;
-    replicates = (if traces > 0 then traces else config.E.Config.replicates);
-  }
+  { (E.Config.default ()) with E.Config.full; replicates = max 0 traces }
 
 let run_ids config ids =
   match ids with

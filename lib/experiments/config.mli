@@ -3,20 +3,14 @@
     The paper runs 600 traces per configuration and sweeps large
     grids; reproducing that verbatim takes CPU-days.  Every experiment
     here accepts explicit parameters, and the defaults are scaled down
-    to finish in minutes.  Environment overrides:
-
-    - [CKPT_TRACES=<n>]   replicates per configuration;
-    - [CKPT_FULL=1]       paper-scale defaults (600 traces, full grids);
-    - [CKPT_SEED=<int>]   root seed.
-
-    A malformed [CKPT_TRACES] (not an integer, or negative) or
-    [CKPT_SEED] (not an integer) warns once per value on stderr and
-    falls back to the default; [CKPT_TRACES=0] means the default and
-    stays silent. *)
+    to finish in minutes.  [ckpt experiment] and [ckpt sweep] set the
+    scale with [--traces N] and [--full]; the environment sets only the
+    root seed, [CKPT_SEED=<int>], and a malformed value (not an
+    integer) warns once on stderr and falls back to the default. *)
 
 type t = {
-  replicates : int;
-  full : bool;
+  replicates : int;  (** replicates per configuration; 0 = each study's default. *)
+  full : bool;  (** paper-scale defaults (600 traces, full grids). *)
   seed : int64;
   sweep_dir : string option;
       (** when set, studies checkpoint each unit of work here and skip
@@ -25,11 +19,11 @@ type t = {
 }
 
 val default : unit -> t
-(** Resolved from the environment at call time. *)
+(** Study defaults at the seed [CKPT_SEED] names, read at call time. *)
 
 val quick : t
 (** Tiny scale for unit tests: 4 replicates. *)
 
 val scale : t -> quick:int -> full:int -> int
-(** Pick a replicate count: the explicit [CKPT_TRACES] if set,
-    else [full] under [CKPT_FULL], else [quick]. *)
+(** Pick a replicate count: [replicates] if positive, else [full]
+    under [full], else [quick]. *)

@@ -6,7 +6,7 @@
     The complete Petascale grid alone is 2 (overhead) x 6 (workload)
     x 2 (MTBF) x 3 (failure model) = 72 cells; by default a
     representative subset is run (one cell per failure model x
-    overhead model), the full grid under [CKPT_FULL]. *)
+    overhead model), the full grid under [--full]. *)
 
 type cell = {
   preset : Ckpt_platform.Presets.t;

@@ -14,8 +14,7 @@ type t = {
    flat arrays, no tuple allocation per comparison).  Events are
    ordered by (date, proc) — [Float.compare] then [Int.compare] — so
    equal-date failures across processors have a specified, stable
-   order ([prefix]'s order-preserving filter keeps it consistent for
-   any sub-platform). *)
+   order. *)
 let build_merged traces =
   let k = Array.length traces in
   let total = Array.fold_left (fun acc tr -> acc + Trace.count tr) 0 traces in
@@ -119,15 +118,6 @@ let horizon t = t.horizon
 let trace t i =
   if i < 0 || i >= Array.length t.traces then invalid_arg "Trace_set.trace: index out of range";
   t.traces.(i)
-
-let prefix t p =
-  if p <= 0 || p > Array.length t.traces then invalid_arg "Trace_set.prefix: bad processor count";
-  if p = Array.length t.traces then t
-  else begin
-    let traces = Array.sub t.traces 0 p in
-    let merged = Array.of_seq (Seq.filter (fun (_, proc) -> proc < p) (Array.to_seq t.merged)) in
-    { traces; horizon = t.horizon; merged }
-  end
 
 let total_failures t = Array.fold_left (fun acc tr -> acc + Trace.count tr) 0 t.traces
 

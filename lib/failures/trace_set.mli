@@ -30,10 +30,6 @@ val horizon : t -> float
 val trace : t -> int -> Trace.t
 (** [trace t i] is source [i]'s trace. *)
 
-val prefix : t -> int -> t
-(** [prefix t p] restricts to the first [p] processors.
-    @raise Invalid_argument if [p] exceeds {!processors}. *)
-
 val total_failures : t -> int
 (** Sum of per-processor failure counts (group traces counted once per
     processor sharing them). *)

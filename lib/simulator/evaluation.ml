@@ -160,11 +160,7 @@ let result_of_accumulator name acc =
    from a sweep store counts nothing. *)
 let stripe_pass ?cost_profile ~scenario ~policies ~first ~len () =
   Metrics.add replicates_run len;
-  let traces, initial_births =
-    Span.time ~layer:"failures.trace_gen" "Scenario.traces" (fun () ->
-        let traces = Array.init len (fun i -> Scenario.traces scenario ~replicate:(first + i)) in
-        (traces, Array.map (Scenario.initial_lifetime_starts scenario) traces))
-  in
+  let traces, initial_births = Scenario.trace_sets scenario ~first ~len in
   let runs =
     Array.map
       (fun policy ->

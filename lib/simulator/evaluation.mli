@@ -140,7 +140,7 @@ val stripe_runs :
   unit ->
   Engine.outcome array array
 (** The stripe step under every study: generate the trace sets of
-    replicates [first, first + len) once ([failures.trace_gen]), then
+    replicates [first, first + len) once ({!Scenario.trace_sets}), then
     make one {!Engine.run_stripe} pass per policy over them
     ([simulator.stripe]), sharing the slots' initial lifetime
     templates.  [runs.(j).(i)] is policy [j]'s outcome on replicate

@@ -11,8 +11,6 @@ type realized =
       (** [lost] is the execution/checkpoint time destroyed ([Waste]
           spans); [recovery] sums aborted spans and the completed
           recovery's exact cost. *)
-  | Pending  (** trailing decision with no further events (ring
-                 overflow or a truncated stream). *)
 
 type decision = {
   index : int;  (** 1-based position in the decision sequence. *)
@@ -20,8 +18,6 @@ type decision = {
   chunk : float;  (** chosen chunk (seconds of work). *)
   remaining : float;  (** work left before the chunk. *)
   rationale : Rationale.t option;
-      (** [None] when the event stream lost the pairing (dropped
-          events). *)
   realized : realized;
 }
 
@@ -35,7 +31,6 @@ type t = {
       (** [(at_time, remaining)] when the policy answered [None]. *)
   totals : Tracer.totals;
   events : int;
-  dropped : int;
 }
 
 (* The rationale is recorded inside the policy's own decision calls —
@@ -89,21 +84,18 @@ let realize events =
       in
       Committed { work; checkpoint }
   | None ->
-      if events = [] then Pending
-      else begin
-        let lost, downtime, recovery, failures =
-          List.fold_left
-            (fun (l, d, r, f) -> function
-              | Tracer.Waste { t0; t1 } -> (l +. (t1 -. t0), d, r, f)
-              | Tracer.Downtime { t0; t1 } -> (l, d +. (t1 -. t0), r, f)
-              | Tracer.Recovery_abort { t0; t1 } -> (l, d, r +. (t1 -. t0), f)
-              | Tracer.Recovery_complete { cost; _ } -> (l, d, r +. cost, f)
-              | Tracer.Failure _ -> (l, d, r, f + 1)
-              | _ -> (l, d, r, f))
-            (0., 0., 0., 0) events
-        in
-        Destroyed { lost; downtime; recovery; failures }
-      end
+      let lost, downtime, recovery, failures =
+        List.fold_left
+          (fun (l, d, r, f) -> function
+            | Tracer.Waste { t0; t1 } -> (l +. (t1 -. t0), d, r, f)
+            | Tracer.Downtime { t0; t1 } -> (l, d +. (t1 -. t0), r, f)
+            | Tracer.Recovery_abort { t0; t1 } -> (l, d, r +. (t1 -. t0), f)
+            | Tracer.Recovery_complete { cost; _ } -> (l, d, r +. cost, f)
+            | Tracer.Failure _ -> (l, d, r, f + 1)
+            | _ -> (l, d, r, f))
+          (0., 0., 0., 0) events
+      in
+      Destroyed { lost; downtime; recovery; failures }
 
 let run ~scenario ~policy ~replicate =
   let job = scenario.Scenario.job in
@@ -128,15 +120,9 @@ let run ~scenario ~policy ~replicate =
   in
   (* Decision events pair 1:1, in order, with the recorded [Some]
      rationales (a [None] answer emits no Decision event and ends the
-     run).  If the ring dropped early events the head of the recorded
-     list has no surviving event; align from the tail. *)
+     run). *)
   let rationales = List.filter_map Fun.id recorded in
   let segments = segment_events (Tracer.to_list buffer) in
-  let skew = List.length rationales - List.length segments in
-  let rationales =
-    if skew > 0 then List.filteri (fun i _ -> i >= skew) rationales
-    else rationales
-  in
   let decisions =
     List.mapi
       (fun i ((at, chunk, remaining), events) ->
@@ -159,15 +145,13 @@ let run ~scenario ~policy ~replicate =
     declined;
     totals = Tracer.totals buffer;
     events = Tracer.length buffer;
-    dropped = Tracer.dropped buffer;
   }
 
 let reconciles t =
   match t.outcome with
   | Engine.Policy_failed _ -> false
   | Engine.Completed m ->
-      t.dropped = 0
-      && t.totals.Tracer.work = m.Engine.useful_work
+      t.totals.Tracer.work = m.Engine.useful_work
       && t.totals.Tracer.checkpoint = m.Engine.checkpoint_time
       && t.totals.Tracer.waste = m.Engine.wasted_time
       && t.totals.Tracer.recovery = m.Engine.recovery_time
@@ -183,7 +167,6 @@ let pp_realized fmt = function
         "destroyed by %d failure%s: %.4g s lost, %.4g s downtime, %.4g s recovery" failures
         (if failures = 1 then "" else "s")
         lost downtime recovery
-  | Pending -> Format.fprintf fmt "(no surviving events)"
 
 let pp_decision fmt d =
   Format.fprintf fmt "@[<v 2>#%-3d t = %14.2f s  chunk %12.4g s  (remaining %12.4g s)" d.index
@@ -194,8 +177,8 @@ let pp_decision fmt d =
   Format.fprintf fmt "@,outcome:   %a@]" pp_realized d.realized
 
 let print ?(limit = 20) fmt t =
-  Format.fprintf fmt "@[<v>policy %s, replicate %d: %d decisions (%d events, %d dropped)@,"
-    t.policy_name t.replicate (List.length t.decisions) t.events t.dropped;
+  Format.fprintf fmt "@[<v>policy %s, replicate %d: %d decisions (%d events)@," t.policy_name
+    t.replicate (List.length t.decisions) t.events;
   let shown = if limit < 0 then t.decisions else List.filteri (fun i _ -> i < limit) t.decisions in
   List.iter (fun d -> Format.fprintf fmt "%a@," pp_decision d) shown;
   let hidden = List.length t.decisions - List.length shown in
@@ -233,7 +216,5 @@ let print ?(limit = 20) fmt t =
         (Engine.accounting_residual m)
         (Engine.accounting_tolerance ~clock:(t.start_time +. m.Engine.makespan) m);
       Format.fprintf fmt "@,reconciliation: %s@]"
-        (if reconciles t then "exact (bitwise)"
-         else if t.dropped > 0 then "unavailable (ring dropped events)"
-         else "MISMATCH"));
+        (if reconciles t then "exact (bitwise)" else "MISMATCH"));
   Format.fprintf fmt "@]"

@@ -8,12 +8,11 @@
     decision with what actually happened to its chunk (committed vs
     destroyed, and the time lost), and the footer reconciles the
     engine's waste decomposition against {!Ckpt_telemetry.Tracer.totals}
-    {e bitwise} (exact when no ring events were dropped). *)
+    {e bitwise}. *)
 
 type realized =
   | Committed of { work : float; checkpoint : float }
   | Destroyed of { lost : float; downtime : float; recovery : float; failures : int }
-  | Pending  (** trailing decision with no surviving events. *)
 
 type decision = {
   index : int;
@@ -36,7 +35,6 @@ type t = {
       (** [(at_time, remaining)] when the policy answered [None]. *)
   totals : Ckpt_telemetry.Tracer.totals;
   events : int;
-  dropped : int;
 }
 
 val run :
@@ -46,9 +44,8 @@ val run :
     {!Engine.run}. *)
 
 val reconciles : t -> bool
-(** True iff the run completed, no events were dropped, and every
-    {!Ckpt_telemetry.Tracer.totals} component equals its
-    [Engine.metrics] counterpart {e bitwise}. *)
+(** True iff the run completed and every {!Ckpt_telemetry.Tracer.totals}
+    component equals its [Engine.metrics] counterpart {e bitwise}. *)
 
 val print : ?limit:int -> Format.formatter -> t -> unit
 (** Render the annotated timeline (at most [limit] decisions;

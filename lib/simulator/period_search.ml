@@ -43,11 +43,9 @@ let best_period ?(factors = default_factors ()) ?(tuning_replicates = 16) ~scena
     |> List.sort_uniq compare
   in
   let candidates = if candidates = [] then [ fallback ] else candidates in
-  let trace_sets =
-    Array.init tuning_replicates (fun r ->
-        Scenario.traces scenario ~replicate:(tuning_offset + r))
+  let trace_sets, initial_births =
+    Scenario.trace_sets scenario ~first:tuning_offset ~len:tuning_replicates
   in
-  let initial_births = Array.map (Scenario.initial_lifetime_starts scenario) trace_sets in
   (* Candidates are scored independently on the shared tuning sets:
      fan them out (composing with an enclosing study's fan-out in the
      domain pool), then pick the winner in candidate

@@ -8,6 +8,10 @@
     scenarios; the defaults here are a lighter grid and tuning-set
     size, configurable up to the paper's scale. *)
 
+val tuning_offset : int
+(** First replicate of the tuning trace sets: 1,000,000, past any
+    evaluation's replicate range. *)
+
 val default_factors : unit -> float list
 (** Sorted multiplicative grid: [1.1^j] for [|j| <= 25] merged with
     [1 + 0.05 i] for [|i| <= 10]. *)
@@ -21,8 +25,9 @@ val best_period :
   float * float
 (** [(period, average tuning makespan)] of the winning candidate.
     Tuning trace sets are drawn from a replicate range disjoint from
-    the one the evaluation uses (offset by 1,000,000); candidates are
-    scored in parallel, with the winner picked in candidate order.
+    the one the evaluation uses (offset by 1,000,000), generated once
+    per search ({!Scenario.trace_sets}) and dropped with it; candidates
+    are scored in parallel, with the winner picked in candidate order.
     If no candidate lies in [(0, work]] or none completes a tuning
     run, returns [(min base_period work, infinity)] — never a zero or
     negative period. *)

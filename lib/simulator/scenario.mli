@@ -1,16 +1,6 @@
 (** A fully specified simulation setting: job + trace-generation
     protocol (Section 4.3). *)
 
-type cache
-(** Bounded FIFO cache of generated trace sets, keyed by replicate
-    (so process-wide the cache is keyed by [(scenario, replicate)]).
-    Trace sets are pure functions of the scenario and the replicate
-    index; the cache only saves regeneration work — the period
-    search's tuning sets, policy sweeps re-running the same
-    replicates — and never changes results.  It holds 64 sets, in
-    16 separately locked stripes of 4 (replicate mod 16).  Safe to
-    share across domains. *)
-
 type t = {
   job : Ckpt_policies.Job.t;
   seed : int64;
@@ -19,7 +9,6 @@ type t = {
       (** job start [t0] within the horizon; 1 year for parallel
           platforms (avoids synchronized-birth effects), 0 for the
           single-processor study. *)
-  cache : cache;  (** private to {!traces}; created by {!create}. *)
 }
 
 val create : ?seed:int64 -> ?horizon:float -> ?start_time:float -> Ckpt_policies.Job.t -> t
@@ -33,13 +22,17 @@ val traces : t -> replicate:int -> Ckpt_failures.Trace_set.t
     share a unit).  Deterministic in [(seed, replicate, unit)], so
     runs with fewer processors see a prefix of the traces of runs with
     more (the paper's coherence requirement when varying [p]).
-    Memoized per scenario (see {!type:cache}). *)
-
-val cache_stats : t -> int * int
-(** [(hits, misses)] of the scenario's trace cache so far. *)
+    Generated afresh on every call: a consumer that reuses a set keeps
+    it itself. *)
 
 val initial_lifetime_starts : t -> Ckpt_failures.Trace_set.t -> float array
 (** Per-failure-unit instants at which the lifetime in progress at
     [start_time] began: last failure before [t0] plus the downtime
     (lifetimes restart at the beginning of recovery), or 0 for a unit
     that never failed. *)
+
+val trace_sets :
+  t -> first:int -> len:int -> Ckpt_failures.Trace_set.t array * float array array
+(** The trace sets of replicates [first, first + len), in order, and
+    their {!initial_lifetime_starts}, under one [failures.trace_gen]
+    span: the block a stripe or a period search steps its runs on. *)

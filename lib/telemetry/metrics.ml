@@ -1,5 +1,5 @@
 (* A process-global metrics registry: named counters and gauges, shared
-   by every layer of the stack (DP solvers, trace cache, engine,
+   by every layer of the stack (DP solvers, trace generation, engine,
    evaluation harness, sweep store).  Wall-clock time is not a metric:
    it is recorded as [Span]s.
 

@@ -2,7 +2,7 @@
 
    The engine emits one event per simulated phase transition — chunk
    start/commit, checkpoint, failure, downtime, recovery
-   start/abort/complete, policy decision — into a per-execution ring
+   start/abort/complete, policy decision — into a per-execution
    buffer.  Timestamps are *simulated* seconds (the engine's clock),
    and durations reconcile bit-for-bit with [Engine.metrics]:
 
@@ -35,40 +35,26 @@ type event =
   | Recovery_abort of { t0 : float; t1 : float }
   | Recovery_complete of { t0 : float; t1 : float; cost : float }
 
-(* -- ring buffers --------------------------------------------------------- *)
+(* -- buffers ---------------------------------------------------------------- *)
 
+(* Every event is kept: a buffer belongs to one traced run ([ckpt
+   trace], [ckpt explain], a test), and its stream must be complete for
+   [totals] to reconcile. *)
 type buffer = {
   name : string;
-  events : event array;
-  capacity : int;
-  mutable length : int;  (* events currently stored, <= capacity *)
-  mutable head : int;  (* next write position *)
-  mutable dropped : int;  (* events overwritten after the ring filled *)
+  mutable events : event list;  (* newest first *)
+  mutable length : int;
 }
 
-let sentinel = Failure { at = nan; proc = -1 }
-
-let create_buffer ?(capacity = 65_536) ~name () =
-  if capacity <= 0 then invalid_arg "Tracer.create_buffer: capacity must be positive";
-  { name; events = Array.make capacity sentinel; capacity; length = 0; head = 0; dropped = 0 }
-
+let create_buffer ~name () = { name; events = []; length = 0 }
 let length b = b.length
-let dropped b = b.dropped
 
 (* A buffer is owned by the single engine run writing to it; no lock. *)
 let emit b e =
-  b.events.(b.head) <- e;
-  b.head <- (b.head + 1) mod b.capacity;
-  if b.length < b.capacity then b.length <- b.length + 1 else b.dropped <- b.dropped + 1
+  b.events <- e :: b.events;
+  b.length <- b.length + 1
 
-let to_list b =
-  let start = (b.head - b.length + b.capacity) mod b.capacity in
-  List.init b.length (fun i -> b.events.((start + i) mod b.capacity))
-
-let clear b =
-  b.length <- 0;
-  b.head <- 0;
-  b.dropped <- 0
+let to_list b = List.rev b.events
 
 (* -- per-buffer totals (the reconciliation view) -------------------------- *)
 
@@ -133,8 +119,7 @@ let pp_timeline ?limit fmt b =
   let events = to_list b in
   let n = List.length events in
   let limit = match limit with Some l -> l | None -> n in
-  Format.fprintf fmt "trace %s: %d events%s@." b.name n
-    (if b.dropped > 0 then Printf.sprintf " (+%d dropped by the ring)" b.dropped else "");
+  Format.fprintf fmt "trace %s: %d events@." b.name n;
   List.iteri (fun i e -> if i < limit then Format.fprintf fmt "%a@." pp_event e) events;
   if n > limit then Format.fprintf fmt "  ... (%d more)@." (n - limit);
   let t = totals b in

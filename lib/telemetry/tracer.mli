@@ -10,8 +10,8 @@
     time the [Downtime] spans.
 
     Tracing is opt-in: an engine run only emits when handed a
-    {!buffer}.  Buffers are single-writer ring buffers — one per
-    execution — that overwrite their oldest events when full.
+    {!buffer}.  Buffers are single-writer — one per execution — and
+    keep every event.
     {!write} is the one simulated-time export ([ckpt trace -o]). *)
 
 type event =
@@ -31,26 +31,19 @@ type event =
   | Recovery_abort of { t0 : float; t1 : float }  (** recovery struck by a failure. *)
   | Recovery_complete of { t0 : float; t1 : float; cost : float }
 
-(** {1 Ring buffers} *)
+(** {1 Buffers} *)
 
 type buffer
 
-val create_buffer : ?capacity:int -> name:string -> unit -> buffer
-(** [capacity] defaults to 65,536 events.
-    @raise Invalid_argument if [capacity <= 0]. *)
+val create_buffer : name:string -> unit -> buffer
 
 val emit : buffer -> event -> unit
 (** Single-writer: a buffer belongs to the one engine run filling it. *)
 
 val length : buffer -> int
-val dropped : buffer -> int
-(** Events overwritten after the ring filled (0 means {!to_list} is
-    the complete stream). *)
 
 val to_list : buffer -> event list
-(** Chronological (oldest surviving event first). *)
-
-val clear : buffer -> unit
+(** Chronological (oldest event first). *)
 
 (** {1 Reconciliation totals} *)
 
@@ -69,7 +62,7 @@ val zero_totals : totals
 val totals : buffer -> totals
 (** Summed durations and event counts, folded with the same operands
     in the same order as the engine's accumulators: equal to
-    [Engine.metrics] {e bitwise} when {!dropped} is 0. *)
+    [Engine.metrics] {e bitwise}. *)
 
 (** {1 Rendering} *)
 

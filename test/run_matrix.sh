@@ -28,7 +28,7 @@ dune build bin/ckpt.exe
 ckpt=_build/default/bin/ckpt.exe
 smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
-export CKPT_TRACES=48 CKPT_SWEEP_STRIPE=4
+export CKPT_SWEEP_STRIPE=4
 ids="sweep-smoke spares energy"
 
 # The printed tables of a sweep log, without its progress and store
@@ -37,11 +37,11 @@ tables() { grep -v '^sweep' "$1"; }
 
 echo "-- reference (uninterrupted) run"
 CKPT_RESULTS_DIR="$smoke/ref" \
-  "$ckpt" sweep --resume "$smoke/ref_store" $ids > "$smoke/ref.log"
+  "$ckpt" sweep --traces 48 --resume "$smoke/ref_store" $ids > "$smoke/ref.log"
 
 echo "-- interrupted run (SIGKILL mid-sweep)"
 CKPT_RESULTS_DIR="$smoke/out" \
-  "$ckpt" sweep --resume "$smoke/out_store" $ids > "$smoke/killed.log" 2>&1 &
+  "$ckpt" sweep --traces 48 --resume "$smoke/out_store" $ids > "$smoke/killed.log" 2>&1 &
 victim=$!
 sleep 1.5
 kill -KILL "$victim" 2>/dev/null || true  # may have already finished
@@ -49,7 +49,7 @@ wait "$victim" 2>/dev/null || true
 
 echo "-- resumed run"
 CKPT_RESULTS_DIR="$smoke/out" \
-  "$ckpt" sweep --resume "$smoke/out_store" $ids > "$smoke/resumed.log"
+  "$ckpt" sweep --traces 48 --resume "$smoke/out_store" $ids > "$smoke/resumed.log"
 
 # Compare only the CSV artifacts: sidecars record timestamps and the
 # exact command line, which legitimately differ between runs.
@@ -67,7 +67,7 @@ fi
 
 echo "-- all-skip run"
 CKPT_RESULTS_DIR="$smoke/out" \
-  "$ckpt" sweep --resume "$smoke/out_store" $ids > "$smoke/skip.log"
+  "$ckpt" sweep --traces 48 --resume "$smoke/out_store" $ids > "$smoke/skip.log"
 if ! grep -q ", 0 computed" "$smoke/skip.log"; then
   echo "FAIL: third sweep run recomputed units it should have skipped" >&2
   tail -3 "$smoke/skip.log" >&2
@@ -85,7 +85,7 @@ echo "== sweep worker-mode smoke =="
 
 echo "-- 2-worker run, one worker SIGKILLed mid-sweep"
 CKPT_RESULTS_DIR="$smoke/w2" \
-  "$ckpt" sweep --resume "$smoke/w2_store" --workers 2 $ids \
+  "$ckpt" sweep --traces 48 --resume "$smoke/w2_store" --workers 2 $ids \
   > "$smoke/w2.log" 2>&1 &
 parent=$!
 sleep 1.0
@@ -98,7 +98,7 @@ wait "$parent" 2>/dev/null || true
 
 echo "-- resume with 2 workers"
 CKPT_RESULTS_DIR="$smoke/w2" \
-  "$ckpt" sweep --resume "$smoke/w2_store" --workers 2 $ids \
+  "$ckpt" sweep --traces 48 --resume "$smoke/w2_store" --workers 2 $ids \
   > "$smoke/w2_resume.log"
 
 leftover=$(find "$smoke/w2_store" -name '*.claim' | wc -l)
@@ -121,7 +121,7 @@ fi
 
 echo "-- uninterrupted 4-worker run"
 CKPT_RESULTS_DIR="$smoke/w4" \
-  "$ckpt" sweep --resume "$smoke/w4_store" --workers 4 $ids > "$smoke/w4.log"
+  "$ckpt" sweep --traces 48 --resume "$smoke/w4_store" --workers 4 $ids > "$smoke/w4.log"
 
 for ref_csv in "$smoke"/ref/*.csv; do
   w4_csv="$smoke/w4/$(basename "$ref_csv")"

@@ -33,10 +33,12 @@ let contains_sub ~needle haystack =
 (* -- config ------------------------------------------------------------------- *)
 
 let test_config_env () =
-  with_env [ ("CKPT_TRACES", "17"); ("CKPT_FULL", "1"); ("CKPT_SEED", "99") ] (fun () ->
+  (* The environment sets only the seed; the scale is --traces and
+     --full on the command line. *)
+  with_env [ ("CKPT_SEED", "99") ] (fun () ->
       let c = Config.default () in
-      check Alcotest.int "traces" 17 c.Config.replicates;
-      check Alcotest.bool "full" true c.Config.full;
+      check Alcotest.int "study default traces" 0 c.Config.replicates;
+      check Alcotest.bool "not full" false c.Config.full;
       check Alcotest.int64 "seed" 99L c.Config.seed)
 
 (* [f ()] with stderr redirected to a temporary file: its result and
@@ -61,24 +63,15 @@ let capture_stderr f =
 let test_config_malformed () =
   (* Malformed values warn on stderr and fall back to the defaults
      instead of being silently eaten. *)
-  let default_with pairs =
-    with_env (("CKPT_FULL", "") :: pairs) (fun () -> capture_stderr Config.default)
-  in
-  List.iter
-    (fun (knob, bad) ->
-      let c, printed =
-        default_with [ ("CKPT_TRACES", ""); ("CKPT_SEED", ""); (knob, bad) ]
-      in
-      check Alcotest.int (Printf.sprintf "%s=%S: default traces" knob bad) 0 c.Config.replicates;
-      check Alcotest.int64 (Printf.sprintf "%s=%S: default seed" knob bad) 0x5EEDL c.Config.seed;
-      check Alcotest.bool
-        (Printf.sprintf "%s=%S warns: %S" knob bad printed)
-        true
-        (contains_sub ~needle:(Printf.sprintf "ckpt: ignoring malformed %s=%S" knob bad) printed))
-    [ ("CKPT_SEED", "12x"); ("CKPT_TRACES", "abc"); ("CKPT_TRACES", "-5") ];
-  (* CKPT_TRACES=0 spells "the default", and a valid seed is taken. *)
-  let c, printed = default_with [ ("CKPT_TRACES", "0"); ("CKPT_SEED", "-7") ] in
-  check Alcotest.int "CKPT_TRACES=0 means the default" 0 c.Config.replicates;
+  let default_with pairs = with_env pairs (fun () -> capture_stderr Config.default) in
+  let c, printed = default_with [ ("CKPT_SEED", "12x") ] in
+  check Alcotest.int64 "CKPT_SEED=\"12x\": default seed" 0x5EEDL c.Config.seed;
+  check Alcotest.bool
+    (Printf.sprintf "CKPT_SEED=\"12x\" warns: %S" printed)
+    true
+    (contains_sub ~needle:"ckpt: ignoring malformed CKPT_SEED=\"12x\"" printed);
+  (* A valid seed is taken. *)
+  let c, printed = default_with [ ("CKPT_SEED", "-7") ] in
   check Alcotest.int64 "negative seeds are valid" (-7L) c.Config.seed;
   check Alcotest.string "well-formed values print nothing" "" printed;
   (* CKPT_DOMAINS reads through the same warn-once reader
@@ -148,7 +141,7 @@ let test_readme_knob_table () =
     |> List.sort_uniq compare
   in
   check Alcotest.bool "found the code's knobs" true
-    (List.for_all (fun k -> List.mem k code) [ "CKPT_TRACES"; "CKPT_SEED"; "CKPT_DOMAINS" ]);
+    (List.for_all (fun k -> List.mem k code) [ "CKPT_SEED"; "CKPT_DOMAINS"; "CKPT_VERBOSE" ]);
   let missing from names = List.filter (fun k -> not (List.mem k from)) names in
   check (Alcotest.list Alcotest.string) "named in the code but not in README's knob table" []
     (missing table code);
@@ -503,8 +496,7 @@ let () =
         [
           Alcotest.test_case "environment" `Quick test_config_env;
           Alcotest.test_case "scale" `Quick test_config_scale;
-          Alcotest.test_case "malformed CKPT_SEED / CKPT_TRACES warn" `Quick
-            test_config_malformed;
+          Alcotest.test_case "malformed CKPT_SEED warns" `Quick test_config_malformed;
           Alcotest.test_case "README knob table matches the code" `Quick test_readme_knob_table;
         ] );
       ( "report",

@@ -108,16 +108,6 @@ let test_trace_set_next_event_index () =
     "next failure" (Some (20., 1))
     (Trace_set.next_platform_failure ts ~after:12.)
 
-let test_trace_set_prefix () =
-  let ts = Trace_set.generate ~seed:3L ~replicate:0 dist100 ~processors:6 ~horizon:500. in
-  let p2 = Trace_set.prefix ts 2 in
-  check Alcotest.int "two processors" 2 (Trace_set.processors p2);
-  Array.iter
-    (fun (_, proc) -> check Alcotest.bool "only first two" true (proc < 2))
-    (Trace_set.events p2);
-  Alcotest.check_raises "too large" (Invalid_argument "Trace_set.prefix: bad processor count")
-    (fun () -> ignore (Trace_set.prefix ts 7))
-
 (* -- rejuvenation (Figure 1) ------------------------------------------------------ *)
 
 let test_rejuvenation_exponential_equal () =
@@ -237,38 +227,6 @@ let test_lanl_invalid () =
     (Invalid_argument "Lanl_synth.generate: short_uptime_fraction outside [0, 1)") (fun () ->
       ignore
         (Lanl_synth.generate { Lanl_synth.cluster19_parameters with short_uptime_fraction = 1. }))
-
-(* -- trace persistence -------------------------------------------------------------- *)
-
-module Trace_io = Ckpt_failures.Trace_io
-
-let test_trace_io_round_trip () =
-  let ts = Trace_set.generate ~seed:5L ~replicate:2 dist100 ~processors:7 ~horizon:1500. in
-  let text = Trace_io.to_string ts in
-  let ts' = Trace_io.of_string text in
-  check Alcotest.int "units" 7 (Trace_set.processors ts');
-  close ~tol:1e-6 "horizon" (Trace_set.horizon ts) (Trace_set.horizon ts');
-  for i = 0 to 6 do
-    let a = (Trace_set.trace ts i).Trace.failure_times in
-    let b = (Trace_set.trace ts' i).Trace.failure_times in
-    check Alcotest.int (Printf.sprintf "unit %d count" i) (Array.length a) (Array.length b);
-    Array.iteri (fun j v -> close ~tol:1e-3 "date" v b.(j)) a
-  done
-
-let test_trace_io_file_round_trip () =
-  let ts = Trace_set.generate ~seed:6L ~replicate:0 dist100 ~processors:3 ~horizon:800. in
-  let path = Filename.temp_file "ckpt_traces" ".txt" in
-  Trace_io.save ts path;
-  let ts' = Trace_io.load path in
-  Sys.remove path;
-  check Alcotest.int "failures preserved" (Trace_set.total_failures ts)
-    (Trace_set.total_failures ts')
-
-let test_trace_io_errors () =
-  Alcotest.check_raises "bad header" (Failure "Trace_io.of_string: bad header") (fun () ->
-      ignore (Trace_io.of_string "nonsense\n"));
-  Alcotest.check_raises "bad record" (Failure "Trace_io.of_string: bad record at line 2")
-    (fun () -> ignore (Trace_io.of_string "# ckpt-traces v1 units=2 horizon=100\noops\n"))
 
 (* -- trace statistics -------------------------------------------------------------- *)
 
@@ -410,7 +368,6 @@ let () =
           Alcotest.test_case "merged events" `Quick test_trace_set_merged_sorted_complete;
           Alcotest.test_case "merge tie break" `Quick test_trace_set_merge_tie_break;
           Alcotest.test_case "event index" `Quick test_trace_set_next_event_index;
-          Alcotest.test_case "prefix" `Quick test_trace_set_prefix;
         ] );
       ( "rejuvenation",
         [
@@ -425,12 +382,6 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_failure_log_parse_errors;
           Alcotest.test_case "save/load round trip" `Quick test_failure_log_round_trip;
           Alcotest.test_case "to_distribution" `Quick test_failure_log_distribution;
-        ] );
-      ( "trace_io",
-        [
-          Alcotest.test_case "string round trip" `Quick test_trace_io_round_trip;
-          Alcotest.test_case "file round trip" `Quick test_trace_io_file_round_trip;
-          Alcotest.test_case "errors" `Quick test_trace_io_errors;
         ] );
       ( "trace_stats",
         [

@@ -1,5 +1,5 @@
 (* Telemetry subsystem: metrics registry semantics, wall-clock spans,
-   trace ring buffers, export formats and provenance sidecars. *)
+   trace buffers, export formats and provenance sidecars. *)
 
 module Metrics = Ckpt_telemetry.Metrics
 module Tracer = Ckpt_telemetry.Tracer
@@ -109,31 +109,10 @@ let test_metrics_snapshot_sorted () =
         (List.sort compare names = names);
       check Alcotest.bool "snapshot non-empty" true (names <> []))
 
-(* -- trace ring buffers ----------------------------------------------------- *)
-
-let span t0 t1 = Tracer.Chunk_commit { t0; t1; work = t1 -. t0 }
-
-let test_buffer_wraparound () =
-  let buf = Tracer.create_buffer ~capacity:4 ~name:"wrap" () in
-  for i = 0 to 9 do
-    Tracer.emit buf (span (float_of_int i) (float_of_int i +. 1.))
-  done;
-  check Alcotest.int "length capped" 4 (Tracer.length buf);
-  check Alcotest.int "dropped counts overwrites" 6 (Tracer.dropped buf);
-  let surviving = Tracer.to_list buf in
-  check Alcotest.int "to_list length" 4 (List.length surviving);
-  (* Oldest surviving first: events 6, 7, 8, 9. *)
-  List.iteri
-    (fun i ev ->
-      match ev with
-      | Tracer.Chunk_commit { t0; _ } -> close "chronological" (float_of_int (6 + i)) t0
-      | _ -> Alcotest.fail "unexpected event")
-    surviving;
-  Tracer.clear buf;
-  check Alcotest.int "clear empties" 0 (Tracer.length buf)
+(* -- trace buffers ---------------------------------------------------------- *)
 
 let test_buffer_totals () =
-  let buf = Tracer.create_buffer ~capacity:64 ~name:"totals" () in
+  let buf = Tracer.create_buffer ~name:"totals" () in
   Tracer.emit buf (Tracer.Decision { at = 0.; chunk = 10.; remaining = 30. });
   Tracer.emit buf (Tracer.Chunk_start { at = 0.; work = 10. });
   Tracer.emit buf (Tracer.Chunk_commit { t0 = 0.; t1 = 10.; work = 10. });
@@ -166,7 +145,7 @@ let test_jsonl_line () =
   check Alcotest.bool "single line" true (not (String.contains line '\n'))
 
 let test_chrome_export () =
-  let buf = Tracer.create_buffer ~capacity:16 ~name:"rep0/export-test" () in
+  let buf = Tracer.create_buffer ~name:"rep0/export-test" () in
   Tracer.emit buf (Tracer.Chunk_commit { t0 = 0.; t1 = 5.; work = 5. });
   Tracer.emit buf (Tracer.Failure { at = 5.; proc = 3 });
   let path = Filename.temp_file "ckpt_trace" ".json" in
@@ -183,7 +162,7 @@ let test_chrome_export () =
         (contains ~needle:"\"ph\":\"i\"" body))
 
 let test_jsonl_export () =
-  let buf = Tracer.create_buffer ~capacity:16 ~name:"rep1/lines" () in
+  let buf = Tracer.create_buffer ~name:"rep1/lines" () in
   Tracer.emit buf (Tracer.Checkpoint { t0 = 0.; t1 = 1.; cost = 1. });
   Tracer.emit buf (Tracer.Downtime { t0 = 1.; t1 = 2. });
   let path = Filename.temp_file "ckpt_trace" ".jsonl" in
@@ -222,7 +201,7 @@ let is_span = function
   | Tracer.Decision _ | Tracer.Chunk_start _ | Tracer.Failure _ | Tracer.Recovery_start _ -> false
 
 let test_chrome_every_kind () =
-  let buf = Tracer.create_buffer ~capacity:64 ~name:"rep3/\"every\" kind" () in
+  let buf = Tracer.create_buffer ~name:"rep3/\"every\" kind" () in
   List.iter (Tracer.emit buf) every_kind;
   let path = Filename.temp_file "ckpt_trace" ".json" in
   Fun.protect
@@ -252,7 +231,7 @@ let test_chrome_every_kind () =
             rest)
 
 let test_jsonl_every_kind () =
-  let buf = Tracer.create_buffer ~capacity:64 ~name:"rep3/lines" () in
+  let buf = Tracer.create_buffer ~name:"rep3/lines" () in
   List.iter (Tracer.emit buf) every_kind;
   let path = Filename.temp_file "ckpt_trace" ".jsonl" in
   Fun.protect
@@ -679,7 +658,6 @@ let () =
         ] );
       ( "ring buffers",
         [
-          Alcotest.test_case "wraparound + dropped" `Quick test_buffer_wraparound;
           Alcotest.test_case "totals arithmetic" `Quick test_buffer_totals;
         ] );
       ( "export",
