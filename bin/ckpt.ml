@@ -6,9 +6,8 @@
      schedule     a policy's failure-free checkpoint timetable
      mtbf         platform MTBF under both rejuvenation options
      waste        first-order waste analysis (Young's back-of-envelope)
-     trace        trace one execution: event timeline + metrics reconciliation
-     explain      annotated decision timeline with expected-value rationale
-     stats        run an evaluation with the metrics registry enabled
+     explain      replay one execution: annotated decision timeline, reconciliation
+                  footer and (-o) its event export
      trace-stats  generate traces and report their empirical statistics
      gen-log      write a synthetic LANL-style availability log
      fit-log      MLE-fit lifetime models to an availability log
@@ -74,7 +73,7 @@ let job ~mtbf_hours ~shape ~processors ~checkpoint ~downtime ~work_days =
   in
   Po.Job.create ~dist ~processors ~machine ~work_time:(work_days *. P.Units.day)
 
-(* Shared by schedule/trace: a policy by its roster name.  The
+(* Shared by schedule/explain: a policy by its roster name.  The
    period-search policy needs the scenario (it tunes on traces). *)
 let policy_of_name ?scenario job name =
   match String.lowercase_ascii name with
@@ -125,24 +124,15 @@ let period_cmd =
 
 (* -- simulate ------------------------------------------------------------ *)
 
-(* Evaluate the full roster (DPMakespan only for Exponential failures)
-   and print the table; shared by simulate and stats. *)
-let print_roster_table mtbf_hours shape processors checkpoint downtime work_days traces seed =
-  let job = job ~mtbf_hours ~shape ~processors ~checkpoint ~downtime ~work_days in
-  let scenario = S.Scenario.create ~seed:(Int64.of_int seed) job in
-  let policies =
-    [ Po.Young.policy job; Po.Daly.low job; Po.Daly.high job; Po.Optexp.policy job;
-      Po.Bouguerra.policy job; Po.Liu.policy job; S.Period_search.policy scenario;
-      Po.Dp_policies.dp_next_failure job ]
-    @ (if shape = None then [ Po.Dp_policies.dp_makespan job ] else [])
-  in
-  let table = S.Evaluation.degradation_table ~scenario ~policies ~replicates:traces in
-  Format.printf "%a@." S.Evaluation.pp_table table
-
 let simulate_cmd =
   let run mtbf_hours shape processors checkpoint downtime work_days traces seed =
     T.Span.scope ~label:"simulate" (fun () ->
-        print_roster_table mtbf_hours shape processors checkpoint downtime work_days traces seed)
+        let job = job ~mtbf_hours ~shape ~processors ~checkpoint ~downtime ~work_days in
+        let scenario = S.Scenario.create ~seed:(Int64.of_int seed) job in
+        (* DPMakespan only for Exponential failures. *)
+        let policies = E.Setup.policies ~dp_makespan:(shape = None) scenario in
+        let table = S.Evaluation.degradation_table ~scenario ~policies ~replicates:traces in
+        Format.printf "%a@." S.Evaluation.pp_table table)
   in
   let term =
     Term.(
@@ -312,87 +302,6 @@ let fit_log_cmd =
        ~doc:"Fit Exponential/Weibull/LogNormal models to an availability log by MLE.")
     term
 
-(* -- trace ------------------------------------------------------------------- *)
-
-let trace_cmd =
-  let policy_arg =
-    let doc =
-      "Policy: young | dalylow | dalyhigh | optexp | bouguerra | liu | dpnf | dpmakespan | \
-       search."
-    in
-    Arg.(value & opt string "dpnf" & info [ "policy" ] ~docv:"NAME" ~doc)
-  in
-  let replicate_arg =
-    Arg.(value & opt int 0 & info [ "replicate" ] ~docv:"N" ~doc:"Trace-set replicate index.")
-  in
-  let out_arg =
-    let doc = "Write the trace (*.jsonl, or Chrome trace_event JSON otherwise)." in
-    Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"PATH" ~doc)
-  in
-  let limit_arg =
-    Arg.(value & opt int 40 & info [ "limit" ] ~docv:"N" ~doc:"Timeline events to print.")
-  in
-  let run mtbf_hours shape processors checkpoint downtime work_days seed policy_name replicate
-      out limit =
-    let job = job ~mtbf_hours ~shape ~processors ~checkpoint ~downtime ~work_days in
-    let scenario = S.Scenario.create ~seed:(Int64.of_int seed) job in
-    let policy = policy_of_name ~scenario job policy_name in
-    let traces = S.Scenario.traces scenario ~replicate in
-    let buf =
-      T.Tracer.create_buffer
-        ~name:(Printf.sprintf "rep%d/%s" replicate policy.Po.Policy.name)
-        ()
-    in
-    (match S.Engine.run ~trace:buf ~scenario ~traces ~policy () with
-    | S.Engine.Policy_failed { at_time; remaining } ->
-        Printf.printf "%s failed at t = %.0f s with %.0f s of work left\n"
-          policy.Po.Policy.name at_time remaining
-    | S.Engine.Completed m ->
-        let open S.Engine in
-        Printf.printf "%s: makespan %.0f s\n" policy.Po.Policy.name m.makespan;
-        List.iter
-          (fun (label, v) ->
-            Printf.printf "  %-16s %14.1f s  (%5.1f%%)\n" label v (100. *. v /. m.makespan))
-          [
-            ("useful work", m.useful_work);
-            ("checkpoints", m.checkpoint_time);
-            ("wasted", m.wasted_time);
-            ("recoveries", m.recovery_time);
-            ("downtime stalls", m.stall_time);
-          ];
-        Printf.printf "  %d failures, %d chunks (%.0f .. %.0f s)\n" m.failures m.chunks
-          m.min_chunk m.max_chunk;
-        let t = T.Tracer.totals buf in
-        Printf.printf
-          "trace: %d events; spans sum to work %.1f, checkpoint %.1f, waste %.1f, recovery \
-           %.1f, downtime %.1f\n"
-          (T.Tracer.length buf) t.T.Tracer.work t.T.Tracer.checkpoint t.T.Tracer.waste
-          t.T.Tracer.recovery t.T.Tracer.downtime);
-    Format.printf "%a@." (T.Tracer.pp_timeline ~limit) buf;
-    match out with
-    | None -> ()
-    | Some path ->
-        T.Tracer.write ~path buf;
-        T.Provenance.write_sidecar
-          ~extra:
-            [
-              ("policy", policy.Po.Policy.name);
-              ("replicate", string_of_int replicate);
-              ("seed", string_of_int seed);
-            ]
-          ~path ();
-        Printf.printf "wrote %s (and %s)\n" path (T.Provenance.sidecar_path path)
-  in
-  let term =
-    Term.(
-      const run $ mtbf_arg $ shape_arg $ processors_arg $ checkpoint_arg $ downtime_arg
-      $ work_days_arg $ seed_arg $ policy_arg $ replicate_arg $ out_arg $ limit_arg)
-  in
-  Cmd.v
-    (Cmd.info "trace"
-       ~doc:"Trace one execution: typed event timeline, waste breakdown, trace_event export.")
-    term
-
 (* -- explain ------------------------------------------------------------------ *)
 
 let explain_cmd =
@@ -412,7 +321,10 @@ let explain_cmd =
       & info [ "limit" ] ~docv:"N" ~doc:"Decisions to annotate (negative for all).")
   in
   let out_arg =
-    let doc = "Also write the transcript to a file (with a provenance sidecar)." in
+    let doc =
+      "Also write the replay's event export (*.jsonl, or Chrome trace_event JSON otherwise) \
+       with a provenance sidecar."
+    in
     Arg.(value & opt (some string) None & info [ "o"; "output" ] ~docv:"PATH" ~doc)
   in
   let run mtbf_hours shape processors checkpoint downtime work_days seed policy_name replicate
@@ -421,17 +333,11 @@ let explain_cmd =
     let scenario = S.Scenario.create ~seed:(Int64.of_int seed) job in
     let policy = policy_of_name ~scenario job policy_name in
     let explained = S.Explain.run ~scenario ~policy ~replicate in
-    let transcript = Format.asprintf "%a" (S.Explain.print ~limit) explained in
-    print_endline transcript;
-    (match explained.S.Explain.outcome with
-    | S.Engine.Completed _ when not (S.Explain.reconciles explained) ->
-        prerr_endline "ckpt explain: trace totals do not reconcile with engine metrics";
-        exit 1
-    | _ -> ());
-    match out with
+    print_endline (Format.asprintf "%a" (S.Explain.print ~limit) explained);
+    (match out with
     | None -> ()
     | Some path ->
-        Ckpt_store.Atomic_file.write ~path (transcript ^ "\n");
+        T.Tracer.write ~path explained.S.Explain.buffer;
         T.Provenance.write_sidecar
           ~extra:
             [
@@ -440,7 +346,12 @@ let explain_cmd =
               ("seed", string_of_int seed);
             ]
           ~path ();
-        Printf.printf "wrote %s (and %s)\n" path (T.Provenance.sidecar_path path)
+        Printf.printf "wrote %s (and %s)\n" path (T.Provenance.sidecar_path path));
+    match explained.S.Explain.outcome with
+    | S.Engine.Completed _ when not (S.Explain.reconciles explained) ->
+        prerr_endline "ckpt explain: trace totals do not reconcile with engine metrics";
+        exit 1
+    | _ -> ()
   in
   let term =
     Term.(
@@ -453,31 +364,7 @@ let explain_cmd =
          "Replay one execution and annotate every policy decision with its expected-value \
           rationale (platform hazard, expected time to next failure, commit probability) and \
           realized outcome, plus a waste-decomposition footer reconciled bitwise against the \
-          event stream.")
-    term
-
-(* -- stats ------------------------------------------------------------------- *)
-
-let stats_cmd =
-  let run mtbf_hours shape processors checkpoint downtime work_days traces seed =
-    T.Metrics.set_enabled true;
-    T.Span.set_enabled true;
-    print_roster_table mtbf_hours shape processors checkpoint downtime work_days traces seed;
-    Format.printf "metrics registry:@.%a@." T.Metrics.pp_snapshot (T.Metrics.snapshot ());
-    Format.printf "wall-clock spans (summed over domains):@.%a@." T.Span.pp_totals
-      (T.Span.merge (T.Span.tracks ()))
-  in
-  let term =
-    Term.(
-      const run $ mtbf_arg $ shape_arg $ processors_arg $ checkpoint_arg $ downtime_arg
-      $ work_days_arg $ traces_arg $ seed_arg)
-  in
-  Cmd.v
-    (Cmd.info "stats"
-       ~doc:
-         "Evaluate the policy roster with the metrics registry and span recording enabled, \
-          then print every counter and gauge and the per-layer span totals.  Per-policy \
-          distributions are in the table's waste-breakdown block.")
+          event stream; $(b,-o) exports that stream.")
     term
 
 (* -- sched-report ------------------------------------------------------------ *)
@@ -486,7 +373,9 @@ let stats_cmd =
    recording on, then break each domain's wall time down by scheduler
    state.  The dominant-overhead line names which of the three
    candidate causes (empty scans, parking churn, queue publication)
-   actually costs time on this machine. *)
+   actually costs time on this machine.  [CKPT_SPANS_OUT=f] exports the
+   recording as a Chrome trace at exit; the pool shuts down first, so
+   the file can also hold the workers' last park spans. *)
 let sched_report_cmd =
   let configs_arg =
     let doc =
@@ -500,11 +389,7 @@ let sched_report_cmd =
   let replicates_arg =
     Arg.(value & opt int 16 & info [ "traces" ] ~docv:"N" ~doc:"Replicates per configuration.")
   in
-  let out_arg =
-    let doc = "Also export the recording as a Chrome trace_event file (chrome://tracing)." in
-    Arg.(value & opt (some string) None & info [ "o"; "out" ] ~docv:"PATH" ~doc)
-  in
-  let run configs replicates out =
+  let run configs replicates =
     if configs = [] then begin
       prerr_endline "ckpt sched-report: empty --configs";
       exit 2
@@ -563,14 +448,9 @@ let sched_report_cmd =
           (String.concat ""
              (List.map (fun (label, seconds, _) -> Printf.sprintf "; %s %.3f s" label seconds) rest))
     | [] -> ());
-    Printf.printf "min attribution: %.1f%% (target >= 95%%)\n" !min_attr;
-    match out with
-    | Some path ->
-        T.Span.write_chrome ~path;
-        Printf.printf "wrote %s\n%!" path
-    | None -> ()
+    Printf.printf "min attribution: %.1f%% (target >= 95%%)\n" !min_attr
   in
-  let term = Term.(const run $ configs_arg $ replicates_arg $ out_arg) in
+  let term = Term.(const run $ configs_arg $ replicates_arg) in
   Cmd.v
     (Cmd.info "sched-report"
        ~doc:
@@ -733,7 +613,7 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            period_cmd; simulate_cmd; schedule_cmd; mtbf_cmd; waste_cmd; trace_cmd;
-            explain_cmd; stats_cmd; trace_stats_cmd; gen_log_cmd; fit_log_cmd; experiment_cmd;
-            sweep_cmd; sched_report_cmd;
+            period_cmd; simulate_cmd; schedule_cmd; mtbf_cmd; waste_cmd; explain_cmd;
+            trace_stats_cmd; gen_log_cmd; fit_log_cmd; experiment_cmd; sweep_cmd;
+            sched_report_cmd;
           ]))

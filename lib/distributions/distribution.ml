@@ -33,21 +33,6 @@ let conditional_survival t ~age ~duration =
     else exp (h0 -. t.cumulative_hazard (age +. duration))
   end
 
-let conditional_quantile t ~age p =
-  if p <= 0. then 0.
-  else if p >= 1. then infinity
-  else if age <= 0. then t.quantile p
-  else begin
-    (* F(age + x) = 1 - (1 - p) S(age). *)
-    let s_age = survival t age in
-    let target = 1. -. ((1. -. p) *. s_age) in
-    let x = t.quantile target -. age in
-    Float.max 0. x
-  end
-
-let sample_residual t rng ~age =
-  conditional_quantile t ~age (Rng.uniform_pos rng)
-
 let expected_tlost t ~age ~window =
   if window <= 0. then 0.
   else

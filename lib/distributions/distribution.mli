@@ -48,13 +48,6 @@ val conditional_survival : t -> age:float -> duration:float -> float
     [Psuc(duration | age) = P(X >= age + duration | X >= age)],
     computed as [exp (H age - H (age + duration))]. *)
 
-val conditional_quantile : t -> age:float -> float -> float
-(** [conditional_quantile t ~age p] is the [p]-quantile of the residual
-    life [X - age] given [X >= age]. *)
-
-val sample_residual : t -> Ckpt_prng.Rng.t -> age:float -> float
-(** Sample the residual life given survival to [age]. *)
-
 val expected_tlost : t -> age:float -> window:float -> float
 (** [expected_tlost t ~age ~window] is
     [E(X - age | age <= X < age + window)]: the expected amount of

@@ -90,4 +90,12 @@ let print ?(config = Config.default ()) () =
         (p.average_energy /. 1e6))
     t.points;
   Printf.printf "makespan-optimal period: %.0f s; energy-optimal period: %.0f s\n%!"
-    t.makespan_optimal_period t.energy_optimal_period
+    t.makespan_optimal_period t.energy_optimal_period;
+  Report.write_csv
+    ~meta:[ ("experiment", t.title) ]
+    ~path:(Filename.concat (Report.results_dir ()) "energy.csv")
+    (Report.csv_of_rows
+       ~header:[ "period_s"; "mean_makespan_s"; "mean_energy_j" ]
+       (List.map
+          (fun p -> List.map Report.float_cell [ p.period; p.average_makespan; p.average_energy ])
+          t.points))

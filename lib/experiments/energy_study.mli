@@ -40,3 +40,6 @@ val run :
   t
 
 val print : ?config:Config.t -> unit -> unit
+(** Prints the trade-off table and writes [energy.csv] (period, mean
+    makespan in seconds, mean energy in joules) under
+    {!Report.results_dir}. *)

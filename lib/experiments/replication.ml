@@ -98,13 +98,25 @@ let run ?(config = Config.default ()) ?processors ~preset ~dist_kind () =
 
 let print ?(config = Config.default ()) () =
   Report.print_header "Section 8 extension: replication on platform halves (Petascale)";
-  List.iter
-    (fun dist_kind ->
-      let r = run ~config ~preset:(P.Presets.petascale ()) ~dist_kind () in
-      Printf.printf
-        "%-18s full-p: %8.2f d   half-p: %8.2f d   replicated half-p: %8.2f d\n%!"
-        (Setup.dist_kind_name dist_kind)
-        (r.full_platform_makespan /. P.Units.day)
-        (r.half_platform_makespan /. P.Units.day)
-        (r.replicated_makespan /. P.Units.day))
-    [ Setup.Exponential; Setup.Weibull 0.7 ]
+  let rows =
+    List.map
+      (fun dist_kind ->
+        let r = run ~config ~preset:(P.Presets.petascale ()) ~dist_kind () in
+        let name = Setup.dist_kind_name dist_kind in
+        Printf.printf
+          "%-18s full-p: %8.2f d   half-p: %8.2f d   replicated half-p: %8.2f d\n%!" name
+          (r.full_platform_makespan /. P.Units.day)
+          (r.half_platform_makespan /. P.Units.day)
+          (r.replicated_makespan /. P.Units.day);
+        name
+        :: List.map Report.float_cell
+             [ r.full_platform_makespan; r.half_platform_makespan; r.replicated_makespan ])
+      [ Setup.Exponential; Setup.Weibull 0.7 ]
+  in
+  Report.write_csv
+    ~path:(Filename.concat (Report.results_dir ()) "replication.csv")
+    (Report.csv_of_rows
+       ~header:
+         [ "distribution"; "full_platform_makespan_s"; "half_platform_makespan_s";
+           "replicated_makespan_s" ]
+       rows)

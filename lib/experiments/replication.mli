@@ -30,4 +30,6 @@ val run :
 
 val print : ?config:Config.t -> unit -> unit
 (** Runs the study on the Petascale preset with Weibull k = 0.7 (where
-    the question is interesting) and Exponential failures. *)
+    the question is interesting) and Exponential failures, prints the
+    three makespans per distribution and writes them, in seconds, to
+    [replication.csv] under {!Report.results_dir}. *)

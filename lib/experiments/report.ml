@@ -99,13 +99,17 @@ let profile_columns =
     "stall_frac";
   ]
 
+let float_cell v = if Float.is_finite v then Printf.sprintf "%.10g" v else ""
+
+let csv_of_rows ~header rows =
+  String.concat "" (List.map (fun cells -> String.concat "," cells ^ "\n") (header :: rows))
+
 let profile_values profile =
   let open Ckpt_simulator.Evaluation in
   match profile with
   | None -> List.map (fun _ -> "") profile_columns
   | Some p ->
-      let cell v = if Float.is_finite v then Printf.sprintf "%.10g" v else "" in
-      List.map cell
+      List.map float_cell
         [
           p.mk_mean; p.mk_ci95; p.mk_p50; p.mk_p95; p.mk_p99; p.deg_ci95;
           p.useful_s; p.checkpoint_s; p.wasted_s; p.recovery_s; p.stall_s;

@@ -38,6 +38,14 @@ val profile_columns : string list
     fractions of the mean makespan
     ({!Ckpt_simulator.Evaluation.waste_profile}). *)
 
+val float_cell : float -> string
+(** [%.10g] for a finite value, the empty string otherwise: no CSV
+    cell ever reads "nan". *)
+
+val csv_of_rows : header:string list -> string list list -> string
+(** Comma-separated lines: the header, then one line per row of
+    already rendered cells. *)
+
 val profile_values : Ckpt_simulator.Evaluation.waste_profile option -> string list
 (** Rendered cells matching {!profile_columns}: [%.10g] for finite
     values, the empty string for non-finite ones (NaN/inf) or a

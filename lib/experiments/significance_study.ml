@@ -36,4 +36,22 @@ let run ?(config = Config.default ()) ?(processors = 1 lsl 13) ?(shape = 0.7) ()
 let print ?(config = Config.default ()) () =
   Report.print_header
     "Paired significance: DPNextFailure vs periodic heuristics (Weibull k=0.7, 8,192 procs)";
-  List.iter (fun c -> Format.printf "%a@.@." S.Significance.pp c) (run ~config ())
+  let comparisons = run ~config () in
+  List.iter (fun c -> Format.printf "%a@.@." S.Significance.pp c) comparisons;
+  Report.write_csv
+    ~path:(Filename.concat (Report.results_dir ()) "significance.csv")
+    (Report.csv_of_rows
+       ~header:
+         [
+           "policy_a"; "policy_b"; "paired_runs"; "mean_difference_s"; "mean_ratio"; "a_wins";
+           "b_wins"; "ties"; "sign_test_p";
+         ]
+       (List.map
+          (fun (c : S.Significance.t) ->
+            [
+              c.policy_a; c.policy_b; string_of_int c.paired_runs;
+              Report.float_cell c.mean_difference; Report.float_cell c.mean_ratio;
+              string_of_int c.a_wins; string_of_int c.b_wins; string_of_int c.ties;
+              Report.float_cell c.sign_test_p;
+            ])
+          comparisons))

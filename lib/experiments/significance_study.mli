@@ -11,3 +11,6 @@ val run :
   Ckpt_simulator.Significance.t list
 
 val print : ?config:Config.t -> unit -> unit
+(** Prints each paired comparison and writes [significance.csv] (one
+    row per {!Ckpt_simulator.Significance.t}) under
+    {!Report.results_dir}. *)

@@ -364,42 +364,6 @@ let readdir_sorted root =
 
 let units t = List.filter_map (parse_unit_name t.root) (readdir_sorted t.root)
 
-type claim_info = {
-  c_path : string;
-  c_pid : int option;
-  c_host : string option;
-  c_age : float;
-  c_stale : bool;
-}
-
-let claims t =
-  let now = Unix.gettimeofday () in
-  readdir_sorted t.root
-  |> List.filter (fun name -> Filename.check_suffix name ".claim")
-  |> List.filter_map (fun name ->
-         let path = Filename.concat t.root name in
-         match Atomic_file.read path with
-         | None -> None (* released while we were listing *)
-         | Some contents ->
-             let pid, host, age =
-               match Claim.parse contents with
-               | Some (pid, host, time) -> (Some pid, Some host, now -. time)
-               | None -> (
-                   ( None,
-                     None,
-                     match Atomic_file.modification_time path with
-                     | Some mtime -> now -. mtime
-                     | None -> 0. ))
-             in
-             Some
-               {
-                 c_path = path;
-                 c_pid = pid;
-                 c_host = host;
-                 c_age = age;
-                 c_stale = Claim.stale ~now path;
-               })
-
 (* [all:true] is for the parent after every worker has been reaped via
    waitpid: any surviving claim's owner is dead by construction. *)
 let reap_claims ?(all = false) t =

@@ -114,17 +114,6 @@ val units : t -> unit_info list
     reporting and tooling only — correctness always re-derives the
     unit set from the experiment enumeration. *)
 
-type claim_info = {
-  c_path : string;
-  c_pid : int option;  (** [None] when the payload is torn/unwritten *)
-  c_host : string option;
-  c_age : float;  (** seconds since the claim's timestamp (or mtime) *)
-  c_stale : bool;
-}
-
-val claims : t -> claim_info list
-(** Outstanding claim markers, sorted by file name. *)
-
 val reap_claims : ?all:bool -> t -> int
 (** Remove stale claim markers (all of them with [~all:true] — only
     safe once every worker has been waited on) and return the count

@@ -68,9 +68,22 @@ let run ?(config = Config.default ()) ?(processors = 1 lsl 13) () =
 let print ?(config = Config.default ()) () =
   Report.print_header
     "Conclusion extension: progress-dependent checkpoint cost (C grows 0.5x -> 1.5x)";
+  let results = run ~config () in
   List.iter
     (fun r ->
       Printf.printf "%-28s avg makespan %10.0f s   degradation %.5f\n" r.policy_name
         r.average_makespan r.average_degradation)
-    (run ~config ());
-  print_endline "The profile-aware DP shifts checkpoints toward the cheap early phase."
+    results;
+  print_endline "The profile-aware DP shifts checkpoints toward the cheap early phase.";
+  Report.write_csv
+    ~meta:[ ("cost_profile", "600*(0.5+progress)") ]
+    ~path:(Filename.concat (Report.results_dir ()) "variable_cost.csv")
+    (Report.csv_of_rows
+       ~header:[ "policy"; "avg_makespan_s"; "avg_degradation" ]
+       (List.map
+          (fun r ->
+            [
+              r.policy_name; Report.float_cell r.average_makespan;
+              Report.float_cell r.average_degradation;
+            ])
+          results))

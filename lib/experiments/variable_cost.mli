@@ -24,3 +24,5 @@ val run : ?config:Config.t -> ?processors:int -> unit -> result list
 (** Petascale platform, Weibull k = 0.7, embarrassingly parallel. *)
 
 val print : ?config:Config.t -> unit -> unit
+(** Prints each contender's average makespan and degradation and
+    writes them to [variable_cost.csv] under {!Report.results_dir}. *)

@@ -248,14 +248,6 @@ let parallel_map_list ?domains f items =
   let arr = Array.of_list items in
   Array.to_list (parallel_init ?domains (Array.length arr) (fun i -> f arr.(i)))
 
-let both ?domains f g =
-  let r =
-    parallel_init ?domains 2 (fun i -> if i = 0 then Either.Left (f ()) else Either.Right (g ()))
-  in
-  match (r.(0), r.(1)) with
-  | Either.Left a, Either.Right b -> (a, b)
-  | _ -> assert false
-
 (* -- utilization ------------------------------------------------------------- *)
 
 type utilization = {

@@ -53,11 +53,6 @@ val parallel_init : ?domains:int -> int -> (int -> 'a) -> 'a array
 val parallel_map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** List version of {!parallel_init}, preserving order. *)
 
-val both : ?domains:int -> (unit -> 'a) -> (unit -> 'b) -> 'a * 'b
-(** Fork/join pair: [both f g] evaluates [f ()] and [g ()] as one
-    two-item region (so an idle domain can run one side) and returns
-    both results.  Exceptions propagate as in {!parallel_init}. *)
-
 val pool_workers : unit -> int
 (** Worker domains currently spawned by the persistent pool (0 before
     the first pooled region; for telemetry and tests). *)

@@ -21,8 +21,8 @@
     execution alone; tables through {!degradation_table} (or
     [Sweep_store.degradation_table]), rows per replicate through
     [Sweep_store.vectors].  No evaluation records a simulated-time
-    trace: [ckpt trace] and [ckpt explain] replay one (policy,
-    replicate) into a {!Ckpt_telemetry.Tracer} buffer instead. *)
+    trace: [ckpt explain] replays one (policy, replicate) into a
+    {!Ckpt_telemetry.Tracer} buffer instead. *)
 
 (** Distributional view of a policy's completed runs, derived from the
     exact {!Ckpt_numerics.Summary.Vector} accumulator: makespan

@@ -30,7 +30,7 @@ type t = {
   declined : (float * float) option;
       (** [(at_time, remaining)] when the policy answered [None]. *)
   totals : Tracer.totals;
-  events : int;
+  buffer : Tracer.buffer;
 }
 
 (* The rationale is recorded inside the policy's own decision calls —
@@ -108,7 +108,7 @@ let run ~scenario ~policy ~replicate =
   let traces = Scenario.traces scenario ~replicate in
   let buffer =
     Tracer.create_buffer
-      ~name:(Printf.sprintf "explain/rep%d/%s" replicate policy.Policy.name)
+      ~name:(Printf.sprintf "rep%d/%s" replicate policy.Policy.name)
       ()
   in
   let outcome = Engine.run ~trace:buffer ~scenario ~traces ~policy:instrumented () in
@@ -144,7 +144,7 @@ let run ~scenario ~policy ~replicate =
     decisions;
     declined;
     totals = Tracer.totals buffer;
-    events = Tracer.length buffer;
+    buffer;
   }
 
 let reconciles t =
@@ -178,7 +178,7 @@ let pp_decision fmt d =
 
 let print ?(limit = 20) fmt t =
   Format.fprintf fmt "@[<v>policy %s, replicate %d: %d decisions (%d events)@," t.policy_name
-    t.replicate (List.length t.decisions) t.events;
+    t.replicate (List.length t.decisions) (Tracer.length t.buffer);
   let shown = if limit < 0 then t.decisions else List.filteri (fun i _ -> i < limit) t.decisions in
   List.iter (fun d -> Format.fprintf fmt "%a@," pp_decision d) shown;
   let hidden = List.length t.decisions - List.length shown in

@@ -34,7 +34,10 @@ type t = {
   declined : (float * float) option;
       (** [(at_time, remaining)] when the policy answered [None]. *)
   totals : Ckpt_telemetry.Tracer.totals;
-  events : int;
+  buffer : Ckpt_telemetry.Tracer.buffer;
+      (** the replay's event stream, named [rep<replicate>/<policy>]:
+          what [ckpt explain -o] exports through
+          {!Ckpt_telemetry.Tracer.write}. *)
 }
 
 val run :

@@ -80,23 +80,3 @@ let reset ?prefix () =
           | Some prefix when not (String.starts_with ~prefix name) -> ()
           | _ -> reset_metric m)
         registry)
-
-(* -- rendering ------------------------------------------------------------ *)
-
-let pp_value fmt = function
-  | Counter n -> Format.fprintf fmt "%d" n
-  | Gauge v -> if Float.is_nan v then Format.fprintf fmt "unset" else Format.fprintf fmt "%g" v
-
-let nonempty = function Counter n -> n <> 0 | Gauge v -> not (Float.is_nan v)
-
-let pp_snapshot fmt entries =
-  let entries = List.filter (fun (_, v) -> nonempty v) entries in
-  if entries = [] then Format.fprintf fmt "(no metrics recorded)@."
-  else begin
-    let width =
-      List.fold_left (fun acc (name, _) -> max acc (String.length name)) 0 entries
-    in
-    List.iter
-      (fun (name, v) -> Format.fprintf fmt "%-*s  %a@." width name pp_value v)
-      entries
-  end

@@ -3,7 +3,7 @@
     simulated quantities are [Ckpt_numerics.Summary.Vector]s.
 
     Off by default; switched on with {!set_enabled} by whatever reads
-    it ([ckpt stats], the [CKPT_METRICS_OUT] textfile, bench/e2e).
+    it (the [CKPT_METRICS_OUT] textfile, bench/e2e).
     When disabled, every update entry point ({!incr}, {!add}, {!set})
     is a single [Atomic.get] branch, so instrumented hot paths cost
     nothing in normal runs.  All entry points are domain-safe.
@@ -41,9 +41,3 @@ val snapshot : unit -> (string * value) list
 val reset : ?prefix:string -> unit -> unit
 (** Zero the values (registrations survive).  With [prefix], only
     metrics whose name starts with it. *)
-
-val pp_value : Format.formatter -> value -> unit
-
-val pp_snapshot : Format.formatter -> (string * value) list -> unit
-(** Aligned one-line-per-metric rendering, skipping never-touched
-    entries. *)

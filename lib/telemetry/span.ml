@@ -258,6 +258,8 @@ let merge tracks =
        []
   |> List.rev
 
+(* One line per layer, largest first, each followed by its names.  A
+   layer's seconds include the layers nested in it. *)
 let pp_totals ppf totals =
   let largest_first rows = List.sort (fun (_, a, _) (_, b, _) -> Float.compare b a) rows in
   let sum xs = List.fold_left (fun (s, n) x -> (s +. x.seconds, n + x.count)) (0., 0) xs in

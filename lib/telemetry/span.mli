@@ -16,8 +16,8 @@
 
     Recording is on while a consumer is live: [CKPT_VERBOSE=1], an
     export path ([CKPT_SPANS_OUT] or [CKPT_METRICS_OUT]), or
-    {!set_enabled} ([ckpt stats], [ckpt sched-report]).  When it is off, every call site
-    costs one [Atomic.get].
+    {!set_enabled} ([ckpt sched-report]).  When it is off, every call
+    site costs one [Atomic.get].
 
     Timestamps come from [Unix.gettimeofday], clamped monotone within
     each layer of a track: a stepped clock cannot produce a negative
@@ -89,10 +89,6 @@ val tracks : ?since:mark -> unit -> track list
 val merge : track list -> total list
 (** Per-(layer, name) sums across tracks, sorted by layer, then name. *)
 
-val pp_totals : Format.formatter -> total list -> unit
-(** One line per layer, largest first, each followed by its names.  A
-    layer's seconds include the layers nested in it. *)
-
 val scope : label:string -> (unit -> 'a) -> 'a
 (** [f ()].  Under [CKPT_VERBOSE=1], also print to stderr the per-layer
     totals recorded during [f], summed across domains, and the
@@ -117,7 +113,8 @@ val chrome : (string * span list) list -> string
 
 val write_chrome : path:string -> unit
 (** {!chrome} of every track's ring ({!recent}).  [CKPT_SPANS_OUT=f]
-    writes [f] at exit. *)
+    writes [f] at exit — after the domain pool has shut down, so the
+    file can also hold the workers' last [park] spans. *)
 
 val reset : unit -> unit
 (** Forget every track (tests). *)

@@ -21,7 +21,7 @@
 
    Tracing is off by default: the engine's fast path is one [match] on
    an option per emission site, and only a caller that hands the engine
-   a buffer ([ckpt trace], [ckpt explain], tests) records anything. *)
+   a buffer ([ckpt explain], tests) records anything. *)
 
 type event =
   | Decision of { at : float; chunk : float; remaining : float }
@@ -38,8 +38,8 @@ type event =
 (* -- buffers ---------------------------------------------------------------- *)
 
 (* Every event is kept: a buffer belongs to one traced run ([ckpt
-   trace], [ckpt explain], a test), and its stream must be complete for
-   [totals] to reconcile. *)
+   explain], a test), and its stream must be complete for [totals] to
+   reconcile. *)
 type buffer = {
   name : string;
   mutable events : event list;  (* newest first *)
@@ -96,37 +96,6 @@ let totals b =
       | Recovery_abort { t0; t1 } -> { t with recovery = t.recovery +. (t1 -. t0) }
       | Recovery_complete { cost; _ } -> { t with recovery = t.recovery +. cost })
     zero_totals (to_list b)
-
-(* -- rendering ------------------------------------------------------------ *)
-
-let pp_event fmt = function
-  | Decision { at; chunk; remaining } ->
-      Format.fprintf fmt "%12.1f  decision          chunk %g s (%g s remaining)" at chunk remaining
-  | Chunk_start { at; work } -> Format.fprintf fmt "%12.1f  chunk-start       %g s of work" at work
-  | Chunk_commit { t0; t1; work } ->
-      Format.fprintf fmt "%12.1f  chunk-commit      %g s of work done at %g" t0 work t1
-  | Checkpoint { t0; cost; _ } -> Format.fprintf fmt "%12.1f  checkpoint        %g s" t0 cost
-  | Failure { at; proc } -> Format.fprintf fmt "%12.1f  FAILURE           processor %d" at proc
-  | Waste { t0; t1 } -> Format.fprintf fmt "%12.1f  waste             %g s destroyed" t0 (t1 -. t0)
-  | Downtime { t0; t1 } -> Format.fprintf fmt "%12.1f  downtime          %g s stalled" t0 (t1 -. t0)
-  | Recovery_start { at } -> Format.fprintf fmt "%12.1f  recovery-start" at
-  | Recovery_abort { t0; t1 } ->
-      Format.fprintf fmt "%12.1f  recovery-abort    %g s lost" t0 (t1 -. t0)
-  | Recovery_complete { t0; cost; _ } ->
-      Format.fprintf fmt "%12.1f  recovery-complete %g s" t0 cost
-
-let pp_timeline ?limit fmt b =
-  let events = to_list b in
-  let n = List.length events in
-  let limit = match limit with Some l -> l | None -> n in
-  Format.fprintf fmt "trace %s: %d events@." b.name n;
-  List.iteri (fun i e -> if i < limit then Format.fprintf fmt "%a@." pp_event e) events;
-  if n > limit then Format.fprintf fmt "  ... (%d more)@." (n - limit);
-  let t = totals b in
-  Format.fprintf fmt
-    "totals: work %.1f s, checkpoint %.1f s, waste %.1f s, recovery %.1f s, downtime %.1f s, \
-     %d failures, %d chunks@."
-    t.work t.checkpoint t.waste t.recovery t.downtime t.failures t.chunks
 
 (* -- export --------------------------------------------------------------- *)
 

@@ -12,7 +12,7 @@
     Tracing is opt-in: an engine run only emits when handed a
     {!buffer}.  Buffers are single-writer — one per execution — and
     keep every event.
-    {!write} is the one simulated-time export ([ckpt trace -o]). *)
+    {!write} is the one simulated-time export ([ckpt explain -o]). *)
 
 type event =
   | Decision of { at : float; chunk : float; remaining : float }
@@ -63,11 +63,6 @@ val totals : buffer -> totals
 (** Summed durations and event counts, folded with the same operands
     in the same order as the engine's accumulators: equal to
     [Engine.metrics] {e bitwise}. *)
-
-(** {1 Rendering} *)
-
-val pp_event : Format.formatter -> event -> unit
-val pp_timeline : ?limit:int -> Format.formatter -> buffer -> unit
 
 (** {1 Export} *)
 

@@ -32,7 +32,7 @@ export CKPT_SWEEP_STRIPE=4
 ids="sweep-smoke spares energy"
 
 # The printed tables of a sweep log, without its progress and store
-# statistics lines (energy writes no CSV, only its table).
+# statistics lines.
 tables() { grep -v '^sweep' "$1"; }
 
 echo "-- reference (uninterrupted) run"

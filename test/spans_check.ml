@@ -1,8 +1,8 @@
 (* Check a trace export: it must parse with the project's Json, hold at
    least one event, and hold events of every name given on the command
    line.  A Chrome trace_event file (the CKPT_SPANS_OUT export, or
-   `ckpt trace -o f.json`) names its events by category; a JSONL file
-   (`ckpt trace -o f.jsonl`) holds one JSON object per line, named by
+   `ckpt explain -o f.json`) names its events by category; a JSONL file
+   (`ckpt explain -o f.jsonl`) holds one JSON object per line, named by
    its "event" field.  Exits 1 otherwise.
 
      dune exec test/spans_check.exe -- spans.json parallel.sched simulator.stripe

@@ -168,6 +168,18 @@ let test_csv_of_series () =
   let csv = Report.csv_of_series ~x_label:"x" series in
   check Alcotest.string "csv layout" "x,a,b\n1,10,1.5\n2,20,\n" csv
 
+(* The one-CSV-per-study layout of the vectors studies (energy,
+   significance, variable cost, replication): non-finite cells empty. *)
+let test_csv_of_rows () =
+  let csv =
+    Report.csv_of_rows ~header:[ "name"; "v"; "w" ]
+      [
+        [ "a"; Report.float_cell 1.5; Report.float_cell nan ];
+        [ "b"; Report.float_cell infinity; Report.float_cell 4.271234567891 ];
+      ]
+  in
+  check Alcotest.string "rows layout" "name,v,w\na,1.5,\nb,,4.271234568\n" csv
+
 (* A table with a policy that never completes: its CSV row must render
    empty profile cells — never the string "nan" or "inf" — while the
    successful policies carry full profile blocks (satellite: NaN/inf
@@ -502,6 +514,7 @@ let () =
       ( "report",
         [
           Alcotest.test_case "csv" `Quick test_csv_of_series;
+          Alcotest.test_case "rows csv" `Quick test_csv_of_rows;
           Alcotest.test_case "failed policy never prints nan" `Quick
             test_csv_no_nan_for_failed_policy;
           Alcotest.test_case "sweep csv extends the series csv" `Quick

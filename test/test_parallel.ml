@@ -113,22 +113,23 @@ let test_nested_composes () =
       check (Alcotest.array Alcotest.int) (label "nested sums") expected outer)
     domain_counts
 
-let test_both () =
+let test_two_item_regions () =
+  (* The smallest pooled region: two items, so one side can run on an
+     idle domain.  Nested inside a wider region, and raising. *)
   List.iter
     (fun domains ->
       let label what = Printf.sprintf "domains=%d: %s" domains what in
-      let a, b = Domain_pool.both ~domains (fun () -> 6 * 7) (fun () -> "ok") in
-      check Alcotest.int (label "both left") 42 a;
-      check Alcotest.string (label "both right") "ok" b;
-      (* Nested fork/join: both inside a parallel region. *)
+      check (Alcotest.array Alcotest.int) (label "pair") [| 42; 7 |]
+        (Domain_pool.parallel_init ~domains 2 (fun i -> if i = 0 then 6 * 7 else 7));
       let nested =
         Domain_pool.parallel_init ~domains 4 (fun i ->
-            let x, y = Domain_pool.both ~domains (fun () -> i) (fun () -> 2 * i) in
-            x + y)
+            let pair = Domain_pool.parallel_init ~domains 2 (fun j -> (j + 1) * i) in
+            pair.(0) + pair.(1))
       in
-      check (Alcotest.array Alcotest.int) (label "nested both") (Array.init 4 (fun i -> 3 * i)) nested;
-      Alcotest.check_raises (label "both propagates") Boom (fun () ->
-          ignore (Domain_pool.both ~domains (fun () -> ()) (fun () -> raise Boom))))
+      check (Alcotest.array Alcotest.int) (label "nested pairs") (Array.init 4 (fun i -> 3 * i))
+        nested;
+      Alcotest.check_raises (label "pair propagates") Boom (fun () ->
+          ignore (Domain_pool.parallel_init ~domains 2 (fun i -> if i = 1 then raise Boom))))
     domain_counts
 
 let test_negative_size () =
@@ -232,7 +233,7 @@ let () =
           Alcotest.test_case "exception keeps backtrace" `Quick test_exception_keeps_backtrace;
           Alcotest.test_case "error stops claiming" `Quick test_error_stops_claiming;
           Alcotest.test_case "nested calls compose" `Quick test_nested_composes;
-          Alcotest.test_case "fork/join both" `Quick test_both;
+          Alcotest.test_case "two-item regions" `Quick test_two_item_regions;
           Alcotest.test_case "negative size" `Quick test_negative_size;
           Alcotest.test_case "env override" `Quick test_recommended_env_override;
           Alcotest.test_case "malformed CKPT_DOMAINS warns" `Quick test_recommended_malformed;

@@ -910,6 +910,18 @@ let test_traced_cost_profile_reconciles () =
 
 module Explain = Ckpt_simulator.Explain
 
+let hex_of_event = function
+  | Tracer.Decision { at; chunk; remaining } -> Printf.sprintf "D %h %h %h" at chunk remaining
+  | Tracer.Chunk_start { at; work } -> Printf.sprintf "S %h %h" at work
+  | Tracer.Chunk_commit { t0; t1; work } -> Printf.sprintf "W %h %h %h" t0 t1 work
+  | Tracer.Checkpoint { t0; t1; cost } -> Printf.sprintf "C %h %h %h" t0 t1 cost
+  | Tracer.Failure { at; proc } -> Printf.sprintf "F %h %d" at proc
+  | Tracer.Waste { t0; t1 } -> Printf.sprintf "X %h %h" t0 t1
+  | Tracer.Downtime { t0; t1 } -> Printf.sprintf "T %h %h" t0 t1
+  | Tracer.Recovery_start { at } -> Printf.sprintf "R %h" at
+  | Tracer.Recovery_abort { t0; t1 } -> Printf.sprintf "A %h %h" t0 t1
+  | Tracer.Recovery_complete { t0; t1; cost } -> Printf.sprintf "K %h %h %h" t0 t1 cost
+
 let check_explained scenario =
   let policy = Policy.periodic "periodic-1000" ~period:1000. in
   let e = Explain.run ~scenario ~policy ~replicate:1 in
@@ -936,11 +948,19 @@ let check_explained scenario =
                && r.Ckpt_policies.Rationale.expected_loss
                   <= r.Ckpt_policies.Rationale.window)))
     e.Explain.decisions;
-  (* The instrumented replay must not perturb the execution. *)
+  (* The instrumented replay must not perturb the execution, nor the
+     event stream that [ckpt explain -o] exports. *)
+  let plain_buffer = Tracer.create_buffer ~name:"plain" () in
   let plain =
-    Engine.run ~scenario ~traces:(Scenario.traces scenario ~replicate:1) ~policy ()
+    Engine.run ~trace:plain_buffer ~scenario ~traces:(Scenario.traces scenario ~replicate:1)
+      ~policy ()
   in
   check Alcotest.bool "replay bit-identical to plain run" true (plain = e.Explain.outcome);
+  check
+    Alcotest.(list string)
+    "exported events bit-identical to plain run"
+    (List.map hex_of_event (Tracer.to_list plain_buffer))
+    (List.map hex_of_event (Tracer.to_list e.Explain.buffer));
   let rendered = Format.asprintf "%a" (Explain.print ~limit:5) e in
   check Alcotest.bool "footer reports exact reconciliation" true
     (contains_sub ~needle:"exact (bitwise)" rendered);
@@ -986,18 +1006,6 @@ let hex_of_outcome = function
         m.Engine.stall_time m.Engine.failures m.Engine.chunks m.Engine.min_chunk
         m.Engine.max_chunk
   | Engine.Policy_failed { at_time; remaining } -> Printf.sprintf "F %h %h" at_time remaining
-
-let hex_of_event = function
-  | Tracer.Decision { at; chunk; remaining } -> Printf.sprintf "D %h %h %h" at chunk remaining
-  | Tracer.Chunk_start { at; work } -> Printf.sprintf "S %h %h" at work
-  | Tracer.Chunk_commit { t0; t1; work } -> Printf.sprintf "W %h %h %h" t0 t1 work
-  | Tracer.Checkpoint { t0; t1; cost } -> Printf.sprintf "C %h %h %h" t0 t1 cost
-  | Tracer.Failure { at; proc } -> Printf.sprintf "F %h %d" at proc
-  | Tracer.Waste { t0; t1 } -> Printf.sprintf "X %h %h" t0 t1
-  | Tracer.Downtime { t0; t1 } -> Printf.sprintf "T %h %h" t0 t1
-  | Tracer.Recovery_start { at } -> Printf.sprintf "R %h" at
-  | Tracer.Recovery_abort { t0; t1 } -> Printf.sprintf "A %h %h" t0 t1
-  | Tracer.Recovery_complete { t0; t1; cost } -> Printf.sprintf "K %h %h %h" t0 t1 cost
 
 let digest_lines lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
 

@@ -47,6 +47,10 @@ let span_total ?since ~layer name =
 
 (* -- metrics registry ------------------------------------------------------- *)
 
+let pp_metric fmt = function
+  | Metrics.Counter n -> Format.fprintf fmt "counter %d" n
+  | Metrics.Gauge v -> Format.fprintf fmt "gauge %g" v
+
 let test_metrics_kinds () =
   with_metrics (fun () ->
       let c = Metrics.counter "test/kinds_counter" in
@@ -54,13 +58,13 @@ let test_metrics_kinds () =
       Metrics.add c 4;
       (match Metrics.find "test/kinds_counter" with
       | Some (Metrics.Counter 5) -> ()
-      | v -> Alcotest.failf "counter: unexpected %a" (Fmt.option Metrics.pp_value) v);
+      | v -> Alcotest.failf "counter: unexpected %a" (Fmt.option pp_metric) v);
       let g = Metrics.gauge "test/kinds_gauge" in
       Metrics.set g 2.5;
       Metrics.set g 7.25;
       match Metrics.find "test/kinds_gauge" with
       | Some (Metrics.Gauge 7.25) -> ()
-      | v -> Alcotest.failf "gauge: unexpected %a" (Fmt.option Metrics.pp_value) v)
+      | v -> Alcotest.failf "gauge: unexpected %a" (Fmt.option pp_metric) v)
 
 let test_metrics_kind_mismatch () =
   with_metrics (fun () ->
