@@ -12,8 +12,7 @@
      gen-log      write a synthetic LANL-style availability log
      fit-log      MLE-fit lifetime models to an availability log
      experiment   regenerate paper tables/figures by id
-     sweep        run experiments against a resumable checkpoint store
-     sched-report per-domain utilization breakdown of the domain pool *)
+     sweep        run experiments against a resumable checkpoint store *)
 
 open Cmdliner
 module D = Ckpt_distributions
@@ -367,97 +366,6 @@ let explain_cmd =
           event stream; $(b,-o) exports that stream.")
     term
 
-(* -- sched-report ------------------------------------------------------------ *)
-
-(* Run a skewed nested workload through the domain pool with span
-   recording on, then break each domain's wall time down by scheduler
-   state.  The dominant-overhead line names which of the three
-   candidate causes (empty scans, parking churn, queue publication)
-   actually costs time on this machine.  [CKPT_SPANS_OUT=f] exports the
-   recording as a Chrome trace at exit; the pool shuts down first, so
-   the file can also hold the workers' last park spans. *)
-let sched_report_cmd =
-  let configs_arg =
-    let doc =
-      "Processor counts, one nested evaluation per entry (skewed, so nested regions overlap)."
-    in
-    Arg.(
-      value
-      & opt (list int) [ 512; 512; 1024; 1024; 2048; 4096 ]
-      & info [ "configs" ] ~docv:"P,P,..." ~doc)
-  in
-  let replicates_arg =
-    Arg.(value & opt int 16 & info [ "traces" ] ~docv:"N" ~doc:"Replicates per configuration.")
-  in
-  let run configs replicates =
-    if configs = [] then begin
-      prerr_endline "ckpt sched-report: empty --configs";
-      exit 2
-    end;
-    (* The pool only engages with >= 2 domains — on a 1-core host the
-       report still has to show scheduler behavior, not the inline
-       fallback. *)
-    T.Span.set_enabled true;
-    let module Pool = Ckpt_parallel.Domain_pool in
-    let domains = max 2 (Pool.recommended_domains ()) in
-    Unix.putenv "CKPT_DOMAINS" (string_of_int domains);
-    let weibull = D.Weibull.of_mtbf ~mtbf:(P.Units.of_years 125.) ~shape:0.7 in
-    let mini_job p =
-      Po.Job.create ~dist:weibull ~processors:p
-        ~machine:
-          (P.Machine.create ~total_processors:p ~downtime:60.
-             ~overhead:(P.Overhead.constant 600.))
-        ~work_time:(P.Units.of_years 1000. /. float_of_int p)
-    in
-    let t0 = Unix.gettimeofday () in
-    let tables =
-      Pool.parallel_map_list
-        (fun p ->
-          let job = mini_job p in
-          let scenario = S.Scenario.create job in
-          let policies = [ Po.Young.policy job; Po.Daly.high job; Po.Optexp.policy job ] in
-          S.Evaluation.degradation_table ~scenario ~policies ~replicates)
-        configs
-    in
-    let wall = Unix.gettimeofday () -. t0 in
-    Printf.printf "sched-report: %d configurations x %d replicates x 3 policies, %d domains, %.2f s wall\n\n"
-      (List.length tables) replicates domains wall;
-    let reports = List.filter (fun u -> u.Pool.wall > 0.) (Pool.utilization ()) in
-    if reports = [] then begin
-      prerr_endline "ckpt sched-report: no spans recorded (workload too small?)";
-      exit 1
-    end;
-    Printf.printf "%-11s %8s %6s %6s %6s %6s %6s %8s %12s\n" "domain" "wall s" "run%" "help%"
-      "hit%" "miss%" "park%" "publish%" "attributed%";
-    let min_attr = ref infinity in
-    List.iter
-      (fun u ->
-        let pct state = 100. *. Pool.state_seconds [ u ] state /. u.Pool.wall in
-        let attr = 100. *. u.Pool.attributed /. u.Pool.wall in
-        min_attr := Float.min !min_attr attr;
-        Printf.printf "%-11s %8.3f %6.1f %6.1f %6.1f %6.1f %6.1f %8.1f %12.1f%s\n" u.Pool.domain
-          u.Pool.wall (pct "run-task") (pct "join-help") (pct "scan-hit") (pct "scan-miss")
-          (pct "park") (pct "publish") attr
-          (if u.Pool.dropped > 0 then Printf.sprintf "  (%d spans dropped)" u.Pool.dropped
-           else ""))
-      reports;
-    (match Pool.overheads reports with
-    | (label, seconds, _) :: rest ->
-        Printf.printf "\ndominant overhead: %s (%.3f s across %d domains%s)\n" label seconds
-          (List.length reports)
-          (String.concat ""
-             (List.map (fun (label, seconds, _) -> Printf.sprintf "; %s %.3f s" label seconds) rest))
-    | [] -> ());
-    Printf.printf "min attribution: %.1f%% (target >= 95%%)\n" !min_attr
-  in
-  let term = Term.(const run $ configs_arg $ replicates_arg) in
-  Cmd.v
-    (Cmd.info "sched-report"
-       ~doc:
-         "Run a nested evaluation workload with span recording on and print a per-domain \
-          busy/scan/idle utilization breakdown of the scheduler naming the dominant overhead.")
-    term
-
 (* -- experiment ------------------------------------------------------------ *)
 
 (* Shared by experiment and sweep: the configuration at CKPT_SEED
@@ -615,5 +523,4 @@ let () =
           [
             period_cmd; simulate_cmd; schedule_cmd; mtbf_cmd; waste_cmd; explain_cmd;
             trace_stats_cmd; gen_log_cmd; fit_log_cmd; experiment_cmd; sweep_cmd;
-            sched_report_cmd;
           ]))

@@ -49,13 +49,6 @@ val build :
 
 val processors : t -> int
 
-val log_survival_shift : Ckpt_distributions.Distribution.t -> t -> float -> float
-(** [log_survival_shift dist s e] is
-    [sum_j H(tau_j + e) - H(tau_j)] over the summarized platform —
-    minus the log of the probability that no processor fails during
-    the next [e] seconds.  [Psuc(x | elapsed)] between two horizon
-    points is [exp (shift elapsed - shift (elapsed + x))]. *)
-
 val shift_evaluator : Ckpt_distributions.Distribution.t -> t -> float -> float
 (** [shift_evaluator dist s] is {!log_survival_shift}[ dist s] with the
     [H(tau_j)] halves of every term hoisted out at closure-creation

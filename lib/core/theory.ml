@@ -64,9 +64,6 @@ let macro_rate ~rate ~processors =
 let parallel_optimal_chunk_count ~rate ~processors ~parallel_work ~checkpoint =
   optimal_chunk_count ~rate:(macro_rate ~rate ~processors) ~work:parallel_work ~checkpoint
 
-let parallel_optimal_period ~rate ~processors ~parallel_work ~checkpoint =
-  optimal_period ~rate:(macro_rate ~rate ~processors) ~work:parallel_work ~checkpoint
-
 let parallel_expected_makespan_macro ~rate ~processors ~parallel_work ~checkpoint ~recovery
     ~downtime =
   optimal_expected_makespan

@@ -66,9 +66,6 @@ val parallel_optimal_chunk_count :
 (** [K*] of Proposition 5 for per-processor rate [rate], [W(p) =
     parallel_work] and [C(p) = checkpoint]. *)
 
-val parallel_optimal_period :
-  rate:float -> processors:int -> parallel_work:float -> checkpoint:float -> float
-
 val parallel_expected_makespan_macro :
   rate:float -> processors:int -> parallel_work:float -> checkpoint:float ->
   recovery:float -> downtime:float -> float

@@ -33,5 +33,3 @@ val lognormal : float array -> fitted
 val best_fit : float array -> fitted
 (** The candidate with the smallest AIC. *)
 
-val ks_distance : Distribution.t -> float array -> float
-(** [sup_x |F_fit(x) - F_empirical(x)|] over the sample points. *)

@@ -24,15 +24,4 @@ val psuc_approximation_error :
     year in; Psuc over the full exact age vector is compared with the
     summarized one for chunks of 2^-i MTBF, i = 0..6. *)
 
-type knob_result = {
-  label : string;
-  average_degradation : float;
-  wall_seconds : float;
-}
-
-val knob_sweep : ?config:Config.t -> unit -> knob_result list
-(** Degradation and wall-clock of DPNextFailure on the Petascale
-    Weibull scenario across knob settings (each normalized against
-    the same OptExp baseline). *)
-
 val print : ?config:Config.t -> unit -> unit

@@ -15,10 +15,7 @@ type cell = {
   mtbf_years : float;
 }
 
-val cell_name : cell -> string
-
 val petascale_cells : full:bool -> cell list
 val exascale_cells : full:bool -> cell list
 
-val run_cell : ?config:Config.t -> cell -> Scaling_study.t
 val print : ?config:Config.t -> cells:cell list -> unit -> unit

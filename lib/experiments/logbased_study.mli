@@ -21,9 +21,6 @@ type t = {
   points : point list;
 }
 
-val log_for : cluster -> Ckpt_failures.Failure_log.t
-(** The synthetic log (deterministic; see {!Ckpt_failures.Lanl_synth}). *)
-
 val run :
   ?config:Config.t -> ?processor_counts:int list -> cluster:cluster -> unit -> t
 (** Default processor counts: 2^12 .. 2^15 (the paper's Figure 7

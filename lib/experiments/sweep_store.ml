@@ -307,79 +307,21 @@ let load_or_compute_opt ~path ~digest ~stripe ~fields ~decode ~encode compute =
                 None)
       end
 
+(* -- leftover claims ------------------------------------------------------------ *)
 
-(* -- unit / claim enumeration ------------------------------------------------
-
-   The unit set of a sweep is defined by the deterministic experiment
-   enumeration (every process derives the same keys from the same ids
-   and config); the store directory is the ground truth of which units
-   are done.  These listings are for progress reporting, tests and
-   tooling — never for correctness decisions. *)
-
-type unit_info = {
-  u_path : string;
-  u_experiment : string;
-  u_digest : string;
-  u_stripe : int;
-}
-
-(* "<experiment>-<digest:32>.stripe<NNN>.part"; [sanitize] means the
-   experiment stem cannot itself contain a '.'. *)
-let parse_unit_name root name =
-  if not (Filename.check_suffix name ".part") then None
-  else begin
-    let stem = Filename.chop_suffix name ".part" in
-    match String.rindex_opt stem '.' with
-    | None -> None
-    | Some dot -> (
-        let base = String.sub stem 0 dot in
-        let tag = String.sub stem (dot + 1) (String.length stem - dot - 1) in
-        let digest_len = 32 in
-        if
-          String.starts_with ~prefix:"stripe" tag
-          && String.length base > digest_len + 1
-          && base.[String.length base - digest_len - 1] = '-'
-        then
-          match int_of_string_opt (String.sub tag 6 (String.length tag - 6)) with
-          | None -> None
-          | Some stripe ->
-              Some
-                {
-                  u_path = Filename.concat root name;
-                  u_experiment =
-                    String.sub base 0 (String.length base - digest_len - 1);
-                  u_digest =
-                    String.sub base (String.length base - digest_len) digest_len;
-                  u_stripe = stripe;
-                }
-        else None)
-  end
-
-let readdir_sorted root =
-  match Sys.readdir root with
-  | names ->
-      Array.sort compare names;
-      Array.to_list names
-  | exception Sys_error _ -> []
-
-let units t = List.filter_map (parse_unit_name t.root) (readdir_sorted t.root)
-
-(* [all:true] is for the parent after every worker has been reaped via
-   waitpid: any surviving claim's owner is dead by construction. *)
-let reap_claims ?(all = false) t =
-  let now = Unix.gettimeofday () in
-  readdir_sorted t.root
-  |> List.filter (fun name -> Filename.check_suffix name ".claim")
-  |> List.fold_left
-       (fun n name ->
-         let path = Filename.concat t.root name in
-         if all || Claim.stale ~now path then begin
-           Atomic_file.remove path;
-           bump reaped m_reaped;
-           n + 1
-         end
-         else n)
-       0
+(* For the parent once every worker has been waited on: any surviving
+   claim's owner is dead by construction. *)
+let reap_claims t =
+  let names = try Sys.readdir t.root with Sys_error _ -> [||] in
+  Array.fold_left
+    (fun n name ->
+      if Filename.check_suffix name ".claim" then begin
+        Atomic_file.remove (Filename.concat t.root name);
+        bump reaped m_reaped;
+        n + 1
+      end
+      else n)
+    0 names
 
 (* -- entry points --------------------------------------------------------------
 

@@ -77,8 +77,6 @@ val set_worker_mode : bool -> unit
     process must never enable it, so its final pass computes every
     missing unit regardless of leftover claims. *)
 
-val worker_mode : unit -> bool
-
 (** The claim-marker protocol, exposed for tests and tooling.  Normal
     code never calls these directly: worker-mode entry points claim and
     release internally. *)
@@ -102,22 +100,9 @@ module Claim : sig
       file's mtime. *)
 end
 
-type unit_info = {
-  u_path : string;
-  u_experiment : string;
-  u_digest : string;
-  u_stripe : int;
-}
-
-val units : t -> unit_info list
-(** The completed units on disk, sorted by file name.  Progress
-    reporting and tooling only — correctness always re-derives the
-    unit set from the experiment enumeration. *)
-
-val reap_claims : ?all:bool -> t -> int
-(** Remove stale claim markers (all of them with [~all:true] — only
-    safe once every worker has been waited on) and return the count
-    removed. *)
+val reap_claims : t -> int
+(** Remove every claim marker and return the count removed.  Only safe
+    once every worker has been waited on. *)
 
 val degradation_table :
   ?store:t ->

@@ -145,6 +145,12 @@ let read_stats path =
               | Some s -> s
               | None -> 0. ))
 
+(* Completed units on disk, for the progress line: the store's [*.part]
+   files. *)
+let count_units dir =
+  let names = try Sys.readdir dir with Sys_error _ -> [||] in
+  Array.fold_left (fun n name -> if Filename.check_suffix name ".part" then n + 1 else n) 0 names
+
 let launch ~store ~workers ~exe ~args ?(progress = fun ~alive:_ ~units:_ -> ()) () =
   if workers < 1 then invalid_arg "Sweep_workers.launch: workers must be >= 1";
   let dir = Sweep_store.dir store in
@@ -160,8 +166,8 @@ let launch ~store ~workers ~exe ~args ?(progress = fun ~alive:_ ~units:_ -> ()) 
     (* Every process writes its exports at exit; a worker inheriting
        the parent's path would be overwritten by the parent. *)
     let per_worker_path var =
-      match Sys.getenv_opt var with
-      | None | Some "" -> []
+      match Ckpt_telemetry.Provenance.env_path var with
+      | None -> []
       | Some path -> [ (var, Printf.sprintf "%s.worker-%02d" path index) ]
     in
     let env =
@@ -202,7 +208,7 @@ let launch ~store ~workers ~exe ~args ?(progress = fun ~alive:_ ~units:_ -> ()) 
       !running;
     running := List.rev !still;
     if !running <> [] then begin
-      let units = List.length (Sweep_store.units store) in
+      let units = count_units dir in
       if units <> !last_units then begin
         last_units := units;
         progress ~alive:(List.length !running) ~units
@@ -234,5 +240,5 @@ let launch ~store ~workers ~exe ~args ?(progress = fun ~alive:_ ~units:_ -> ()) 
      a straggler from a crash: remove them all.  (The parent's own pass
      would ignore them anyway — this keeps the store clean and makes
      the crash visible in the reaped counter.) *)
-  let claims_reaped = Sweep_store.reap_claims ~all:true store in
+  let claims_reaped = Sweep_store.reap_claims store in
   { workers = results; crashed; claims_reaped }

@@ -14,19 +14,10 @@
     the crashed workers left — so worker count and worker failures can
     change only the wall-clock time, never a byte of output. *)
 
-val env_var : string
-(** ["CKPT_SWEEP_WORKER"] — set (to the worker index) in worker
-    processes only. *)
-
 val worker_index : unit -> int option
 (** [Some index] when this process is a sweep worker. *)
 
-val log_path : dir:string -> index:int -> string
 val stats_path : dir:string -> index:int -> string
-
-val results_scratch : dir:string -> index:int -> string
-(** Per-worker scratch directory for the worker's (discarded) CSV
-    output, inside the store directory. *)
 
 val run_as_worker : store:Sweep_store.t -> index:int -> (unit -> unit) -> unit
 (** Run [f] — the study pass — in worker mode.  Repeats the pass while

@@ -20,7 +20,6 @@ let mask32 = 0xFFFFFFFFL
 type t = int64 array
 
 let zero : t = Array.make limbs_n 0L
-let is_zero t = Array.for_all (fun l -> l = 0L) t
 let equal (a : t) (b : t) = a = b
 
 let normalize (t : int64 array) =

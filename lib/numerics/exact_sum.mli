@@ -20,7 +20,6 @@ type t
     with value equality. *)
 
 val zero : t
-val is_zero : t -> bool
 
 val add : t -> float -> t
 (** Exact.  Accepts any finite double, positive or negative.

@@ -16,5 +16,3 @@ val wm1 : float -> float
     [-1/e <= z < 0], with values in [(-inf, -1]].
     @raise Invalid_argument outside the domain. *)
 
-val branch_point : float
-(** [-1/e], the left end of the real domain. *)

@@ -247,46 +247,3 @@ let parallel_init ?domains n f =
 let parallel_map_list ?domains f items =
   let arr = Array.of_list items in
   Array.to_list (parallel_init ?domains (Array.length arr) (fun i -> f arr.(i)))
-
-(* -- utilization ------------------------------------------------------------- *)
-
-type utilization = {
-  domain : string;
-  wall : float;
-  attributed : float;
-  states : Span.total list;
-  dropped : int;
-}
-
-let utilization () =
-  List.filter_map
-    (fun (t : Span.track) ->
-      match List.filter (fun (x : Span.total) -> x.layer = sched) t.totals with
-      | [] -> None
-      | states ->
-          let fold f init = List.fold_left f init states in
-          let first = fold (fun a x -> Float.min a x.Span.first) infinity in
-          let last = fold (fun a x -> Float.max a x.Span.last) neg_infinity in
-          let attributed = fold (fun a x -> a +. x.Span.seconds) 0. in
-          Some { domain = t.track; wall = last -. first; attributed; states; dropped = t.dropped })
-    (Span.tracks ())
-
-let state_total f init us name =
-  List.fold_left
-    (fun acc u ->
-      List.fold_left (fun acc (x : Span.total) -> if x.name = name then f acc x else acc) acc u.states)
-    init us
-
-let state_seconds = state_total (fun a x -> a +. x.Span.seconds) 0.
-let state_count = state_total (fun a x -> a + x.Span.count) 0
-
-(* The three candidate explanations for pool overhead, summed across
-   domains: looking for a region and finding none, parking (plus the
-   wake-ups), and putting a new region on the list. *)
-let overheads us =
-  [
-    ("empty scans", state_seconds us "scan-miss", state_count us "scan-miss");
-    ("parking churn", state_seconds us "park", state_count us "park" + state_count us "unpark");
-    ("queue publication", state_seconds us "publish", state_count us "publish");
-  ]
-  |> List.stable_sort (fun (_, a, _) (_, b, _) -> Float.compare b a)

@@ -24,9 +24,13 @@
     each builds its own policies, traces and engine state).
 
     Every domain's scheduler states are recorded as
-    [Ckpt_telemetry.Span]s of layer [parallel.sched] (see
-    {!utilization}); [ckpt sched-report] turns them into a per-domain
-    utilization breakdown. *)
+    [Ckpt_telemetry.Span]s of layer [parallel.sched], named for the
+    pool's states: [run-task], [scan-hit] / [scan-miss] (a look at the
+    region list that took a seat or found none), [publish], [park],
+    [unpark] (an instant) and [join-help] (running another region's
+    items while joining).  Each pool worker records on track
+    [worker<i>], so [CKPT_VERBOSE=1]'s per-study report attributes
+    every worker's wall time to these states. *)
 
 val recommended_domains : unit -> int
 (** [Domain.recommended_domain_count ()], overridden by the
@@ -56,30 +60,3 @@ val parallel_map_list : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 val pool_workers : unit -> int
 (** Worker domains currently spawned by the persistent pool (0 before
     the first pooled region; for telemetry and tests). *)
-
-(** {1 Utilization}
-
-    Read from the [parallel.sched] span totals, whose names are the
-    pool's states: [run-task], [scan-hit] / [scan-miss] (a look at the
-    region list that took a seat or found none), [publish], [park],
-    [unpark] (an instant) and [join-help] (running another region's
-    items while joining). *)
-
-type utilization = {
-  domain : string;  (** the domain's span track *)
-  wall : float;  (** last state's end − first state's start *)
-  attributed : float;  (** seconds inside recorded states *)
-  states : Ckpt_telemetry.Span.total list;
-  dropped : int;
-}
-
-val utilization : unit -> utilization list
-(** One entry per track that recorded a scheduler state. *)
-
-val state_seconds : utilization list -> string -> float
-val state_count : utilization list -> string -> int
-
-val overheads : utilization list -> (string * float * int) list
-(** The three pool overhead candidates — empty scans, parking churn,
-    queue publication — as (label, seconds, events) summed across
-    domains, largest first. *)

@@ -5,7 +5,6 @@ let day = 86400.
 let week = 7. *. day
 let year = 365.25 *. day
 
-let of_hours h = h *. hour
 let of_days d = d *. day
 let of_years y = y *. year
 let to_days s = s /. day

@@ -1,14 +1,12 @@
 (** Time-unit helpers.  All simulator times are in seconds. *)
 
 val second : float
-val minute : float
 val hour : float
 val day : float
 val week : float
 val year : float
 (** Julian year: 365.25 days. *)
 
-val of_hours : float -> float
 val of_days : float -> float
 val of_years : float -> float
 val to_days : float -> float

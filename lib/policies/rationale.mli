@@ -29,19 +29,11 @@ type t = {
           failure probability underflows to 0. *)
 }
 
-val platform_hazard : Ckpt_distributions.Distribution.t -> Ckpt_core.Age_summary.t -> float
-
-val expected_time_to_failure :
-  Ckpt_distributions.Distribution.t -> Ckpt_core.Age_summary.t -> float
-
 val commit_probability :
   Ckpt_distributions.Distribution.t -> Ckpt_core.Age_summary.t -> window:float -> float
 
 val expected_loss :
   Ckpt_distributions.Distribution.t -> Ckpt_core.Age_summary.t -> window:float -> float
-
-val of_summary :
-  Ckpt_distributions.Distribution.t -> Ckpt_core.Age_summary.t -> window:float -> t
 
 val of_observation :
   ?nexact:int ->

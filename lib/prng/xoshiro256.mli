@@ -21,13 +21,10 @@ val copy : t -> t
 val next : t -> int64
 (** [next t] returns the next 64 pseudo-random bits. *)
 
-val jump : t -> unit
-(** [jump t] advances [t] by [2^128] calls to {!next} in O(1) work per
-    state bit.  Streams separated by a jump never overlap in practice. *)
-
 val split : t -> t
-(** [split t] returns a clone of [t] and then jumps [t] forward, so the
-    returned generator and the argument produce disjoint substreams. *)
+(** [split t] returns a clone of [t] and then jumps [t] forward by
+    [2^128] calls to {!next}, so the returned generator and the
+    argument produce disjoint substreams. *)
 
 val float : t -> float
 (** [float t] is uniform on [\[0, 1)], using the top 53 bits. *)

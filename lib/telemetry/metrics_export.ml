@@ -66,14 +66,9 @@ let openmetrics ?(spans = []) snap =
 
 (* -- publication ------------------------------------------------------------ *)
 
-let out_path () =
-  match Sys.getenv_opt "CKPT_METRICS_OUT" with
-  | Some p when p <> "" -> p
-  | _ -> "metrics.prom"
-
-let publish () =
+let publish path =
   try
-    Atomic_file.write ~fsync:false ~path:(out_path ())
+    Atomic_file.write ~fsync:false ~path
       (openmetrics ~spans:(Span.merge (Span.tracks ())) (Metrics.snapshot ()))
   with exn ->
     (* Runs at exit: report, never take the process down. *)
@@ -82,8 +77,9 @@ let publish () =
 let armed = Atomic.make false
 
 let ensure_at_exit () =
-  if Sys.getenv_opt "CKPT_METRICS_OUT" <> None && not (Atomic.exchange armed true) then begin
-    Metrics.set_enabled true;
-    Span.set_enabled true;
-    at_exit publish
-  end
+  match Provenance.env_path "CKPT_METRICS_OUT" with
+  | Some path when not (Atomic.exchange armed true) ->
+      Metrics.set_enabled true;
+      Span.set_enabled true;
+      at_exit (fun () -> publish path)
+  | _ -> ()

@@ -1,8 +1,8 @@
 (** OpenMetrics exposition of the metrics registry.
 
-    Setting [CKPT_METRICS_OUT] (default path [metrics.prom] when set
-    empty) publishes one final snapshot of the {!Metrics} registry and
-    the {!Span} totals at process exit, written atomically via
+    Setting [CKPT_METRICS_OUT] to a path (blank means unset) publishes
+    one final snapshot of the {!Metrics} registry and the {!Span}
+    totals at process exit, written atomically via
     [Ckpt_store.Atomic_file].  Counters, gauges and span totals map to
     their native OpenMetrics types. *)
 
@@ -14,7 +14,7 @@ val openmetrics : ?spans:Span.total list -> (string * Metrics.value) list -> str
     [ckpt_span_seconds{layer="…",name="…"}]. *)
 
 val ensure_at_exit : unit -> unit
-(** When [CKPT_METRICS_OUT] is set, enable metrics and span recording
+(** When [CKPT_METRICS_OUT] names a path, enable metrics and span recording
     and install the final publish as an [at_exit] hook (idempotent; a
     no-op otherwise).  A publish failure is reported to stderr, never
     raised.  [ckpt]'s entry point calls it once. *)

@@ -75,6 +75,9 @@ let env_int name ~want ~valid =
           warn_malformed name raw ~want;
           None)
 
+let env_path name =
+  match Sys.getenv_opt name with Some p when String.trim p <> "" -> Some p | _ -> None
+
 let domain_count () =
   Option.value
     (env_int "CKPT_DOMAINS" ~want:"an integer >= 1" ~valid:(fun n -> n >= 1))

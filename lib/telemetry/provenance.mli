@@ -24,6 +24,10 @@ val env_int : string -> want:string -> valid:(int -> bool) -> int option
     per distinct value: [ckpt: ignoring malformed NAME="v" (want WANT;
     using the default)].  Every integer knob reads through here. *)
 
+val env_path : string -> string option
+(** The [CKPT_*] knob [name] as a path: [None] when unset or blank, as
+    for {!env_int}.  Every path knob reads through here. *)
+
 val domain_count : unit -> int
 (** The effective fan-out width: [CKPT_DOMAINS] if valid (a malformed
     value warns through {!env_int}), else the runtime's recommended

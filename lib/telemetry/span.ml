@@ -1,18 +1,19 @@
 (* Wall-clock spans, per domain.
 
    Every domain owns one track and is its only writer, so recording
-   takes no lock: the track's cells hold the exact per-(layer, name)
-   totals, and a ring keeps the most recent spans for export.  Readers
-   take the track list under the registry lock and the cell list as
-   last published (it only ever grows by prepending).
+   takes no lock.  A track keeps one record: its spans in record order,
+   each as measured and with whether it was outermost.  Every reading —
+   per-(layer, name) totals, outermost coverage, the export — is a fold
+   over that record, which applies the per-layer clamp as it goes.  The
+   span list only ever grows by prepending, so a reader folds it as
+   last published.
 
    Unlike [Tracer] (simulated clock), these are real wall-clock
    intervals, off unless something will read them. *)
 
 let verbose_flag = Sys.getenv_opt "CKPT_VERBOSE" = Some "1"
 
-let out_path =
-  match Sys.getenv_opt "CKPT_SPANS_OUT" with Some "" | None -> None | Some p -> Some p
+let out_path = Provenance.env_path "CKPT_SPANS_OUT"
 
 let enabled_flag = Atomic.make (verbose_flag || out_path <> None)
 let enabled () = Atomic.get enabled_flag
@@ -24,28 +25,15 @@ let now = Unix.gettimeofday
 
 type span = { sp_layer : string; sp_name : string; sp_t0 : float; sp_t1 : float }
 
-type cell = {
-  c_layer : string;
-  c_name : string;
-  clock : float ref;  (* end of the layer's latest span; shared by the layer's cells *)
-  mutable seconds : float;
-  mutable count : int;
-  mutable first : float;
-  mutable last : float;
-}
-
-let ring_capacity = 1 lsl 15
-let blank = { sp_layer = ""; sp_name = ""; sp_t0 = 0.; sp_t1 = 0. }
+(* A span as measured.  [seq] is its index on its track, so the newest
+   entry also tells how many spans the track holds. *)
+type entry = { span : span; top : bool; seq : int }
 
 type state = {
   t_name : string;
   generation : int;
-  mutable cells : cell list;  (* newest first *)
-  mutable ring : span array;  (* doubles up to [ring_capacity], then wraps *)
-  mutable written : int;  (* the ring holds the last [min written ring_capacity] *)
+  mutable spans : entry list;  (* newest first *)
   mutable depth : int;  (* [time] spans open on this domain *)
-  mutable top_seconds : float;
-  mutable top_clock : float;
 }
 
 let registry : state list ref = ref []  (* newest first *)
@@ -61,16 +49,7 @@ let lookup name =
       | Some t -> t
       | None ->
           let t =
-            {
-              t_name = name;
-              generation = Atomic.get generation;
-              cells = [];
-              ring = Array.make 64 blank;
-              written = 0;
-              depth = 0;
-              top_seconds = 0.;
-              top_clock = neg_infinity;
-            }
+            { t_name = name; generation = Atomic.get generation; spans = []; depth = 0 }
           in
           registry := t :: !registry;
           t)
@@ -111,47 +90,16 @@ let reset () =
 
 (* -- recording (owner domain only) ------------------------------------------ *)
 
-let cell t ~layer name =
-  let in_layer c = String.equal c.c_layer layer in
-  match List.find_opt (fun c -> String.equal c.c_name name && in_layer c) t.cells with
-  | Some c -> c
-  | None ->
-      let clock =
-        match List.find_opt in_layer t.cells with Some c -> c.clock | None -> ref neg_infinity
-      in
-      let c =
-        { c_layer = layer; c_name = name; clock; seconds = 0.; count = 0; first = 0.; last = 0. }
-      in
-      t.cells <- c :: t.cells;
-      c
+let count t = match t.spans with [] -> 0 | e :: _ -> e.seq + 1
 
-let add t c ~top ~t0 ~t1 =
-  (* Outermost spans never nest, so their own clock only guards
-     against a stepped wall clock. *)
-  if top then begin
-    let s = Float.max t0 t.top_clock in
-    let e = Float.max t1 s in
-    t.top_clock <- e;
-    t.top_seconds <- t.top_seconds +. (e -. s)
-  end;
-  let t0 = Float.max t0 !(c.clock) in
-  let t1 = Float.max t1 t0 in
-  c.clock := t1;
-  if c.count = 0 then c.first <- t0;
-  c.last <- t1;
-  c.seconds <- c.seconds +. (t1 -. t0);
-  c.count <- c.count + 1;
-  let size = Array.length t.ring in
-  if t.written = size && size < ring_capacity then
-    t.ring <- Array.append t.ring (Array.make (min size (ring_capacity - size)) blank);
-  t.ring.(t.written mod Array.length t.ring) <-
-    { sp_layer = c.c_layer; sp_name = c.c_name; sp_t0 = t0; sp_t1 = t1 };
-  t.written <- t.written + 1
+let add t ~layer name ~top ~t0 ~t1 =
+  let span = { sp_layer = layer; sp_name = name; sp_t0 = t0; sp_t1 = t1 } in
+  t.spans <- { span; top; seq = count t } :: t.spans
 
 let record ~layer name ~t0 ~t1 =
   if Atomic.get enabled_flag then begin
     let t = current () in
-    add t (cell t ~layer name) ~top:(t.depth = 0) ~t0 ~t1
+    add t ~layer name ~top:(t.depth = 0) ~t0 ~t1
   end
 
 let time ~layer name f =
@@ -163,7 +111,7 @@ let time ~layer name f =
     let t0 = now () in
     let finish () =
       t.depth <- depth;
-      add t (cell t ~layer name) ~top:(depth = 0) ~t0 ~t1:(now ())
+      add t ~layer name ~top:(depth = 0) ~t0 ~t1:(now ())
     in
     match f () with
     | v ->
@@ -186,55 +134,78 @@ type total = {
   last : float;
 }
 
-type track = { track : string; totals : total list; top_seconds : float; dropped : int }
+type track = { track : string; totals : total list; top_seconds : float; window : float }
 
 let by_key a b = compare (a.layer, a.name) (b.layer, b.name)
 
-type mark = {
-  at : float;
-  owner : state option;
-  cells_at : (cell * (float * int)) list;
-  tops_at : (state * float) list;
-}
+type mark = { at : float; owner : state option; counts : (state * int) list }
 
 let mark () =
-  let states = all_states () in
   {
     at = now ();
     owner = (if enabled () then Some (current ()) else None);
-    cells_at =
-      List.concat_map
-        (fun t -> List.map (fun (c : cell) -> (c, (c.seconds, c.count))) t.cells)
-        states;
-    tops_at = List.map (fun (t : state) -> (t, t.top_seconds)) states;
+    counts = List.map (fun t -> (t, count t)) (all_states ());
   }
 
-(* A track's totals, less what it had at the mark. *)
-let summary ?since (t : state) =
-  let at field key zero =
-    Option.value ~default:zero (Option.bind since (fun m -> List.assq_opt key (field m)))
+(* Fold [f acc ~top ~start span] over a track's spans recorded after
+   the mark (all of them without one), oldest first.  [span] is clamped
+   monotone within its layer: a stepped clock cannot make it negative,
+   and a span nested in another of the same layer truncates the
+   encloser's start instead of being counted twice.  [start] is the
+   span's measured start, which outermost coverage needs whole.  Both
+   are clipped at the mark. *)
+let fold ?since t f init =
+  let from, at =
+    match since with
+    | None -> (0, neg_infinity)
+    | Some m -> (Option.value ~default:0 (List.assq_opt t m.counts), m.at)
   in
+  let rec after acc = function e :: rest when e.seq >= from -> after (e :: acc) rest | _ -> acc in
+  let clocks = Hashtbl.create 8 in
+  List.fold_left
+    (fun acc { span = sp; top; _ } ->
+      let start = Float.max sp.sp_t0 at in
+      let clock = Option.value ~default:at (Hashtbl.find_opt clocks sp.sp_layer) in
+      let t0 = Float.max start clock in
+      let t1 = Float.max sp.sp_t1 t0 in
+      Hashtbl.replace clocks sp.sp_layer t1;
+      f acc ~top ~start { sp with sp_t0 = t0; sp_t1 = t1 })
+    init (after [] t.spans)
+
+(* Each (layer, name) sums its spans in record order.  Outermost spans
+   never nest, so their own clock only guards against a stepped wall
+   clock.  The window runs from the earliest measured start to the
+   latest end. *)
+let summary ?since (t : state) =
+  let cells = Hashtbl.create 16 in
+  let top_clock = ref neg_infinity and top_seconds = ref 0. in
+  let first = ref infinity and last = ref neg_infinity in
+  fold ?since t
+    (fun () ~top ~start sp ->
+      let key = (sp.sp_layer, sp.sp_name) in
+      let seconds = sp.sp_t1 -. sp.sp_t0 in
+      (match Hashtbl.find_opt cells key with
+      | Some c ->
+          Hashtbl.replace cells key
+            { c with seconds = c.seconds +. seconds; count = c.count + 1; last = sp.sp_t1 }
+      | None ->
+          Hashtbl.add cells key
+            { layer = sp.sp_layer; name = sp.sp_name; seconds; count = 1; first = sp.sp_t0;
+              last = sp.sp_t1 });
+      if top then begin
+        let s = Float.max start !top_clock in
+        let e = Float.max sp.sp_t1 s in
+        top_clock := e;
+        top_seconds := !top_seconds +. (e -. s)
+      end;
+      first := Float.min !first start;
+      last := Float.max !last sp.sp_t1)
+    ();
   {
     track = t.t_name;
-    totals =
-      List.filter_map
-        (fun c ->
-          let seconds, count = at (fun m -> m.cells_at) c (0., 0) in
-          if c.count = count then None
-          else
-            Some
-              {
-                layer = c.c_layer;
-                name = c.c_name;
-                seconds = c.seconds -. seconds;
-                count = c.count - count;
-                first = c.first;
-                last = c.last;
-              })
-        t.cells
-      |> List.sort by_key;
-    top_seconds = t.top_seconds -. at (fun m -> m.tops_at) t 0.;
-    dropped = max 0 (t.written - ring_capacity);
+    totals = List.sort by_key (Hashtbl.fold (fun _ c acc -> c :: acc) cells []);
+    top_seconds = !top_seconds;
+    window = Float.max 0. (!last -. !first);
   }
 
 let tracks ?since () = List.map (summary ?since) (all_states ())
@@ -277,6 +248,9 @@ let pp_totals ppf totals =
          |> List.iter (fun (name, seconds, count) ->
                 Format.fprintf ppf "  %-26s %9.3f s %8d@." name seconds count))
 
+(* The owner's outermost spans against the scope's wall time, then
+   every other track that recorded during the scope against its own
+   window. *)
 let scope ~label f =
   if not verbose_flag then f ()
   else begin
@@ -288,31 +262,33 @@ let scope ~label f =
           label wall (List.length ts);
         String.split_on_char '\n' (Format.asprintf "%a" pp_totals (merge ts))
         |> List.iter (fun line -> if line <> "" then Printf.eprintf "[spans]   %s\n" line);
-        Option.iter
-          (fun o ->
-            let covered = (summary ~since:m o).top_seconds in
-            Printf.eprintf "[spans] %s: attribution %.2f s of %.2f s wall (%.1f%%) on track %s\n"
-              label covered wall
-              (100. *. covered /. Float.max wall 1e-9)
-              o.t_name)
-          m.owner;
+        let attribution t ~over seconds =
+          Printf.eprintf "[spans] %s: attribution %.2f s of %.2f s %s (%.1f%%) on track %s\n" label
+            t.top_seconds seconds over
+            (100. *. t.top_seconds /. Float.max seconds 1e-9)
+            t.track
+        in
+        let owner = Option.map (fun o -> o.t_name) m.owner in
+        List.iter (fun t -> if Some t.track = owner then attribution t ~over:"wall" wall) ts;
+        List.iter
+          (fun t ->
+            if Some t.track <> owner && t.totals <> [] then attribution t ~over:"window" t.window)
+          ts;
         flush stderr)
   end
 
 (* -- export ------------------------------------------------------------------ *)
 
-let ring t =
-  let size = Array.length t.ring in
-  let len = min t.written size in
-  List.init len (fun i -> t.ring.((t.written - len + i) mod size))
+let recent () =
+  List.map
+    (fun t -> (t.t_name, List.rev (fold t (fun acc ~top:_ ~start:_ sp -> sp :: acc) [])))
+    (all_states ())
 
-let recent () = List.map (fun t -> (t.t_name, ring t)) (all_states ())
-
-let chrome rings =
+let chrome named =
   let epoch =
     List.fold_left
       (fun acc (_, sps) -> List.fold_left (fun a s -> Float.min a s.sp_t0) acc sps)
-      infinity rings
+      infinity named
   in
   Json.chrome_trace
     (List.map
@@ -328,7 +304,7 @@ let chrome rings =
                  args = [];
                })
              sps ))
-       rings)
+       named)
 
 let write_chrome ~path = Ckpt_store.Atomic_file.write ~fsync:false ~path (chrome (recent ()))
 
@@ -336,11 +312,9 @@ let () =
   Option.iter
     (fun path ->
       at_exit (fun () ->
-          let ts = tracks () in
-          if List.exists (fun t -> t.totals <> []) ts then begin
+          let named = recent () in
+          if List.exists (fun (_, sps) -> sps <> []) named then begin
             write_chrome ~path;
-            let dropped = List.fold_left (fun n t -> n + t.dropped) 0 ts in
-            Printf.eprintf "[spans] wrote %d track(s) to %s%s\n%!" (List.length ts) path
-              (if dropped > 0 then Printf.sprintf " (%d older spans dropped)" dropped else "")
+            Printf.eprintf "[spans] wrote %d track(s) to %s\n%!" (List.length named) path
           end))
     out_path

@@ -58,7 +58,6 @@ type totals = {
   decisions : int;
 }
 
-val zero_totals : totals
 val totals : buffer -> totals
 (** Summed durations and event counts, folded with the same operands
     in the same order as the engine's accumulators: equal to

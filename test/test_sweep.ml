@@ -571,6 +571,14 @@ let claim_files dir =
     (fun n name -> if Filename.check_suffix name ".claim" then n + 1 else n)
     0 (Sys.readdir dir)
 
+(* The completed unit files in a store, sorted by name: stripe order
+   within one experiment. *)
+let unit_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun name -> Filename.check_suffix name ".part")
+  |> List.sort compare
+  |> List.map (Filename.concat dir)
+
 let in_worker_mode f =
   Sweep_store.set_worker_mode true;
   Fun.protect ~finally:(fun () -> Sweep_store.set_worker_mode false) f
@@ -587,21 +595,13 @@ let test_worker_mode_claims dir =
           Alcotest.(check bool) "lone worker reproduces the table" true
             (compare reference t = 0));
       check Alcotest.int "claims all released" 0 (claim_files dir);
-      (* The enumeration API sees what the sweep wrote. *)
-      let units = Sweep_store.units store in
-      check Alcotest.(list int) "unit stripes enumerated" [ 0; 1; 2 ]
-        (List.map (fun u -> u.Sweep_store.u_stripe) units);
-      List.iter
-        (fun u ->
-          check Alcotest.string "experiment parsed" "unit_test" u.Sweep_store.u_experiment;
-          check Alcotest.int "digest is 32 hex chars" 32
-            (String.length u.Sweep_store.u_digest))
-        units;
+      let units = unit_files dir in
+      check Alcotest.int "one unit file per stripe" 3 (List.length units);
       (* Simulate a live competing worker mid-compute on one unit:
          result absent, claim fresh and owned by a live pid. *)
       let victim = List.hd units in
-      Atomic_file.remove victim.Sweep_store.u_path;
-      plant_live_claim victim.Sweep_store.u_path;
+      Atomic_file.remove victim;
+      plant_live_claim victim;
       in_worker_mode (fun () ->
           let _, s = stats_since (fun () -> run_store ~dir ~replicates:6 ()) in
           check Alcotest.int "held unit skipped as busy" 1 s.Sweep_store.busy;
@@ -612,27 +612,26 @@ let test_worker_mode_claims dir =
       let t, s = stats_since (fun () -> run_store ~dir ~replicates:6 ()) in
       check Alcotest.int "parent recomputed through the claim" 1 s.Sweep_store.computed;
       Alcotest.(check bool) "canonical merge == reference" true (compare reference t = 0);
-      check Alcotest.int "leftover claim reaped" 1 (Sweep_store.reap_claims ~all:true store);
+      check Alcotest.int "leftover claim reaped" 1 (Sweep_store.reap_claims store);
       check Alcotest.int "store clean" 0 (claim_files dir))
 
 let test_worker_mode_reaps_dead_claims dir =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
-      let store = Sweep_store.create ~dir in
       let reference, _ = stats_since (fun () -> run_store ~dir ~replicates:6 ()) in
-      (match Sweep_store.units store with
+      (match unit_files dir with
       | missing :: corrupt :: _ ->
           (* Unit 0: a worker died before persisting — no result, dead
              claim.  Unit 1: it died mid-write badly enough to corrupt
              the file (simulated), dead claim on top — the header check
              must still invalidate it under re-claim. *)
-          Atomic_file.remove missing.Sweep_store.u_path;
+          Atomic_file.remove missing;
           Sweep_store.Claim.write
-            ~path:(Sweep_store.Claim.path missing.Sweep_store.u_path)
+            ~path:(Sweep_store.Claim.path missing)
             ~pid:999_999_999 ~host:(Unix.gethostname ()) ~time:(Unix.gettimeofday ());
-          Atomic_file.write ~path:corrupt.Sweep_store.u_path
+          Atomic_file.write ~path:corrupt
             "ckpt-sweep/1 bogus stripe=0\nx";
           Sweep_store.Claim.write
-            ~path:(Sweep_store.Claim.path corrupt.Sweep_store.u_path)
+            ~path:(Sweep_store.Claim.path corrupt)
             ~pid:999_999_999 ~host:(Unix.gethostname ()) ~time:(Unix.gettimeofday ())
       | _ -> Alcotest.fail "expected 3 units");
       in_worker_mode (fun () ->
@@ -659,21 +658,20 @@ let prop_worker_partition =
           let reference, layout =
             with_dir (fun refdir ->
                 let reference = run_store ~dir:refdir ~replicates () in
-                (reference, Sweep_store.units (Sweep_store.create ~dir:refdir)))
+                (reference, List.map Filename.basename (unit_files refdir)))
           in
           with_dir (fun dir ->
-              let store = Sweep_store.create ~dir in
-              let owner u = u.Sweep_store.u_stripe mod workers in
+              (* The [i]-th unit file holds stripe [i]. *)
+              let layout = List.mapi (fun stripe name -> (stripe, name)) layout in
+              let owner (stripe, _) = stripe mod workers in
               let ok = ref true in
               for k = 0 to workers - 1 do
                 let planted =
                   List.filter_map
-                    (fun u ->
+                    (fun ((_, name) as u) ->
                       if owner u = k then None
                       else begin
-                        let path =
-                          Filename.concat dir (Filename.basename u.Sweep_store.u_path)
-                        in
+                        let path = Filename.concat dir name in
                         plant_live_claim path;
                         Some (Sweep_store.Claim.path path)
                       end)
@@ -690,7 +688,7 @@ let prop_worker_partition =
               let merged = run_store ~dir ~replicates () in
               !ok
               && claim_files dir = 0
-              && List.length (Sweep_store.units store) = List.length layout
+              && List.length (unit_files dir) = List.length layout
               && compare reference merged = 0)))
 
 let () =

@@ -5,7 +5,6 @@ module Metrics = Ckpt_telemetry.Metrics
 module Tracer = Ckpt_telemetry.Tracer
 module Provenance = Ckpt_telemetry.Provenance
 module Span = Ckpt_telemetry.Span
-module Domain_pool = Ckpt_parallel.Domain_pool
 module Json = Ckpt_telemetry.Json
 module Metrics_export = Ckpt_telemetry.Metrics_export
 
@@ -394,6 +393,22 @@ let test_openmetrics_render () =
              (String.length terminator)
            = terminator))
 
+(* A blank CKPT_METRICS_OUT means unset, like every path knob: nothing
+   is armed, so neither a sweep's parent nor its workers (which inherit
+   the blank value) write a textfile. *)
+let test_metrics_blank_path () =
+  List.iter
+    (fun blank ->
+      Unix.putenv "CKPT_METRICS_OUT" blank;
+      check Alcotest.(option string) "blank path unset" None (Provenance.env_path "CKPT_METRICS_OUT");
+      Metrics_export.ensure_at_exit ();
+      check Alcotest.bool "registry left off" false (Metrics.enabled ()))
+    [ ""; "  " ];
+  Unix.putenv "CKPT_METRICS_OUT" "m.prom";
+  check Alcotest.(option string) "a path is kept" (Some "m.prom")
+    (Provenance.env_path "CKPT_METRICS_OUT");
+  Unix.putenv "CKPT_METRICS_OUT" ""
+
 (* -- spans ---------------------------------------------------------------------- *)
 
 let test_span_totals () =
@@ -469,11 +484,73 @@ let test_span_scopes () =
       check Alcotest.int "accumulates within one study" 3 (calls first);
       check Alcotest.int "scope is transparent when not verbose" 7
         (Span.scope ~label:"second study" (fun () -> 7));
+      let before = Span.now () in
       let second = Span.mark () in
       tick ();
-      check Alcotest.int "fresh totals per study" 1 (calls second))
+      check Alcotest.int "fresh totals per study" 1 (calls second);
+      (* A span that began ten seconds before the mark and ends one
+         second after it counts from the mark on. *)
+      let t1 = Span.now () +. 1. in
+      Span.record ~layer:"test.straddle" "straddling" ~t0:(before -. 10.) ~t1;
+      match span_total ~since:second ~layer:"test.straddle" "straddling" with
+      | Some t ->
+          check Alcotest.int "straddling span counted" 1 t.Span.count;
+          check Alcotest.bool "clipped at the mark" true
+            (t.Span.seconds >= 1. && t.Span.seconds <= t1 -. before);
+          check Alcotest.bool "starts at the mark" true (t.Span.first >= before)
+      | None -> Alcotest.fail "straddling span recorded")
 
-(* -- flight recorder: each track's ring of recent spans ------------------------- *)
+(* Two tracks written from one domain by renaming it: each name is its
+   own single-writer track. *)
+let record_on track spans =
+  Span.name_track track;
+  List.iter (fun (state, t0, t1) -> Span.record ~layer:"parallel.sched" state ~t0 ~t1) spans
+
+(* A since-mark reading of two tracks: each folds only what it recorded
+   after the mark, clips a span begun before the mark, and measures its
+   coverage against its own window. *)
+let test_span_tracks_since_mark () =
+  with_spans (fun () ->
+      let before = Span.now () in
+      record_on "worker0" [ ("park", before -. 5., before -. 4.) ];
+      let m = Span.mark () in
+      let after = Span.now () in
+      (* The mark falls somewhere in [before, after]. *)
+      record_on "worker0" [ ("park", before -. 3., after +. 2.); ("run-task", after +. 2., after +. 6.) ];
+      record_on "external0" [ ("publish", after +. 1., after +. 1.5); ("run-task", after +. 1.5, after +. 4.) ];
+      let ts = Span.tracks ~since:m () in
+      let find name = List.find (fun (t : Span.track) -> t.track = name) ts in
+      let state (t : Span.track) name = List.find (fun (x : Span.total) -> x.name = name) t.totals in
+      let w = find "worker0" in
+      let park = state w "park" in
+      check Alcotest.int "the park ended before the mark is left out" 1 park.count;
+      check Alcotest.bool "the straddling park counts from the mark" true
+        (park.seconds >= 2. && park.seconds <= after +. 2. -. before);
+      check Alcotest.bool "its start is clipped to the mark" true
+        (park.first >= before && park.first <= after);
+      close ~tol:1e-6 "run-task whole" 4. (state w "run-task").seconds;
+      close ~tol:1e-6 "window from the mark to the last end" (after +. 6. -. park.first) w.window;
+      close ~tol:1e-6 "contiguous states cover the window" w.window w.top_seconds;
+      let e = find "external0" in
+      close ~tol:1e-6 "window of the other track" 3. e.window;
+      close ~tol:1e-6 "coverage of the other track" 3. e.top_seconds;
+      (* A same-layer span nested in an outermost one truncates the
+         encloser's total, but coverage counts the encloser whole, and
+         still within the window. *)
+      Span.name_track "external1";
+      Span.time ~layer:"parallel.sched" "run-task" (fun () ->
+          Span.time ~layer:"parallel.sched" "join-help" (fun () -> Unix.sleepf 0.01));
+      let x = List.find (fun (t : Span.track) -> t.track = "external1") (Span.tracks ()) in
+      check Alcotest.bool "coverage counts the encloser whole" true (x.top_seconds >= 0.01);
+      close ~tol:1e-12 "coverage fills the window" x.window x.top_seconds;
+      (* Without a mark, every span counts whole. *)
+      match span_total ~layer:"parallel.sched" "park" with
+      | Some t ->
+          check Alcotest.int "both parks" 2 t.count;
+          close ~tol:1e-6 "whole seconds" (1. +. (after +. 2. -. (before -. 3.))) t.seconds
+      | None -> Alcotest.fail "parks recorded")
+
+(* -- flight recorder: each track's record of spans ------------------------------ *)
 
 let test_flight_monotone_clamp () =
   with_spans (fun () ->
@@ -498,53 +575,26 @@ let test_flight_monotone_clamp () =
           close "other layer's end kept" 14. d.Span.sp_t1
       | rings -> Alcotest.failf "expected 1 track, got %d" (List.length rings))
 
-let test_flight_wraparound () =
+(* A track keeps every span: more than a 2^15-slot ring would hold all
+   come back, in order, and the totals stay exact. *)
+let test_flight_every_span_kept () =
   with_spans (fun () ->
-      let extra = 6 in
-      for i = 0 to Span.ring_capacity + extra - 1 do
+      let n = (1 lsl 15) + 6 in
+      for i = 0 to n - 1 do
         let x = float_of_int i in
         Span.record ~layer:"parallel.sched" "run-task" ~t0:x ~t1:(x +. 0.5)
       done;
-      (match Span.tracks () with
-      | [ t ] -> check Alcotest.int "dropped counts overwrites" extra t.Span.dropped
-      | _ -> Alcotest.fail "expected one track");
       (match span_total ~layer:"parallel.sched" "run-task" with
-      | Some t -> check Alcotest.int "totals stay exact" (Span.ring_capacity + extra) t.Span.count
+      | Some t ->
+          check Alcotest.int "totals stay exact" n t.Span.count;
+          close "seconds stay exact" (0.5 *. float_of_int n) t.Span.seconds
       | None -> Alcotest.fail "totals recorded");
       match Span.recent () with
       | [ (_, sps) ] ->
-          check Alcotest.int "ring keeps capacity spans" Span.ring_capacity (List.length sps);
-          close "oldest surviving span" (float_of_int extra) (List.hd sps).Span.sp_t0;
-          close "newest span"
-            (float_of_int (Span.ring_capacity + extra - 1))
-            (List.nth sps (Span.ring_capacity - 1)).Span.sp_t0
+          check Alcotest.int "every span kept" n (List.length sps);
+          close "oldest span" 0. (List.hd sps).Span.sp_t0;
+          close "newest span" (float_of_int (n - 1)) (List.nth sps (n - 1)).Span.sp_t0
       | _ -> Alcotest.fail "expected one track")
-
-(* Two tracks written from one domain by renaming it: each name is its
-   own single-writer track. *)
-let record_on track spans =
-  Span.name_track track;
-  List.iter (fun (state, t0, t1) -> Span.record ~layer:"parallel.sched" state ~t0 ~t1) spans
-
-let test_flight_report () =
-  with_spans (fun () ->
-      record_on "worker0"
-        [ ("run-task", 0., 6.); ("scan-miss", 6., 9.); ("park", 9., 10.); ("unpark", 10., 10.) ];
-      record_on "external0" [ ("publish", 0., 0.5); ("run-task", 0.5, 10.) ];
-      let reports = Domain_pool.utilization () in
-      check Alcotest.int "one report per track" 2 (List.length reports);
-      let wr = List.find (fun u -> u.Domain_pool.domain = "worker0") reports in
-      close "wall = last end - first start" 10. wr.Domain_pool.wall;
-      close "attribution covers the wall" 10. wr.Domain_pool.attributed;
-      close "run-task seconds" 6. (Domain_pool.state_seconds [ wr ] "run-task");
-      check Alcotest.int "unpark counted as an event" 1 (Domain_pool.state_count [ wr ] "unpark");
-      close "unpark has no duration" 0. (Domain_pool.state_seconds [ wr ] "unpark");
-      (* Empty scans (3 s) beat parking churn (1 s) and publication (0.5 s). *)
-      match Domain_pool.overheads reports with
-      | (label, seconds, _) :: _ ->
-          check Alcotest.string "dominant overhead" "empty scans" label;
-          close "dominant seconds" 3. seconds
-      | [] -> Alcotest.fail "expected a dominant overhead")
 
 let test_flight_chrome_golden () =
   with_spans (fun () ->
@@ -646,18 +696,19 @@ let () =
       ( "metrics export",
         [
           Alcotest.test_case "openmetrics textfile" `Quick test_openmetrics_render;
+          Alcotest.test_case "blank path arms nothing" `Quick test_metrics_blank_path;
         ] );
       ( "spans",
         [
           Alcotest.test_case "totals and gating" `Quick test_span_totals;
           Alcotest.test_case "enclosing layer keeps duration" `Quick test_span_enclosing_layer;
           Alcotest.test_case "back-to-back scopes" `Quick test_span_scopes;
+          Alcotest.test_case "two tracks since a mark" `Quick test_span_tracks_since_mark;
         ] );
       ( "flight recorder",
         [
           Alcotest.test_case "monotone clamp" `Quick test_flight_monotone_clamp;
-          Alcotest.test_case "ring wraparound" `Quick test_flight_wraparound;
-          Alcotest.test_case "utilization report" `Quick test_flight_report;
+          Alcotest.test_case "every span kept" `Quick test_flight_every_span_kept;
           Alcotest.test_case "chrome trace golden" `Quick test_flight_chrome_golden;
         ] );
       ( "ring buffers",
