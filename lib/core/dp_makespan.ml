@@ -176,7 +176,11 @@ let plane ~x_max ~y_max ~base_age ~lo ~len =
   let dir n = Array.make ((n lsr page_bits) + 1) [||] in
   { base_age; row_off; values = dir !cells; chunks = dir !cells; rows = dir (y_max + 1) }
 
-let solve ?quantum ?(cap_states = 2000) ?(chunk_factor = 6.) ~context ~work ~initial_age () =
+let default_cap_states = 2000
+let default_chunk_factor = 6.
+
+let solve ?quantum ?(cap_states = default_cap_states) ?(chunk_factor = default_chunk_factor)
+    ~context ~work ~initial_age () =
   if work <= 0. then invalid_arg "Dp_makespan.solve: work must be positive";
   if cap_states < 1 then invalid_arg "Dp_makespan.solve: cap_states must be positive";
   let young = young_period context in

@@ -26,6 +26,12 @@
 type t
 (** A solved instance (memoized value table). *)
 
+val default_cap_states : int
+(** 2000: {!solve}'s default [cap_states]. *)
+
+val default_chunk_factor : float
+(** 6: {!solve}'s default [chunk_factor]. *)
+
 val solve :
   ?quantum:float ->
   ?cap_states:int ->

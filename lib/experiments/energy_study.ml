@@ -24,13 +24,9 @@ let tradeoff ?store ~experiment ~scenario ~power ~periods ~replicates () =
   let rows =
     Sweep_store.vectors ?store ~experiment
       ~params:
-        [
-          ("policy", "energy-sweep");
-          ("periods", String.concat "," (List.map (Printf.sprintf "%h") periods));
-          ("power", Printf.sprintf "%h/%h/%h" power.S.Energy.compute power.S.Energy.io
-                      power.S.Energy.idle);
-        ]
-      ~scenario ~replicates ~width:(2 * List.length periods)
+        [ ("power", Printf.sprintf "%h/%h/%h" power.S.Energy.compute power.S.Energy.io
+                      power.S.Energy.idle) ]
+      ~scenario ~policies ~replicates ~width:(2 * List.length periods)
       ~f:
         (S.Evaluation.stripe_rows ~scenario ~policies (function
           | S.Engine.Completed m ->

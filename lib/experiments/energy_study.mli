@@ -1,8 +1,10 @@
 (** Section 8 extension: the energy/makespan trade-off of the
     checkpoint period.  Short periods burn checkpoint I/O energy;
-    long periods burn recomputation energy; the energy-optimal period
-    is generally longer than the makespan-optimal one because I/O
-    power applies to all [p] processors while waste is rarer. *)
+    long periods burn recomputation energy.  The energy-optimal period
+    is shorter than the makespan-optimal one: with
+    {!Ckpt_simulator.Energy.default_power} a second of checkpoint I/O
+    (40 W) costs a third of a second of recomputation (120 W), so to
+    first order T_E ≈ T_M·√(P_io/P_compute) ≈ 0.58·T_M. *)
 
 type point = {
   period : float;

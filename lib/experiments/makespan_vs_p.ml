@@ -14,10 +14,8 @@ type t = {
   curves : curve list;
 }
 
-let policy_makespan ?store ?(params = []) ~experiment ~scenario ~policy ~replicates () =
-  Sweep_store.vectors ?store ~experiment
-    ~params:(("policy", policy.Po.Policy.name) :: params)
-    ~scenario ~replicates ~width:6
+let policy_makespan ?store ~experiment ~scenario ~policy ~replicates () =
+  Sweep_store.vectors ?store ~experiment ~scenario ~policies:[ policy ] ~replicates ~width:6
     ~f:(S.Evaluation.stripe_rows ~scenario ~policies:[ policy ] S.Evaluation.components_of_outcome)
     ()
   |> S.Evaluation.mean_and_profile
@@ -56,7 +54,6 @@ let run ?(config = Config.default ()) ?processor_counts ~preset ~dist_kind ~poli
                 | `Dp_next_failure -> Po.Dp_policies.dp_next_failure job
               in
               policy_makespan ?store
-                ~params:[ ("workload", P.Workload.model_name workload_model) ]
                 ~experiment:(Printf.sprintf "appendix_d_p%d" processors)
                 ~scenario ~policy ~replicates ()
               |> Option.map (fun (m, profile) -> (processors, m, profile)))

@@ -21,7 +21,6 @@ type t = {
 
 val policy_makespan :
   ?store:Sweep_store.t ->
-  ?params:(string * string) list ->
   experiment:string ->
   scenario:Ckpt_simulator.Scenario.t ->
   policy:Ckpt_policies.Policy.t ->
@@ -29,8 +28,7 @@ val policy_makespan :
   unit ->
   (float * Ckpt_simulator.Evaluation.waste_profile) option
 (** {!Ckpt_simulator.Evaluation.mean_and_profile} of one policy
-    through {!Sweep_store.vectors}; its name joins [params], which must
-    name any other input it depends on (e.g. a period). *)
+    through {!Sweep_store.vectors}, keyed by the policy's recipe. *)
 
 val run :
   ?config:Config.t ->

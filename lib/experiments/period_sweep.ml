@@ -29,7 +29,6 @@ let run ?(config = Config.default ()) ?(log2_range = 4) ~experiment ~scenario ~p
   let table =
     Sweep_store.degradation_table
       ?store:(Sweep_store.of_config config)
-      ~params:[ ("periods", String.concat "," (List.map (Printf.sprintf "%h") periods)) ]
       ~experiment ~scenario ~policies:(policies @ sweep_policies) ~replicates ()
   in
   let find name =

@@ -43,7 +43,6 @@ let simulate_replicated ~job ~period ~traces_a ~traces_b ~start_time =
 let average_periodic_makespan ?store ~scenario ~replicates () =
   let period = Po.Optexp.period scenario.S.Scenario.job in
   Makespan_vs_p.policy_makespan ?store
-    ~params:[ ("period", Printf.sprintf "%h" period) ]
     ~experiment:(Printf.sprintf "replication_p%d" scenario.S.Scenario.job.Po.Job.processors)
     ~scenario ~policy:(Po.Policy.periodic "rep" ~period) ~replicates ()
   |> Option.fold ~none:nan ~some:fst
@@ -78,15 +77,17 @@ let run ?(config = Config.default ()) ?processors ~preset ~dist_kind () =
   let rows =
     Sweep_store.vectors ?store
       ~experiment:(Printf.sprintf "replicated_p%d" p_half)
-      ~params:[ ("model", "replicated-halves"); ("period", Printf.sprintf "%h" period) ]
-      ~scenario:scenario_half ~replicates ~width:1
+      ~scenario:scenario_half ~policies:[] ~replicates ~width:1
       ~f:(fun ~first ~len ->
-        Array.init len (fun i ->
-            let traces k = S.Scenario.traces scenario_half ~replicate:((2 * (first + i)) + k) in
-            [|
-              simulate_replicated ~job:job_half ~period ~traces_a:(traces 0) ~traces_b:(traces 1)
-                ~start_time:scenario_half.S.Scenario.start_time;
-            |]))
+        Ckpt_telemetry.Span.time ~layer:"simulator.stripe" "replicated-halves" (fun () ->
+            Array.init len (fun i ->
+                let traces k =
+                  S.Scenario.traces scenario_half ~replicate:((2 * (first + i)) + k)
+                in
+                [|
+                  simulate_replicated ~job:job_half ~period ~traces_a:(traces 0)
+                    ~traces_b:(traces 1) ~start_time:scenario_half.S.Scenario.start_time;
+                |])))
       ()
   in
   {

@@ -28,7 +28,6 @@ let run ?(config = Config.default ()) ~dist_kind ?(mtbfs = default_mtbfs) () =
         table =
           Sweep_store.degradation_table
             ?store:(Sweep_store.of_config config)
-            ~params:[ ("dist_kind", Setup.dist_kind_name dist_kind) ]
             ~experiment:("sequential_" ^ mtbf_label) ~scenario ~policies ~replicates ();
       })
     mtbfs

@@ -37,7 +37,6 @@ let run ?(config = Config.default ()) ?shapes ?processors () =
         let policies = Setup.policies scenario in
         let table =
           Sweep_store.degradation_table ?store
-            ~params:[ ("shape", Printf.sprintf "%g" shape) ]
             ~experiment:(Printf.sprintf "shape_p%d" processors)
             ~scenario ~policies ~replicates ()
         in

@@ -19,8 +19,7 @@ let run ?(config = Config.default ()) ?(processors = 1 lsl 13) ?(shape = 0.7) ()
     Sweep_store.vectors
       ?store:(Sweep_store.of_config config)
       ~experiment:(Printf.sprintf "significance_p%d" processors)
-      ~params:[ ("policies", String.concat "," (List.map (fun p -> p.Po.Policy.name) policies)) ]
-      ~scenario ~replicates ~width:(List.length policies)
+      ~scenario ~policies ~replicates ~width:(List.length policies)
       ~f:
         (S.Evaluation.stripe_rows ~scenario ~policies (function
           | S.Engine.Completed m -> [| m.S.Engine.makespan |]

@@ -46,8 +46,7 @@ let run ?(config = Config.default ()) ?processors () =
     Sweep_store.vectors
       ?store:(Sweep_store.of_config config)
       ~experiment:(Printf.sprintf "spares_p%d" processors)
-      ~params:[ ("policy", policy.Po.Policy.name) ]
-      ~scenario ~replicates ~width:row_width
+      ~scenario ~policies:[ policy ] ~replicates ~width:row_width
       ~f:(S.Evaluation.stripe_rows ~scenario ~policies:[ policy ] row_of_outcome)
       ()
     |> Array.to_list

@@ -77,17 +77,20 @@ let reset_stats () =
 
 (* -- content addressing ------------------------------------------------------
 
-   The unit key digests every input the unit's result depends on:
-   experiment name, the full scenario (distribution, job shape,
-   machine, seed, horizon), the policy roster, the replicate count and
-   the stripe layout, plus any caller-supplied parameters.  Floats are
-   rendered in hexadecimal so the key sees their exact bits.  Any
-   change lands on a fresh key — the snippet-style invalidation rule:
-   stale state is never consulted, only orphaned. *)
+   The unit key digests what computes the unit: the experiment name,
+   the full scenario (distribution, job shape, machine, seed, horizon),
+   the roster's recipes (each policy's name and resolved parameters),
+   the replicate count and the stripe layout, the code epoch, and any
+   caller-supplied parameters for inputs that are not policies.
+   Floats are rendered in hexadecimal so the key sees their exact bits.
+   Any change lands on a fresh key — the snippet-style invalidation
+   rule: stale state is never consulted, only orphaned. *)
+
+let code_epoch = "1"
 
 let hex = Printf.sprintf "%h"
 
-let fingerprint ~kind ~experiment ~scenario ~policy_names ~replicates ~params =
+let fingerprint ~kind ~experiment ~scenario ~policies ~replicates ~params =
   let job = scenario.Scenario.job in
   let machine = job.Job.machine in
   let dist = job.Job.dist in
@@ -112,9 +115,10 @@ let fingerprint ~kind ~experiment ~scenario ~policy_names ~replicates ~params =
       ("seed", Int64.to_string scenario.Scenario.seed);
       ("horizon", hex scenario.Scenario.horizon);
       ("start_time", hex scenario.Scenario.start_time);
-      ("policies", String.concat "," policy_names);
+      ("policies", String.concat "," (List.map (fun p -> p.Policy.recipe) policies));
       ("replicates", string_of_int replicates);
       ("stripe_size", string_of_int (Evaluation.stripe_size ()));
+      ("code_epoch", code_epoch);
     ]
   in
   base @ List.sort compare params
@@ -359,12 +363,12 @@ let decode_rows ~width ~row_ok ~len payload =
       if Array.length rows = len && List.length lines = len then Some rows else None
   | _ -> None
 
-let map_units ?store ~kind ~experiment ~scenario ~policy_names ~replicates ~params ~width
-    ~row_ok compute =
+let map_units ?store ~kind ~experiment ~scenario ~policies ~replicates ~params ~width ~row_ok
+    compute =
   let key =
     Option.map
       (fun store ->
-        let fields = fingerprint ~kind ~experiment ~scenario ~policy_names ~replicates ~params in
+        let fields = fingerprint ~kind ~experiment ~scenario ~policies ~replicates ~params in
         (store, fields, digest_of fields))
       store
   in
@@ -384,7 +388,7 @@ let map_units ?store ~kind ~experiment ~scenario ~policy_names ~replicates ~para
 let degradation_table ?store ?(params = []) ~experiment ~scenario ~policies ~replicates () =
   let policy_names = List.map (fun p -> p.Policy.name) policies in
   let n = List.length policies in
-  map_units ?store ~kind:"table" ~experiment ~scenario ~policy_names ~replicates ~params
+  map_units ?store ~kind:"table" ~experiment ~scenario ~policies ~replicates ~params
     ~width:(Evaluation.table_row_width ~policies:n)
     ~row_ok:(Evaluation.table_row_ok ~policies:n)
     (fun ~stripe:_ ~first ~len -> Evaluation.table_rows ~scenario ~policies ~first ~len)
@@ -392,9 +396,9 @@ let degradation_table ?store ?(params = []) ~experiment ~scenario ~policies ~rep
   |> List.map (Evaluation.partial_of_rows ~policy_names:(Array.of_list policy_names))
   |> Evaluation.table_of_partials
 
-let vectors ?store ?(params = []) ~experiment ~scenario ~replicates ~width ~f () =
+let vectors ?store ?(params = []) ~experiment ~scenario ~policies ~replicates ~width ~f () =
   if width <= 0 then invalid_arg "Sweep_store.vectors: width must be positive";
-  map_units ?store ~kind:"vectors" ~experiment ~scenario ~policy_names:[] ~replicates
+  map_units ?store ~kind:"vectors" ~experiment ~scenario ~policies ~replicates
     ~params:(("width", string_of_int width) :: params)
     ~width ~row_ok:(fun _ -> true)
     (fun ~stripe:_ ~first ~len ->

@@ -5,14 +5,18 @@
     stripe's rows, one row of floats per replicate in hex notation —
     a degradation table's {!Ckpt_simulator.Evaluation.table_rows}, or
     a {!vectors} study's own rows.  Units live under a key that hashes
-    the experiment name, the full scenario parameters, the seed, the
-    policy roster and the stripe layout, and are written atomically
+    the experiment name, the full scenario (seed included), the
+    roster's recipes ({!Ckpt_policies.Policy.t.recipe}: each policy's
+    name and resolved parameters), the replicate count, the stripe
+    width, the unit kind (and a vectors unit's row width),
+    {!code_epoch}, and the caller's [params] for inputs that are not
+    policies.  Units are written atomically
     (tempfile + fsync + rename, {!Ckpt_store.Atomic_file}).  Re-running
     an interrupted study then skips every completed unit and recomputes
     only the missing ones.  A table is always the fold of its rows
     through the same stripe merge tree, so it comes out bit-identical.
 
-    Invalidation is by construction: any changed parameter changes the
+    Invalidation is by construction: any changed key field changes the
     key, so stale units are simply never consulted (and two concurrent
     sweeps with different parameters can share a directory without
     collision).  A unit file that exists but fails its header or
@@ -45,6 +49,14 @@
 
 type t
 (** A sweep store rooted at a directory. *)
+
+val code_epoch : string
+(** Joins every unit key.  Bump it with any change to the code that
+    alters the bits a unit stores (the engine, a policy's decisions,
+    trace generation, the row layout) without changing a key field:
+    every existing unit is then orphaned and recomputed once.  The
+    pinned engine digests of the simulator tests are checked against
+    it, so changing one of them fails a test until the epoch moves. *)
 
 val create : dir:string -> t
 (** Open (creating as needed) the store at [dir].
@@ -119,16 +131,18 @@ val degradation_table :
     loaded or computed, is folded by
     {!Ckpt_simulator.Evaluation.partial_of_rows} before
     {!Ckpt_simulator.Evaluation.table_of_partials}.  Bit-identical to
-    the plain call either way.  [experiment] names the study point (distinct
-    sweep points of one study must pass distinct names or [params]);
-    [params] are extra key/value pairs folded into the unit key and
-    recorded in each unit's provenance sidecar. *)
+    the plain call either way.  [experiment] names the study point
+    (distinct sweep points of one study must pass distinct names or
+    differ in a key field); [params] are extra key/value pairs for
+    inputs that are neither the scenario nor a policy, folded into the
+    unit key and recorded in each unit's provenance sidecar. *)
 
 val vectors :
   ?store:t ->
   ?params:(string * string) list ->
   experiment:string ->
   scenario:Ckpt_simulator.Scenario.t ->
+  policies:Ckpt_policies.Policy.t list ->
   replicates:int ->
   width:int ->
   f:(first:int -> len:int -> float array array) ->
@@ -138,10 +152,12 @@ val vectors :
     studies whose unit of work is a row per replicate rather than a
     policy table: [f ~first ~len] computes one stripe's rows (usually
     {!Ckpt_simulator.Evaluation.stripe_rows}), and with a [store] each
-    stripe is one unit in the same row format as a table's.  [f] must
-    be a pure function of its bounds, the scenario and [params], which
-    must name every other input the rows depend on (policies, periods,
-    cost profile); [width] joins the key.  Rows round-trip the store
+    stripe is one unit in the same row format as a table's.  The key
+    is a table's, with the recipes of [policies] (the policies the
+    rows come from; [[]] when the rows depend on the scenario alone)
+    and [width].  [f] must be a pure function of its bounds, the
+    scenario, [policies] and [params], which must name every other
+    input (a cost profile, a power model).  Rows round-trip the store
     bit-exactly (hex floats; NaN/inf cells included, so a [nan] can
     mark a failed run).
     @raise Invalid_argument if [replicates <= 0], [width <= 0], or [f]

@@ -31,19 +31,15 @@ let run ?(config = Config.default ()) ?(processors = 1 lsl 13) () =
   (* All contenders execute under the true progress-dependent costs;
      one makespan per contender and replicate, [infinity] for a failed
      run. *)
+  let policies = List.map snd contenders in
   let rows =
     Sweep_store.vectors
       ?store:(Sweep_store.of_config config)
       ~experiment:(Printf.sprintf "variable_cost_p%d" processors)
-      ~params:
-        [
-          ("contenders", String.concat "," (List.map fst contenders));
-          ("cost_profile", "600*(0.5+progress)");
-        ]
-      ~scenario ~replicates ~width:(List.length contenders)
+      ~params:[ ("cost_profile", "600*(0.5+progress)") ]
+      ~scenario ~policies ~replicates ~width:(List.length contenders)
       ~f:
-        (S.Evaluation.stripe_rows ~cost_profile:profile ~scenario
-           ~policies:(List.map snd contenders) (function
+        (S.Evaluation.stripe_rows ~cost_profile:profile ~scenario ~policies (function
           | S.Engine.Completed m -> [| m.S.Engine.makespan |]
           | S.Engine.Policy_failed _ -> [| infinity |]))
       ()

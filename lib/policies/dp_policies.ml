@@ -18,7 +18,8 @@ let replans = Metrics.counter "dp_next_failure/replans"
 let age_bucket tau0 = int_of_float (log1p tau0 /. 0.5)
 let bucket_age bucket = expm1 ((float_of_int bucket +. 0.5) *. 0.5)
 
-let dp_makespan ?quantum ?cap_states ?chunk_factor job =
+let dp_makespan ?quantum ?(cap_states = Dp_makespan.default_cap_states)
+    ?(chunk_factor = Dp_makespan.default_chunk_factor) job =
   let context = Job.dp_context job ~platform_view:(job.Job.processors > 1) in
   let work = job.Job.work_time in
   (* The policy value owns its solved tables, keyed by (domain, age
@@ -38,7 +39,7 @@ let dp_makespan ?quantum ?cap_states ?chunk_factor job =
     | None ->
         Metrics.incr table_misses;
         let t =
-          Dp_makespan.solve ?quantum ?cap_states ?chunk_factor ~context ~work
+          Dp_makespan.solve ?quantum ~cap_states ~chunk_factor ~context ~work
             ~initial_age:(bucket_age bucket) ()
         in
         Mutex.protect lock (fun () -> Hashtbl.replace tables key t);
@@ -65,7 +66,14 @@ let dp_makespan ?quantum ?cap_states ?chunk_factor job =
   in
   (* The cursor makes each decision depend on the whole history, not
      the current observation alone: no pure-scalar declaration. *)
-  { Policy.name = "DPMakespan"; instantiate; decide = None }
+  let recipe =
+    (* The default quantum is a rule of the job and [cap_states], both
+       in the store key, so "auto" names it. *)
+    Printf.sprintf "DPMakespan(quantum=%s cap_states=%d chunk_factor=%h)"
+      (match quantum with Some q -> Printf.sprintf "%h" q | None -> "auto")
+      cap_states chunk_factor
+  in
+  { Policy.name = "DPMakespan"; recipe; instantiate; decide = None }
 
 let dp_next_failure ?(nexact = Age_summary.default_nexact)
     ?(napprox = Age_summary.default_napprox) ?(max_states = 150) ?(truncation_factor = 2.)
@@ -130,4 +138,10 @@ let dp_next_failure ?(nexact = Age_summary.default_nexact)
   in
   (* Stateful (pending plan and budget) and age-summary-driven: every
      execution needs its own instance. *)
-  { Policy.name = "DPNextFailure"; instantiate; decide = None }
+  let recipe =
+    (* [reference] is left out: both paths plan the same bits. *)
+    Printf.sprintf "DPNextFailure(nexact=%d napprox=%d max_states=%d truncation_factor=%h%s)"
+      nexact napprox max_states truncation_factor
+      (if Option.is_some cost_profile then " cost_profile" else "")
+  in
+  { Policy.name = "DPNextFailure"; recipe; instantiate; decide = None }

@@ -12,7 +12,9 @@ val dp_makespan :
     bucket's canonical age, so results do not depend on which
     execution or domain asked first.  Telemetry:
     [dp_makespan/table_cache_hits] and [dp_makespan/table_cache_misses]
-    (one miss per solved table). *)
+    (one miss per solved table).  Recipe:
+    [DPMakespan(quantum=… cap_states=… chunk_factor=…)], with
+    [quantum=auto] for the default rule. *)
 
 val dp_next_failure :
   ?nexact:int ->
@@ -39,4 +41,8 @@ val dp_next_failure :
     paths — a full {!Ckpt_core.Age_summary.build} from the processor
     ages and an exhaustive [~prune:false] chunk scan — instead of the
     engine's incremental summary and the pruned scan.  Both paths give
-    bit-identical plans; tests compare them. *)
+    bit-identical plans; tests compare them.
+
+    Recipe: [DPNextFailure(nexact=… napprox=… max_states=…
+    truncation_factor=…)], with a trailing [cost_profile] when one is
+    set; [reference] is left out. *)

@@ -12,17 +12,25 @@ type observation = {
 
 type instance = observation -> float option
 
-type t = { name : string; instantiate : unit -> instance; decide : instance option }
+type t = {
+  name : string;
+  recipe : string;
+  instantiate : unit -> instance;
+  decide : instance option;
+}
 
 let summarize_of_iter ~units ~iter_ages ~nexact ~napprox dist =
   Ckpt_core.Age_summary.build ~nexact ~napprox dist ~processors:units ~iter_ages
 
-let stateless name f = { name; instantiate = (fun () -> f); decide = None }
+let stateless name f = { name; recipe = name; instantiate = (fun () -> f); decide = None }
 
-let pure_scalar name f = { name; instantiate = (fun () -> f); decide = Some f }
+let pure_scalar name f = { name; recipe = name; instantiate = (fun () -> f); decide = Some f }
 
 let clamp_chunk ~remaining chunk = Float.max 0. (Float.min remaining chunk)
 
 let periodic name ~period =
-  pure_scalar name (fun obs ->
-      if period <= 0. then None else Some (Float.min period obs.remaining))
+  let p =
+    pure_scalar name (fun obs ->
+        if period <= 0. then None else Some (Float.min period obs.remaining))
+  in
+  { p with recipe = Printf.sprintf "%s@%h" name period }

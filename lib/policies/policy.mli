@@ -50,6 +50,12 @@ type instance = observation -> float option
 
 type t = {
   name : string;
+  recipe : string;
+      (** What the policy computes: its name and every parameter it
+          was built with, floats in [%h] and defaults resolved to
+          their values.  Two policies with equal recipes make the same
+          decisions on the same scenario, so the sweep store keys
+          units by recipes rather than names. *)
   instantiate : unit -> instance;
   decide : instance option;
       (** [Some f] declares that the policy's decision is a pure
@@ -76,17 +82,20 @@ val stateless : string -> (observation -> float option) -> t
 (** A policy whose decisions are a pure function of the observation —
     possibly including the full age summary, so it makes no
     pure-scalar claim ([decide = None]).  Use {!pure_scalar} when the
-    decision reads only the scalar fields. *)
+    decision reads only the scalar fields.  The recipe is the name: a
+    parameter the closure captures must be part of the name, or the
+    caller sets [recipe] itself. *)
 
 val pure_scalar : string -> (observation -> float option) -> t
 (** Like {!stateless}, additionally declaring ([decide = Some f]) that
     the decision depends only on the scalar observation fields.  No
-    engine reads the declaration (see {!t.decide}). *)
+    engine reads the declaration (see {!t.decide}).  The recipe is
+    the name, as for {!stateless}. *)
 
 val periodic : string -> period:float -> t
 (** Checkpoint every [period] seconds of work: chunks of
     [min period remaining].  [None] if [period <= 0].  Pure-scalar
-    (reads only [remaining]). *)
+    (reads only [remaining]).  Recipe: [name@<period in %h>]. *)
 
 val clamp_chunk : remaining:float -> float -> float
 (** Clamp a proposed chunk into (0, remaining]. *)

@@ -9,6 +9,7 @@ module Fig1_mtbf = Ckpt_experiments.Fig1_mtbf
 module Scaling_study = Ckpt_experiments.Scaling_study
 module Ablation = Ckpt_experiments.Ablation
 module Replication = Ckpt_experiments.Replication
+module Energy_study = Ckpt_experiments.Energy_study
 module P = Ckpt_platform
 module S = Ckpt_simulator
 module F = Ckpt_failures
@@ -448,10 +449,25 @@ let test_psuc_approximation_error () =
   List.iter
     (fun p ->
       check Alcotest.bool
-        (Printf.sprintf "error %.2e below 1%%" p.Ablation.relative_error)
+        (Printf.sprintf "error %.2e below 0.2%%" p.Ablation.relative_error)
         true
-        (p.Ablation.relative_error < 0.01))
+        (p.Ablation.relative_error < 0.002))
     points
+
+(* -- energy: the optimal periods' order -------------------------------------------- *)
+
+(* Checkpoint I/O draws a third of the power of recomputation, so the
+   energy-optimal period is the shorter one (T_E ~ 0.58 T_M). *)
+let test_energy_optimal_period_shorter () =
+  let t =
+    Energy_study.run ~config:Config.quick ~preset:(P.Presets.petascale ())
+      ~dist_kind:(Setup.Weibull 0.7) ()
+  in
+  check Alcotest.bool
+    (Printf.sprintf "energy-optimal %.0f s <= makespan-optimal %.0f s"
+       t.Energy_study.energy_optimal_period t.Energy_study.makespan_optimal_period)
+    true
+    (t.Energy_study.energy_optimal_period <= t.Energy_study.makespan_optimal_period)
 
 (* -- the paper's headline claim, end to end ----------------------------------------- *)
 
@@ -547,6 +563,8 @@ let () =
           Alcotest.test_case "scaling structure" `Quick test_scaling_study_structure;
           Alcotest.test_case "series extraction" `Quick test_degradation_series_extraction;
           Alcotest.test_case "psuc approximation" `Quick test_psuc_approximation_error;
+          Alcotest.test_case "energy-optimal period is shorter" `Quick
+            test_energy_optimal_period_shorter;
           Alcotest.test_case "headline claim" `Quick test_headline_claim_dpnf_wins_on_weibull;
           Alcotest.test_case "replication" `Quick test_replication_runs;
         ] );

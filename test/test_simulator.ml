@@ -1181,6 +1181,23 @@ let test_pinned_event_streams () =
   ignore (Engine.lower_bound ~trace:buf ~scenario ~traces:(traces 3) ());
   check Alcotest.string "traced lower bound" pinned_traced_lower_bound (events buf)
 
+(* The pins above hold what stored sweep units hold.  A change that
+   moves any of them must bump [Sweep_store.code_epoch], or a resumed
+   sweep would load units of the old bits: re-record the pair below
+   with the new epoch and the new digest of the pins. *)
+let epoch_of_pins = ("1", "0350c8b27d490f7b70ebb929d52a3773")
+
+let test_pins_move_code_epoch () =
+  let pins =
+    List.map (fun (label, d) -> label ^ " " ^ d) pinned_outcomes
+    @ [ pinned_traced_run; pinned_traced_lower_bound ]
+    @ List.map (fun (width, d) -> Printf.sprintf "%d %s" width d) pinned_tables
+  in
+  check
+    Alcotest.(pair string string)
+    "code epoch and the digest of every pin" epoch_of_pins
+    (Ckpt_experiments.Sweep_store.code_epoch, digest_lines pins)
+
 (* -- waste profile golden table --------------------------------------------- *)
 
 let test_profile_accounting_identity () =
@@ -1516,6 +1533,7 @@ let () =
             test_engine_matrix_bit_identity;
           Alcotest.test_case "pinned outcome digests" `Quick test_pinned_outcomes;
           Alcotest.test_case "pinned event streams" `Quick test_pinned_event_streams;
+          Alcotest.test_case "pins move the code epoch" `Quick test_pins_move_code_epoch;
           Alcotest.test_case "malformed CKPT_SWEEP_STRIPE warns" `Quick
             test_stripe_size_malformed;
           Alcotest.test_case "stripe_runs == Engine.run loop" `Quick

@@ -226,6 +226,38 @@ let test_changed_params_invalidate dir =
       Alcotest.(check bool) "no cross-seed contamination" true (t1 = t1');
       check Alcotest.int "original fully skipped" 3 s'.Sweep_store.skipped)
 
+(* Rosters that differ only in a policy parameter (a period, or
+   DPNextFailure's [nexact]) land on distinct keys of one experiment
+   and scenario, and each table is its store-less table (snippet
+   INV-1 again: a key covers every parameter, not only the names). *)
+let test_policy_parameters_change_keys dir =
+  with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
+      let scenario = eval_scenario () in
+      let job = scenario.Scenario.job in
+      let dpnf ?nexact () = Ckpt_policies.Dp_policies.dp_next_failure ?nexact ~max_states:40 job in
+      let variants =
+        [
+          ("period 900", [ Ckpt_policies.Policy.periodic "p" ~period:900. ]);
+          ("period 2000", [ Ckpt_policies.Policy.periodic "p" ~period:2000. ]);
+          ("default nexact", [ dpnf () ]);
+          ("nexact 0", [ dpnf ~nexact:0 () ]);
+        ]
+      in
+      List.iter
+        (fun (label, policies) ->
+          let stored, s =
+            stats_since (fun () ->
+                Sweep_store.degradation_table ~store:(Sweep_store.create ~dir)
+                  ~experiment:"parameter_test" ~scenario ~policies ~replicates:6 ())
+          in
+          check Alcotest.int (label ^ ": nothing loaded") 0 s.Sweep_store.skipped;
+          check Alcotest.int (label ^ ": every unit computed") 3 s.Sweep_store.computed;
+          same_table (label ^ ": store table == store-less table")
+            (Evaluation.degradation_table ~scenario ~policies ~replicates:6)
+            stored)
+        variants;
+      check Alcotest.int "four rosters' units coexist" 12 (List.length (unit_files dir)))
+
 let test_stripe_size_changes_keys dir =
   with_env "CKPT_SWEEP_STRIPE" "2" (fun () ->
       ignore (run_store ~dir ~replicates:6 ()));
@@ -266,7 +298,7 @@ let vector_rows ~first ~len = Array.init len (fun i -> vector_row (first + i))
 let run_vectors ?(width = 4) ~dir () =
   Sweep_store.vectors
     ~store:(Sweep_store.create ~dir)
-    ~experiment:"vectors_test" ~scenario:(eval_scenario ()) ~replicates:5 ~width
+    ~experiment:"vectors_test" ~scenario:(eval_scenario ()) ~policies:[] ~replicates:5 ~width
     ~f:(fun ~first ~len -> Array.map (fun r -> Array.sub r 0 width) (vector_rows ~first ~len))
     ()
 
@@ -296,7 +328,7 @@ let test_vectors_count_replicates dir =
         Metrics.reset ~prefix:"eval/" ();
         ignore
           (Sweep_store.vectors ~store:(Sweep_store.create ~dir) ~experiment:"count_test" ~scenario
-             ~replicates:5 ~width:12
+             ~policies ~replicates:5 ~width:12
              ~f:(Evaluation.stripe_rows ~scenario ~policies Evaluation.components_of_outcome)
              ());
         match Metrics.find "eval/replicates" with Some (Metrics.Counter n) -> n | _ -> -1
@@ -408,18 +440,18 @@ let test_store_keys_pinned dir =
         (Sweep_store.degradation_table ~store ~params:[ ("point", "a") ] ~experiment:"pin_table"
            ~scenario ~policies:(policies scenario.Scenario.job) ~replicates:5 ());
       ignore
-        (Sweep_store.vectors ~store ~experiment:"pin_vectors" ~scenario ~replicates:5 ~width:4
-           ~f:vector_rows ());
+        (Sweep_store.vectors ~store ~experiment:"pin_vectors" ~scenario ~policies:[] ~replicates:5
+           ~width:4 ~f:vector_rows ());
       check
         Alcotest.(list (pair string string))
         "unit names and MD5s"
         [
-          ("pin_table-ea1354fec0adab7852bc1c66b0ad7697.stripe000.part", "0f0d8bece94af7d47415e04a92304cbd");
-          ("pin_table-ea1354fec0adab7852bc1c66b0ad7697.stripe001.part", "2f9d1aa15c515d568f17c2e3be8ed8fa");
-          ("pin_table-ea1354fec0adab7852bc1c66b0ad7697.stripe002.part", "db8aaa1f1a99d84940102bd3413e046c");
-          ("pin_vectors-b7e7ca4cbc8c77559925d5e984982c67.stripe000.part", "23f0f3385ed5eb6db07eb670414a3f31");
-          ("pin_vectors-b7e7ca4cbc8c77559925d5e984982c67.stripe001.part", "9be67bb08118c07e92e5a33a39ee07ba");
-          ("pin_vectors-b7e7ca4cbc8c77559925d5e984982c67.stripe002.part", "111b2dc61ba08d81b896b9cb976eef54");
+          ("pin_table-3656317304462542d2537e9b45be5d9a.stripe000.part", "e0d0df64d63df9647e254b4d2b21f0a7");
+          ("pin_table-3656317304462542d2537e9b45be5d9a.stripe001.part", "388c2f25976796273de438c029ae0603");
+          ("pin_table-3656317304462542d2537e9b45be5d9a.stripe002.part", "a1c25ced0965ba483c1ff6f50ecf879a");
+          ("pin_vectors-1a19b03227d3680e1ea851f8ad37c238.stripe000.part", "5d0f6342b59834ea4f0830dc442db813");
+          ("pin_vectors-1a19b03227d3680e1ea851f8ad37c238.stripe001.part", "40f2e7d76df36c10078859a81085ddaa");
+          ("pin_vectors-1a19b03227d3680e1ea851f8ad37c238.stripe002.part", "c59fa1522b6d471e2020dc634f09fbce");
         ]
         (List.map
            (fun f -> (f, Digest.to_hex (Digest.file (Filename.concat dir f))))
@@ -707,6 +739,8 @@ let () =
           Alcotest.test_case "resume is bit-identical" `Quick (in_dir test_resume_bit_identical);
           Alcotest.test_case "corruption invalidates" `Quick (in_dir test_invalidation_on_corruption);
           Alcotest.test_case "changed params change keys" `Quick (in_dir test_changed_params_invalidate);
+          Alcotest.test_case "policy parameters change keys" `Quick
+            (in_dir test_policy_parameters_change_keys);
           Alcotest.test_case "stripe width changes keys" `Quick (in_dir test_stripe_size_changes_keys);
           QCheck_alcotest.to_alcotest prop_prefix_resume;
           Alcotest.test_case "vectors resume" `Quick (in_dir test_vectors_resume);
